@@ -10,6 +10,7 @@
 
 use crate::MAX_ORDER;
 use std::collections::BTreeSet;
+use tint_hw::decoder::FrameMask;
 use tint_hw::types::FrameNumber;
 
 /// Order-indexed free lists over a flat frame range `0..frame_count`.
@@ -139,27 +140,41 @@ impl BuddyAllocator {
         false
     }
 
-    /// The lowest-addressed currently-free frame satisfying `pred`, if any.
-    /// Deterministic scan over all free blocks (sorted per order).
-    pub fn lowest_free_matching<P: Fn(FrameNumber) -> bool>(&self, pred: P) -> Option<FrameNumber> {
+    /// The lowest-addressed currently-free frame in `mask`, if any.
+    /// Deterministic scan over the free blocks (sorted per order); each
+    /// block is one [`FrameMask::first_in_block`] query, so the cost is
+    /// per block visited, not per frame.
+    pub fn lowest_free_in(&self, mask: &FrameMask) -> Option<FrameNumber> {
         let mut best: Option<u64> = None;
         for order in 0..=MAX_ORDER {
             for &start in &self.free_lists[order as usize] {
-                if let Some(b) = best {
-                    if start >= b {
-                        break; // sorted: no lower frame in this order's tail
-                    }
+                if best.is_some_and(|b| start >= b) {
+                    break; // sorted: no lower frame in this order's tail
                 }
-                let n = 1u64 << order;
-                if let Some(f) = (0..n).map(|i| start + i).find(|&f| pred(FrameNumber(f))) {
-                    if best.is_none_or(|b| f < b) {
-                        best = Some(f);
-                    }
+                if let Some(f) = mask.first_in_block(FrameNumber(start), order) {
+                    best = Some(f.0);
                     break; // lowest candidate in this order found
                 }
             }
         }
         best.map(FrameNumber)
+    }
+
+    /// The first free block (lowest order, then lowest address) holding at
+    /// least one frame in `mask` — the block Algorithm 1 hands to
+    /// `create_color_list`. Also returns how many blocks were examined,
+    /// which the kernel charges to the faulting task.
+    pub fn first_block_in(&self, mask: &FrameMask) -> (u64, Option<(u32, FrameNumber)>) {
+        let mut scanned = 0u64;
+        for order in 0..=MAX_ORDER {
+            for start in self.blocks(order) {
+                scanned += 1;
+                if mask.first_in_block(start, order).is_some() {
+                    return (scanned, Some((order, start)));
+                }
+            }
+        }
+        (scanned, None)
     }
 
     /// Free a `2^order`-page block, coalescing with free buddies.
@@ -229,6 +244,8 @@ impl BuddyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tint_hw::addrmap::AddressMapping;
+    use tint_hw::decoder::{FrameDecoder, FrameInfo};
 
     #[test]
     fn seeds_full_memory() {
@@ -346,20 +363,40 @@ mod tests {
         assert!(!b.alloc_specific(FrameNumber(16)));
     }
 
-    #[test]
-    fn lowest_free_matching_scans_ascending() {
-        let mut b = BuddyAllocator::new(1 << 12);
-        // Predicate: frames ≡ 3 (mod 8).
-        let pred = |f: FrameNumber| f.0 % 8 == 3;
-        assert_eq!(b.lowest_free_matching(pred), Some(FrameNumber(3)));
-        assert!(b.alloc_specific(FrameNumber(3)));
-        assert_eq!(b.lowest_free_matching(pred), Some(FrameNumber(11)));
+    fn tiny_mask(pred: impl Fn(FrameInfo) -> bool) -> FrameMask {
+        FrameDecoder::new(&AddressMapping::tiny()).mask(pred)
     }
 
     #[test]
-    fn lowest_free_matching_none_when_no_match() {
+    fn lowest_free_in_scans_ascending() {
+        let mut b = BuddyAllocator::new(1 << 12);
+        // Tiny mapping: the node is frame bit 3, so node 1 is 8–15, 24–31, …
+        let mask = tiny_mask(|i| i.node == 1);
+        assert_eq!(b.lowest_free_in(&mask), Some(FrameNumber(8)));
+        assert!(b.alloc_specific(FrameNumber(8)));
+        assert_eq!(b.lowest_free_in(&mask), Some(FrameNumber(9)));
+    }
+
+    #[test]
+    fn lowest_free_in_none_when_no_match() {
         let b = BuddyAllocator::new(16);
-        assert_eq!(b.lowest_free_matching(|f| f.0 > 100), None);
+        assert_eq!(b.lowest_free_in(&tiny_mask(|_| false)), None);
+        assert_eq!(b.first_block_in(&tiny_mask(|_| false)), (1, None));
+    }
+
+    #[test]
+    fn first_block_in_counts_blocks_scanned() {
+        let mut b = BuddyAllocator::new(1 << 12);
+        // Leave order-0 holes at frames 1 and 5, both on node 0.
+        for f in [0, 2, 3, 4, 6, 7] {
+            assert!(b.alloc_specific(FrameNumber(f)));
+        }
+        // Node 0 is in the first order-0 block scanned.
+        let node0 = tiny_mask(|i| i.node == 0);
+        assert_eq!(b.first_block_in(&node0), (1, Some((0, FrameNumber(1)))));
+        // Node 1 skips both holes and finds the order-3 block at 8.
+        let node1 = tiny_mask(|i| i.node == 1);
+        assert_eq!(b.first_block_in(&node1), (3, Some((3, FrameNumber(8)))));
     }
 
     #[test]
@@ -367,9 +404,10 @@ mod tests {
         // The NUMA-aware first-touch pattern: repeatedly take the lowest
         // matching frame — a burst receives a contiguous run.
         let mut b = BuddyAllocator::new(1 << 12);
+        let all = tiny_mask(|_| true);
         let mut got = Vec::new();
         for _ in 0..8 {
-            let f = b.lowest_free_matching(|_| true).unwrap();
+            let f = b.lowest_free_in(&all).unwrap();
             assert!(b.alloc_specific(f));
             got.push(f.0);
         }

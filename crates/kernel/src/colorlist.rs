@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 use tint_hw::addrmap::AddressMapping;
+use tint_hw::decoder::FrameDecoder;
 use tint_hw::types::{BankColor, FrameNumber, LlcColor};
 
 /// First set bit of `words` at an index ≥ `start`, wrapping around — the
@@ -58,6 +59,9 @@ pub struct ColorMatrix {
     /// Words per LLC color in `nonempty_bank`.
     bank_words: usize,
     mapping: AddressMapping,
+    /// LUT decoder for `mapping`: every frame sorted into or probed in the
+    /// matrix is one table load, not a field-by-field decode.
+    decoder: FrameDecoder,
     /// Pages currently held across all lists.
     pages: u64,
 }
@@ -75,6 +79,7 @@ impl ColorMatrix {
             nonempty_bank: vec![0; llcs * bank_words],
             llc_words,
             bank_words,
+            decoder: FrameDecoder::new(&mapping),
             mapping,
             pages: 0,
         }
@@ -117,8 +122,8 @@ impl ColorMatrix {
         let n = 1u64 << order;
         for i in 0..n {
             let f = FrameNumber(head.0 + i);
-            let d = self.mapping.decode_frame(f);
-            let (b, l) = (d.bank_color.index(), d.llc_color.index());
+            let d = self.decoder.info(f);
+            let (b, l) = (d.bank_color as usize, d.llc_color as usize);
             self.lists[b][l].push_back(f);
             self.mark_nonempty(b, l);
         }
@@ -130,7 +135,7 @@ impl ColorMatrix {
     /// space by the application cause the kernel to add pages to the
     /// corresponding colored free lists".
     pub fn push(&mut self, frame: FrameNumber) {
-        let d = self.mapping.decode_frame(frame);
+        let d = self.decoder.decode_frame(frame);
         let (b, l) = (d.bank_color.index(), d.llc_color.index());
         self.lists[b][l].push_back(frame);
         self.mark_nonempty(b, l);
@@ -204,11 +209,16 @@ impl ColorMatrix {
         &self.mapping
     }
 
+    /// The LUT decoder the matrix sorts frames with (built once, at boot).
+    pub fn decoder(&self) -> &FrameDecoder {
+        &self.decoder
+    }
+
     /// Is `frame` currently parked in its color list? Decodes the frame to
     /// find the one list that could hold it, so the scan is bounded by that
     /// list's length — the incremental auditor's per-frame membership probe.
     pub fn contains_frame(&self, frame: FrameNumber) -> bool {
-        let d = self.mapping.decode_frame(frame);
+        let d = self.decoder.decode_frame(frame);
         self.lists[d.bank_color.index()][d.llc_color.index()].contains(&frame)
     }
 
@@ -227,7 +237,7 @@ impl ColorMatrix {
         for (b, row) in self.lists.iter().enumerate() {
             for (l, list) in row.iter().enumerate() {
                 for &f in list {
-                    let d = self.mapping.decode_frame(f);
+                    let d = self.decoder.decode_frame(f);
                     assert_eq!(d.bank_color.index(), b, "page {f} in wrong bank list");
                     assert_eq!(d.llc_color.index(), l, "page {f} in wrong LLC list");
                 }

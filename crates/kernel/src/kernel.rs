@@ -36,10 +36,11 @@ use crate::vm::{AddressSpace, FrameSource};
 use crate::MAX_ORDER;
 use std::collections::HashMap;
 use tint_hw::addrmap::AddressMapping;
+use tint_hw::decoder::{FrameDecoder, FrameInfo, FrameMask};
 use tint_hw::pci::{derive_mapping, PciConfigSpace};
 use tint_hw::topology::Topology;
 use tint_hw::types::{
-    BankColor, CoreId, FrameNumber, LlcColor, PageNumber, PhysAddr, VirtAddr, PAGE_SIZE,
+    BankColor, CoreId, FrameNumber, LlcColor, NodeId, PageNumber, PhysAddr, VirtAddr, PAGE_SIZE,
 };
 
 /// Protection-argument flag (bit 30): "interpret this `mmap()` as a color
@@ -182,12 +183,15 @@ pub struct Kernel {
     untracked_pages: u64,
     /// Free-frame watermarks backing [`Kernel::mem_pressure`].
     watermarks: Watermarks,
+    /// Boot-time placement masks for the uncolored paths.
+    node_masks: NodeMasks,
     /// Reverse map: frame number → packed `(vm, page)` of the translation
     /// it backs, or [`RMAP_NONE`]. Maintained on every install/remap/
     /// release, it gives [`Kernel::audit_step`] an O(1) "who owns this
     /// frame" answer — genuine redundancy against the page tables, which is
     /// what makes the incremental audit able to *catch* drift rather than
-    /// re-derive it.
+    /// re-derive it. Allocated zeroed ([`RMAP_NONE`] is 0), so the host
+    /// commits only the pages of it that a fault has written.
     rmap: Vec<u64>,
     /// Pages currently resident across all address spaces (PTE count).
     /// Redundant with walking every VM; kept incrementally so the auditor's
@@ -195,11 +199,36 @@ pub struct Kernel {
     resident_pages: u64,
 }
 
-/// [`Kernel::rmap`] sentinel: the frame backs no translation.
-const RMAP_NONE: u64 = u64::MAX;
+/// [`Kernel::rmap`] sentinel: the frame backs no translation. Zero, so a
+/// fresh rmap is a zeroed allocation; entries store `vm + 1` to keep every
+/// real translation, `(0, 0)` included, nonzero.
+const RMAP_NONE: u64 = 0;
 
 /// Bits of the packed rmap entry reserved for the page number.
 const RMAP_PAGE_BITS: u32 = 44;
+
+/// Placement masks fixed at boot: every frame, and every frame of each
+/// node — the queries of the legacy, first-touch and local-uncolored paths.
+#[derive(Debug, Clone)]
+struct NodeMasks {
+    any: FrameMask,
+    node: Vec<FrameMask>,
+}
+
+impl NodeMasks {
+    fn new(decoder: &FrameDecoder, nodes: usize) -> Self {
+        Self {
+            any: decoder.mask(|_| true),
+            node: (0..nodes)
+                .map(|n| decoder.mask(|i| i.node as usize == n))
+                .collect(),
+        }
+    }
+
+    fn of(&self, node: NodeId) -> &FrameMask {
+        &self.node[node.index()]
+    }
+}
 
 impl Kernel {
     /// Boot with a known mapping (tests, presets).
@@ -209,9 +238,11 @@ impl Kernel {
             topology.node_count(),
             "mapping and topology disagree on node count"
         );
+        let colors = ColorMatrix::new(mapping);
         Self {
             buddy: BuddyAllocator::new(mapping.frame_count()),
-            colors: ColorMatrix::new(mapping),
+            node_masks: NodeMasks::new(colors.decoder(), mapping.node_count()),
+            colors,
             tasks: HashMap::new(),
             vms: Vec::new(),
             next_tid: 1,
@@ -559,20 +590,22 @@ impl Kernel {
         budget
     }
 
-    /// Pack an rmap entry.
+    /// Pack an rmap entry: `vm + 1` in the high bits, so no translation
+    /// packs to [`RMAP_NONE`].
     fn rmap_pack(vm: usize, page: u64) -> u64 {
         assert!(page < 1 << RMAP_PAGE_BITS, "page number beyond rmap range");
         assert!(
             (vm as u64) < (1 << (64 - RMAP_PAGE_BITS)) - 1,
             "vm index beyond rmap range"
         );
-        ((vm as u64) << RMAP_PAGE_BITS) | page
+        ((vm as u64 + 1) << RMAP_PAGE_BITS) | page
     }
 
-    /// Unpack an rmap entry into `(vm index, page number)`.
+    /// Unpack a non-[`RMAP_NONE`] entry into `(vm index, page number)`.
     fn rmap_unpack(entry: u64) -> (usize, u64) {
+        debug_assert_ne!(entry, RMAP_NONE, "unpacking an empty rmap entry");
         (
-            (entry >> RMAP_PAGE_BITS) as usize,
+            (entry >> RMAP_PAGE_BITS) as usize - 1,
             entry & ((1 << RMAP_PAGE_BITS) - 1),
         )
     }
@@ -820,6 +853,7 @@ impl Kernel {
         let out = Self::alloc_pages(
             &self.mapping,
             &self.topology,
+            &self.node_masks,
             &mut self.buddy,
             &mut self.colors,
             &mut self.stats,
@@ -853,6 +887,7 @@ impl Kernel {
         let out = Self::alloc_pages(
             &self.mapping,
             &self.topology,
+            &self.node_masks,
             &mut self.buddy,
             &mut self.colors,
             &mut self.stats,
@@ -911,7 +946,7 @@ impl Kernel {
             .filter(|&(p, _)| {
                 range.is_none_or(|(start, pages)| p.0 >= start.0 && p.0 < start.0 + pages)
             })
-            .filter(|&(_, f)| !Self::frame_matches(&self.mapping, task, f))
+            .filter(|&(_, f)| !Self::info_matches(task, self.colors.decoder().info(f)))
             .collect();
         let mut cycles = 0u64;
         let mut migrated = 0u64;
@@ -924,6 +959,7 @@ impl Kernel {
             let out = Self::alloc_pages(
                 &self.mapping,
                 &self.topology,
+                &self.node_masks,
                 &mut self.buddy,
                 &mut self.colors,
                 &mut self.stats,
@@ -974,6 +1010,7 @@ impl Kernel {
     fn alloc_pages(
         mapping: &AddressMapping,
         topology: &Topology,
+        node_masks: &NodeMasks,
         buddy: &mut BuddyAllocator,
         colors: &mut ColorMatrix,
         stats: &mut KernelStats,
@@ -984,18 +1021,19 @@ impl Kernel {
     ) -> Result<AllocOutcome, Errno> {
         if order == 0 && task.coloring_active() {
             return Self::colored_alloc(
-                mapping, topology, buddy, colors, stats, costs, fault, task,
+                mapping, topology, node_masks, buddy, colors, stats, costs, fault, task,
             );
         }
         if order == 0 && task.policy == HeapPolicy::FirstTouch {
-            return Self::first_touch_alloc(mapping, topology, buddy, colors, stats, costs, task);
+            let local = node_masks.of(topology.node_of_core(task.core));
+            return Self::first_touch_alloc(buddy, stats, costs, task, local);
         }
         if order == 0 {
             // Legacy buddy path ("return page from normal_buddy_alloc"),
             // with Linux's per-CPU page batching: a refill reserves a run of
             // contiguous frames so each task's faults stream sequentially.
             if task.pcp.is_empty() {
-                Self::refill_pcp(buddy, task, |_| true);
+                Self::refill_pcp(buddy, task, &node_masks.any);
             }
             let frame = task.pcp.pop_front().ok_or(Errno::Enomem)?;
             stats.legacy_allocs += 1;
@@ -1018,18 +1056,14 @@ impl Kernel {
     const PCP_BATCH: u64 = 32;
 
     /// Refill a task's pcp list with up to [`Self::PCP_BATCH`] *contiguous*
-    /// frames starting at the lowest free frame satisfying `pred`.
-    fn refill_pcp<P: Fn(FrameNumber) -> bool>(
-        buddy: &mut BuddyAllocator,
-        task: &mut TaskStruct,
-        pred: P,
-    ) {
-        let Some(start) = buddy.lowest_free_matching(&pred) else {
+    /// frames starting at the lowest free frame in `mask`.
+    fn refill_pcp(buddy: &mut BuddyAllocator, task: &mut TaskStruct, mask: &FrameMask) {
+        let Some(start) = buddy.lowest_free_in(mask) else {
             return;
         };
         for i in 0..Self::PCP_BATCH {
             let f = FrameNumber(start.0 + i);
-            if f.0 >= buddy.frame_count() || !pred(f) || !buddy.alloc_specific(f) {
+            if f.0 >= buddy.frame_count() || !mask.contains(f) || !buddy.alloc_specific(f) {
                 break;
             }
             task.pcp.push_back(f);
@@ -1133,37 +1167,26 @@ impl Kernel {
         None
     }
 
-    /// Does a frame satisfy the task's color requirements?
-    fn frame_matches(mapping: &AddressMapping, task: &TaskStruct, f: FrameNumber) -> bool {
-        let d = mapping.decode_frame(f);
-        (!task.using_bank || task.mem_colors().contains(&d.bank_color))
-            && (!task.using_llc || task.llc_colors().contains(&d.llc_color))
+    /// Do a frame's decoded fields satisfy the task's color requirements?
+    fn info_matches(task: &TaskStruct, i: FrameInfo) -> bool {
+        (!task.using_bank || task.mem_colors().contains(&BankColor(i.bank_color)))
+            && (!task.using_llc || task.llc_colors().contains(&LlcColor(i.llc_color)))
     }
 
-    /// Find a free buddy block (lowest order, lowest address) containing at
-    /// least one frame satisfying `pred`. Also returns how many blocks were
-    /// examined, which the caller charges to the faulting task.
-    fn find_matching_block<P: Fn(FrameNumber) -> bool>(
-        buddy: &BuddyAllocator,
-        pred: P,
-    ) -> (u64, Option<(u32, FrameNumber)>) {
-        let mut scanned = 0u64;
-        for order in 0..=MAX_ORDER {
-            for start in buddy.blocks(order) {
-                scanned += 1;
-                let n = 1u64 << order;
-                if (0..n).any(|i| pred(FrameNumber(start.0 + i))) {
-                    return (scanned, Some((order, start)));
-                }
-            }
-        }
-        (scanned, None)
+    /// The frames the task's color set accepts, optionally only those on
+    /// `node` — the replenish query of Algorithm 1. Built when a replenish
+    /// needs it: one pass over the LUT, not over the free blocks' frames.
+    fn color_mask(decoder: &FrameDecoder, task: &TaskStruct, node: Option<NodeId>) -> FrameMask {
+        decoder.mask(|i| {
+            node.is_none_or(|n| i.node as usize == n.index()) && Self::info_matches(task, i)
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
     fn colored_alloc(
         mapping: &AddressMapping,
         topology: &Topology,
+        node_masks: &NodeMasks,
         buddy: &mut BuddyAllocator,
         colors: &mut ColorMatrix,
         stats: &mut KernelStats,
@@ -1178,6 +1201,7 @@ impl Kernel {
         // zone-local free-list traversal — before any remote spill.
         if llc_only {
             let node = topology.node_of_core(task.core);
+            let mut local = None;
             loop {
                 if let Some(frame) = Self::try_pop_llc_only(mapping, topology, colors, task, true) {
                     stats.colored_allocs += 1;
@@ -1190,10 +1214,9 @@ impl Kernel {
                 if Self::inject(fault, stats, FaultSite::BuddyReplenish) {
                     return Err(Errno::Eagain);
                 }
-                let (scanned, found) = Self::find_matching_block(buddy, |f| {
-                    let d = mapping.decode_frame(f);
-                    d.node == node && Self::frame_matches(mapping, task, f)
-                });
+                let mask = local
+                    .get_or_insert_with(|| Self::color_mask(colors.decoder(), task, Some(node)));
+                let (scanned, found) = buddy.first_block_in(mask);
                 extra += costs.block_scan * scanned;
                 match found {
                     Some((order, start)) => {
@@ -1212,6 +1235,7 @@ impl Kernel {
         }
         // Stage 2: the general path (for bank-colored tasks this is the only
         // stage; for LLC-only tasks it is the remote spill).
+        let mut wanted = None;
         loop {
             let popped = if llc_only {
                 Self::try_pop_llc_only(mapping, topology, colors, task, false)
@@ -1229,8 +1253,8 @@ impl Kernel {
             if Self::inject(fault, stats, FaultSite::BuddyReplenish) {
                 return Err(Errno::Eagain);
             }
-            let (scanned, found) =
-                Self::find_matching_block(buddy, |f| Self::frame_matches(mapping, task, f));
+            let mask = wanted.get_or_insert_with(|| Self::color_mask(colors.decoder(), task, None));
+            let (scanned, found) = buddy.first_block_in(mask);
             extra += costs.block_scan * scanned;
             match found {
                 Some((order, start)) => {
@@ -1245,7 +1269,7 @@ impl Kernel {
                 }
                 None => {
                     return Self::exhausted_alloc(
-                        mapping, topology, buddy, colors, stats, costs, task, extra,
+                        mapping, topology, node_masks, buddy, colors, stats, costs, task, extra,
                     );
                 }
             }
@@ -1259,6 +1283,7 @@ impl Kernel {
     fn exhausted_alloc(
         mapping: &AddressMapping,
         topology: &Topology,
+        node_masks: &NodeMasks,
         buddy: &mut BuddyAllocator,
         colors: &mut ColorMatrix,
         stats: &mut KernelStats,
@@ -1283,7 +1308,7 @@ impl Kernel {
             }
             ExhaustionPolicy::LocalUncolored => {
                 if let Some((frame, source)) =
-                    Self::local_uncolored_alloc(mapping, topology, buddy, colors, task)
+                    Self::local_uncolored_alloc(mapping, topology, node_masks, buddy, colors, task)
                 {
                     task.exhaustion_fallbacks += 1;
                     stats.exhaustion_fallbacks += 1;
@@ -1346,11 +1371,11 @@ impl Kernel {
                     return Some(f);
                 }
                 // Targeted replenish for the borrowed color only.
-                let (scanned, found) = Self::find_matching_block(buddy, |f| {
-                    let d = mapping.decode_frame(f);
-                    d.bank_color == bc
-                        && (!task.using_llc || task.llc_colors().contains(&d.llc_color))
+                let mask = colors.decoder().mask(|i| {
+                    i.bank_color == bc.raw()
+                        && (!task.using_llc || task.llc_colors().contains(&LlcColor(i.llc_color)))
                 });
+                let (scanned, found) = buddy.first_block_in(&mask);
                 *extra += costs.block_scan * scanned;
                 if let Some((order, start)) = found {
                     buddy.take_block(order, start);
@@ -1387,10 +1412,10 @@ impl Kernel {
                 if let Some((f, _)) = colors.pop_llc(llc, task.mem_cursor) {
                     return Some(f);
                 }
-                let (scanned, found) = Self::find_matching_block(buddy, |f| {
-                    let d = mapping.decode_frame(f);
-                    d.node == node && d.llc_color == llc
-                });
+                let mask = colors
+                    .decoder()
+                    .mask(|i| i.node as usize == node.index() && i.llc_color == llc.raw());
+                let (scanned, found) = buddy.first_block_in(&mask);
                 *extra += costs.block_scan * scanned;
                 if let Some((order, start)) = found {
                     buddy.take_block(order, start);
@@ -1437,12 +1462,13 @@ impl Kernel {
     fn local_uncolored_alloc(
         mapping: &AddressMapping,
         topology: &Topology,
+        node_masks: &NodeMasks,
         buddy: &mut BuddyAllocator,
         colors: &mut ColorMatrix,
         task: &TaskStruct,
     ) -> Option<(FrameNumber, FrameSource)> {
         let node = topology.node_of_core(task.core);
-        if let Some(f) = buddy.lowest_free_matching(|f| mapping.decode_frame(f).node == node) {
+        if let Some(f) = buddy.lowest_free_in(node_masks.of(node)) {
             if buddy.alloc_specific(f) {
                 return Some((f, FrameSource::Buddy));
             }
@@ -1470,17 +1496,14 @@ impl Kernel {
     /// frames — preserving row-buffer locality but sharing banks and LLC
     /// colors freely between tasks, exactly the baseline the paper beats.
     fn first_touch_alloc(
-        mapping: &AddressMapping,
-        topology: &Topology,
         buddy: &mut BuddyAllocator,
-        _colors: &mut ColorMatrix,
         stats: &mut KernelStats,
         costs: &KernelCosts,
         task: &mut TaskStruct,
+        local: &FrameMask,
     ) -> Result<AllocOutcome, Errno> {
-        let node = topology.node_of_core(task.core);
         if task.pcp.is_empty() {
-            Self::refill_pcp(buddy, task, |f| mapping.decode_frame(f).node == node);
+            Self::refill_pcp(buddy, task, local);
         }
         if let Some(frame) = task.pcp.pop_front() {
             stats.firsttouch_allocs += 1;
@@ -1520,6 +1543,32 @@ mod tests {
         k.sys_mmap(tid, SET_LLC_COLOR | llc as u64, 0, COLOR_ALLOC)
             .unwrap();
         tid
+    }
+
+    #[test]
+    fn rmap_encoding_keeps_every_translation_off_the_sentinel() {
+        assert_ne!(Kernel::rmap_pack(0, 0), RMAP_NONE);
+        let max_vm = (1usize << (64 - RMAP_PAGE_BITS)) - 2;
+        let max_page = (1u64 << RMAP_PAGE_BITS) - 1;
+        for (vm, page) in [(0, 0), (0, max_page), (max_vm, 0), (max_vm, max_page)] {
+            let entry = Kernel::rmap_pack(vm, page);
+            assert_ne!(entry, RMAP_NONE);
+            assert_eq!(Kernel::rmap_unpack(entry), (vm, page));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vm index beyond rmap range")]
+    fn rmap_pack_rejects_a_vm_past_the_encoding() {
+        Kernel::rmap_pack((1usize << (64 - RMAP_PAGE_BITS)) - 1, 0);
+    }
+
+    #[test]
+    fn fresh_opteron_kernel_passes_check_invariants() {
+        let m = tint_hw::machine::MachineConfig::opteron_6128();
+        let k = Kernel::new(m.mapping, m.topology, KernelCosts::default());
+        assert!(k.rmap.iter().all(|&e| e == RMAP_NONE));
+        k.check_invariants();
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! Seeded-loop randomized tests over the workspace's deterministic PRNG —
 //! no external property-testing framework required.
 
-use tint_hw::addrmap::AddressMapping;
+use tint_hw::addrmap::{AddressMapping, DecodedFrame};
+use tint_hw::decoder::FrameDecoder;
 use tint_hw::rng::SplitMix64;
 use tint_hw::topology::Topology;
-use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, PAGE_SIZE};
+use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, NodeId, PAGE_SIZE};
 use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
 use tint_kernel::{BuddyAllocator, Errno, HeapPolicy, Kernel, KernelCosts, MAX_ORDER};
 
@@ -222,5 +223,127 @@ fn malformed_color_ops_are_rejected() {
         let r = k.sys_mmap(t, (mode << 60) | color, 0, COLOR_ALLOC);
         assert_eq!(r, Err(Errno::Einval));
         assert!(!k.task(t).unwrap().coloring_active());
+    }
+}
+
+/// A buddy state over `frames` frames shaped by random alloc / free /
+/// `alloc_specific` traffic at every order.
+fn arb_buddy_state(rng: &mut SplitMix64, frames: u64) -> BuddyAllocator {
+    let mut b = BuddyAllocator::new(frames);
+    let mut live: Vec<(FrameNumber, u32)> = Vec::new();
+    for _ in 0..rng.gen_range_in(1, 300) {
+        match rng.gen_range(4) {
+            0 => {
+                let order = rng.gen_range(MAX_ORDER as u64 + 1) as u32;
+                if let Some(f) = b.alloc(order) {
+                    live.push((f, order));
+                }
+            }
+            1 if !live.is_empty() => {
+                let (f, order) = live.remove(rng.gen_range(live.len() as u64) as usize);
+                b.free(f, order);
+            }
+            _ => {
+                let f = FrameNumber(rng.gen_range(frames));
+                if b.alloc_specific(f) {
+                    live.push((f, 0));
+                }
+            }
+        }
+    }
+    b.check_invariants();
+    b
+}
+
+/// Brute-force oracle for [`BuddyAllocator::lowest_free_in`]: decode every
+/// free frame and take the lowest one `pred` accepts.
+fn oracle_lowest(b: &BuddyAllocator, pred: &dyn Fn(FrameNumber) -> bool) -> Option<FrameNumber> {
+    let mut free: Vec<u64> = (0..=MAX_ORDER)
+        .flat_map(|o| b.blocks(o).flat_map(move |s| s.0..s.0 + (1 << o)))
+        .collect();
+    free.sort_unstable();
+    free.into_iter().map(FrameNumber).find(|&f| pred(f))
+}
+
+/// Brute-force oracle for [`BuddyAllocator::first_block_in`]: walk the
+/// free blocks lowest order first, lowest address first, decoding every
+/// frame of each, and count the blocks examined.
+fn oracle_first_block(
+    b: &BuddyAllocator,
+    pred: &dyn Fn(FrameNumber) -> bool,
+) -> (u64, Option<(u32, FrameNumber)>) {
+    let mut scanned = 0;
+    for order in 0..=MAX_ORDER {
+        for start in b.blocks(order) {
+            scanned += 1;
+            if (start.0..start.0 + (1 << order)).any(|f| pred(FrameNumber(f))) {
+                return (scanned, Some((order, start)));
+            }
+        }
+    }
+    (scanned, None)
+}
+
+/// The block-granular mask queries answer exactly what a per-frame decode
+/// of every free frame answers — returned frame and blocks scanned — on
+/// the tiny mapping (`MAX_ORDER` 11 above its 4-bit LUT) and on the
+/// Opteron mapping (12-bit LUT above `MAX_ORDER`), for node, exact-color,
+/// bank-only, LLC-only and empty masks.
+#[test]
+fn mask_queries_match_a_per_frame_scan() {
+    let mut rng = SplitMix64::new(0x3a5c);
+    for (map, frames, cases) in [
+        (AddressMapping::tiny(), 1 << 14, CASES),
+        (AddressMapping::opteron_6128(), 1 << 16, CASES / 4),
+    ] {
+        let dec = FrameDecoder::new(&map);
+        for _ in 0..cases {
+            let b = arb_buddy_state(&mut rng, frames);
+            let node = rng.gen_range(map.node_count() as u64) as usize;
+            let bank = rng.gen_range(map.bank_color_count() as u64) as u16;
+            let llc = rng.gen_range(map.llc_color_count() as u64) as u16;
+            let banks: Vec<u16> = (0..3)
+                .map(|_| rng.gen_range(map.bank_color_count() as u64) as u16)
+                .collect();
+            type Query<'a> = Box<dyn Fn(DecodedFrame) -> bool + 'a>;
+            let queries: [(&str, Query); 6] = [
+                ("node", Box::new(|d| d.node.index() == node)),
+                (
+                    "exact color",
+                    Box::new(|d| d.bank_color == BankColor(bank) && d.llc_color == LlcColor(llc)),
+                ),
+                (
+                    "bank-only",
+                    Box::new(|d| banks.contains(&d.bank_color.raw())),
+                ),
+                ("LLC-only", Box::new(|d| d.llc_color == LlcColor(llc))),
+                (
+                    "LLC-only on node",
+                    Box::new(|d| d.node.index() == node && d.llc_color == LlcColor(llc)),
+                ),
+                ("empty", Box::new(|_| false)),
+            ];
+            for (what, pred) in &queries {
+                let mask = dec.mask(|i| {
+                    pred(DecodedFrame {
+                        node: NodeId(i.node as usize),
+                        bank_color: BankColor(i.bank_color),
+                        llc_color: LlcColor(i.llc_color),
+                        row: 0,
+                    })
+                });
+                let per_frame = |f: FrameNumber| pred(map.decode_frame(f));
+                assert_eq!(
+                    b.lowest_free_in(&mask),
+                    oracle_lowest(&b, &per_frame),
+                    "{what}: lowest free frame"
+                );
+                assert_eq!(
+                    b.first_block_in(&mask),
+                    oracle_first_block(&b, &per_frame),
+                    "{what}: first matching block and blocks scanned"
+                );
+            }
+        }
     }
 }

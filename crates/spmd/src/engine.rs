@@ -137,8 +137,10 @@ pub enum EngineMode {
     Exact,
     /// Functional warm-up (TLB + cache state updated, latency estimated
     /// from a running per-core mean) interleaved with exact detailed
-    /// measurement windows on a seeded deterministic schedule. Roughly an
-    /// order of magnitude faster; validated against exact mode by
+    /// measurement windows on a seeded deterministic schedule. Measured at
+    /// 1.1× the speed of exact mode at its default warm-touch setting, the
+    /// only setting that holds the 2 % ratio bound (EXPERIMENTS.md, fig11/
+    /// fig12 at 16t4n on a 1-vCPU host); validated against exact mode by
     /// `repro validate-sampled`. `TINT_REFERENCE_PIPELINE=1` overrides it
     /// (the reference pipeline is always exact), and serial and dynamic
     /// sections always run exact.
