@@ -154,7 +154,6 @@ fn parse_config(s: &str) -> Option<PinConfig> {
 fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
     let ms = |c: Component| nanos[c as usize] as f64 / 1e6;
     let engine = ms(Component::Engine);
-    let presort = ms(Component::Presort);
     let access = ms(Component::Access);
     let warmup = ms(Component::Warmup);
     let detailed = ms(Component::Detailed);
@@ -170,11 +169,7 @@ fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
     };
     let mut row = |name: &str, v: f64| t.row(vec![name.to_string(), format!("{v:.1}"), share(v)]);
     row("engine (sections total)", engine);
-    row(
-        "  scheduler (engine - presort - access)",
-        engine - presort - access,
-    );
-    row("  presort (batch sort + prefetch)", presort);
+    row("  scheduler (engine - access)", engine - access);
     row("  access (System::access)", access);
     // Sampled mode splits Access into warm-up (estimated) and detailed
     // (exact) windows — an alternative decomposition of the same span: the

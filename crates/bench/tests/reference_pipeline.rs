@@ -2,8 +2,8 @@
 //!
 //! `TINT_REFERENCE_PIPELINE=1` routes every SPMD section through the
 //! original one-op-at-a-time heap loop (see `tint_spmd::engine`). The
-//! batched pipeline — op batching, flat min-scan scheduling, compute
-//! fusion, the hot-line filter — must be a pure optimization: the rendered
+//! batched pipeline — op batching, winner-tree scheduling, compute
+//! fusion — must be a pure optimization: the rendered
 //! tables and the simulated cycle totals have to match byte for byte.
 //! The unit tests in `tint-spmd` check single sections; this exercises the
 //! whole stack (boot, allocator, TLB, caches, DRAM, stats, rendering) on a

@@ -13,10 +13,15 @@ fn fibonacci_spread(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Bits a line address may occupy (55-bit physical space / 64 B lines);
-/// bounds-checked in debug builds so a tag word is always a pure line
-/// address.
-const ADDR_BITS: u32 = 56;
+/// Bits a line address may occupy in a packed slot word: the low
+/// [`OWNER_BITS`] hold the owning core, the rest the line address (55-bit
+/// physical space / 64 B lines). Checked once per machine by
+/// `CacheHierarchy::new`, and per access in debug builds.
+pub(crate) const ADDR_BITS: u32 = 56;
+/// Low bits of a slot word that hold the owning core.
+pub(crate) const OWNER_BITS: u32 = 8;
+/// Mask of the owner field.
+const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
 /// Mask a line address must fit under.
 const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 
@@ -57,23 +62,17 @@ pub enum IndexMode {
 
 /// A set-associative cache with LRU replacement.
 ///
-/// Storage is struct-of-arrays: a flat `tags` array of `sets × assoc` line
-/// addresses (set `i` owns `tags[i*assoc .. (i+1)*assoc]`), a parallel
-/// `owners` byte array, and a per-set occupancy count — no per-set
-/// allocations, so a lookup touches exactly one contiguous tag stride.
-/// Splitting the owner byte out of the tag word keeps the hot scan a pure
-/// `u64 == u64` compare over a dense stride (no mask, trivially
-/// vectorizable) and lets the engine's batch presort prefetch tag strides
-/// for many independent lookups at once; the cold owner bytes are only
-/// touched on hits and evictions. Each occupied stride is kept in LRU
+/// Storage is one word per line: a flat `slots` array of `sets × assoc`
+/// words (set `i` owns `slots[i*assoc .. (i+1)*assoc]`), each packing
+/// `(line_addr << 8) | owner`, plus a per-set occupancy count — no per-set
+/// allocations, so a lookup, its move-to-MRU and an eviction all touch
+/// exactly one contiguous stride. Each occupied stride is kept in LRU
 /// order (most recent last); with the associativities in play (2–16) a
 /// rotate within the stride beats fancier structures.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Flat line-address storage, `set_count * assoc` slots.
-    tags: Vec<u64>,
-    /// Owning core per slot, parallel to `tags` (core ≤ 255 asserted).
-    owners: Vec<u8>,
+    /// Flat `(line_addr << 8) | owner` storage, `set_count * assoc` slots.
+    slots: Vec<u64>,
     /// Occupied slots per set (0..=assoc; assoc ≤ 255 asserted).
     lens: Vec<u8>,
     set_count: usize,
@@ -122,8 +121,7 @@ impl SetAssocCache {
             IndexMode::Modulo => {}
         }
         Self {
-            tags: vec![0; sets * assoc],
-            owners: vec![0; sets * assoc],
+            slots: vec![0; sets * assoc],
             lens: vec![0; sets],
             set_count: sets,
             assoc,
@@ -147,7 +145,7 @@ impl SetAssocCache {
 
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.tags.len() as u64 * (1u64 << self.line_shift)
+        self.slots.len() as u64 * (1u64 << self.line_shift)
     }
 
     /// Hits recorded so far.
@@ -158,17 +156,6 @@ impl SetAssocCache {
     /// Misses recorded so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Count a hit that the hierarchy's hot-line filter short-circuited.
-    ///
-    /// The filter only fires when a full [`Self::access`] would hit the MRU
-    /// way with the owner already set to the accessing core — the rotate is
-    /// a no-op and the owner write is idempotent — so the lookup can be
-    /// skipped entirely as long as this counter still moves.
-    #[inline]
-    pub fn record_filter_hit(&mut self) {
-        self.hits += 1;
     }
 
     /// Set index of an address.
@@ -207,97 +194,68 @@ impl SetAssocCache {
         la
     }
 
+    /// The occupied slots of `addr`'s set, and the set index.
+    #[inline]
+    fn stride(&self, addr: PhysAddr) -> (usize, std::ops::Range<usize>) {
+        let idx = self.set_index(addr);
+        let base = idx * self.assoc;
+        (idx, base..base + self.lens[idx] as usize)
+    }
+
     /// Look up and touch `addr` for `core`. On a hit the line moves to MRU;
     /// on a miss the line is filled (evicting LRU if the set is full) and
     /// the eviction, if any, is returned.
     ///
     /// Returns `(hit, eviction)`.
     pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (bool, Option<Eviction>) {
-        debug_assert!(core.index() < 256, "owner must fit a byte");
+        debug_assert!(core.index() < 1 << OWNER_BITS, "owner must fit a byte");
         let la = self.line_addr(addr);
-        let idx = self.set_index(addr);
-        let base = idx * self.assoc;
-        let len = self.lens[idx] as usize;
-        let tags = &mut self.tags[base..base + len];
-        if let Some(pos) = tags.iter().position(|&t| t == la) {
+        let word = (la << OWNER_BITS) | core.index() as u64;
+        let (idx, range) = self.stride(addr);
+        let len = range.len();
+        let slots = &mut self.slots[range];
+        if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == la) {
             // Hit: move to MRU (end), refresh owner.
-            tags[pos..].rotate_left(1);
-            let owners = &mut self.owners[base..base + len];
-            owners[pos..].rotate_left(1);
-            owners[len - 1] = core.index() as u8;
+            slots[pos..].rotate_left(1);
+            slots[len - 1] = word;
             self.hits += 1;
             return (true, None);
         }
         self.misses += 1;
         if len == self.assoc {
             // Evict LRU (front), shift the rest down, fill the MRU slot.
-            let victim = tags[0];
-            tags.rotate_left(1);
-            tags[len - 1] = la;
-            let owners = &mut self.owners[base..base + len];
-            let victim_owner = owners[0];
-            owners.rotate_left(1);
-            owners[len - 1] = core.index() as u8;
+            let victim = slots[0];
+            slots.rotate_left(1);
+            slots[len - 1] = word;
             (
                 false,
                 Some(Eviction {
-                    line_addr: victim,
-                    owner: CoreId(victim_owner as usize),
+                    line_addr: victim >> OWNER_BITS,
+                    owner: CoreId((victim & OWNER_MASK) as usize),
                 }),
             )
         } else {
-            self.tags[base + len] = la;
-            self.owners[base + len] = core.index() as u8;
+            self.slots[idx * self.assoc + len] = word;
             self.lens[idx] = (len + 1) as u8;
             (false, None)
-        }
-    }
-
-    /// Hint the host CPU to pull set `idx`'s tag stride (and its occupancy
-    /// byte) into its own caches ahead of the walk. Purely a host-side
-    /// prefetch: no simulated state or counter changes.
-    #[inline]
-    pub fn prefetch_set(&self, idx: usize) {
-        debug_assert!(idx < self.set_count);
-        let base = idx * self.assoc;
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `base` and `idx` are in bounds (asserted above); prefetch
-        // itself is side-effect free.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.tags.as_ptr().add(base).cast(), _MM_HINT_T0);
-            if self.assoc > 8 {
-                // Tag strides above 8 ways span a second host cache line.
-                _mm_prefetch(self.tags.as_ptr().add(base + 8).cast(), _MM_HINT_T0);
-            }
-            _mm_prefetch(self.lens.as_ptr().add(idx).cast(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            std::hint::black_box(&self.tags[base]);
-            std::hint::black_box(&self.lens[idx]);
         }
     }
 
     /// Non-mutating lookup: does the cache currently hold `addr`?
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let la = self.line_addr(addr);
-        let idx = self.set_index(addr);
-        let base = idx * self.assoc;
-        self.tags[base..base + self.lens[idx] as usize].contains(&la)
+        let (_, range) = self.stride(addr);
+        self.slots[range].iter().any(|&w| w >> OWNER_BITS == la)
     }
 
     /// Drop a line if present (used for invalidation tests).
     pub fn invalidate(&mut self, addr: PhysAddr) -> bool {
         let la = self.line_addr(addr);
-        let idx = self.set_index(addr);
-        let base = idx * self.assoc;
-        let len = self.lens[idx] as usize;
-        let tags = &mut self.tags[base..base + len];
-        if let Some(pos) = tags.iter().position(|&t| t == la) {
-            tags[pos..].rotate_left(1);
-            self.owners[base..base + len][pos..].rotate_left(1);
-            self.lens[idx] = (len - 1) as u8;
+        let (idx, range) = self.stride(addr);
+        let slots = &mut self.slots[range];
+        if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == la) {
+            slots[pos..].rotate_left(1);
+            self.lens[idx] -= 1;
             true
         } else {
             false
@@ -314,8 +272,8 @@ impl SetAssocCache {
         self.lens
             .iter()
             .enumerate()
-            .flat_map(|(i, &len)| self.owners[i * self.assoc..i * self.assoc + len as usize].iter())
-            .filter(|&&o| o as usize == core.index())
+            .flat_map(|(i, &len)| &self.slots[i * self.assoc..i * self.assoc + len as usize])
+            .filter(|&&w| (w & OWNER_MASK) as usize == core.index())
             .count()
     }
 
@@ -454,97 +412,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         SetAssocCache::new(3, 2, 6);
-    }
-
-    /// The SoA storage must be state-identical to the obvious per-set
-    /// `Vec<(line, owner)>` LRU model: same hit/miss/eviction result on
-    /// every step and the same resident contents afterwards, across random
-    /// access/probe/invalidate streams (≥4 seeds × 20k steps).
-    #[test]
-    fn soa_matches_naive_model_bit_for_bit() {
-        use tint_hw::rng::SplitMix64;
-
-        struct Naive {
-            sets: Vec<Vec<(u64, CoreId)>>,
-            assoc: usize,
-        }
-        impl Naive {
-            fn access(&mut self, idx: usize, la: u64, core: CoreId) -> (bool, Option<Eviction>) {
-                let set = &mut self.sets[idx];
-                if let Some(pos) = set.iter().position(|&(l, _)| l == la) {
-                    set.remove(pos);
-                    set.push((la, core));
-                    return (true, None);
-                }
-                let ev = if set.len() == self.assoc {
-                    let (l, o) = set.remove(0);
-                    Some(Eviction {
-                        line_addr: l,
-                        owner: o,
-                    })
-                } else {
-                    None
-                };
-                set.push((la, core));
-                (false, ev)
-            }
-        }
-
-        for seed in 0..4u64 {
-            let mut rng = SplitMix64::new(0x50A ^ seed);
-            // 16 sets × 4 ways, hash-indexed like the private levels.
-            let mut c = SetAssocCache::with_index_mode(16, 4, 6, IndexMode::Hash);
-            let mut n = Naive {
-                sets: vec![Vec::new(); 16],
-                assoc: 4,
-            };
-            for step in 0..20_000u64 {
-                let addr = PhysAddr(rng.gen_range(1 << 16) & !0x3F);
-                let core = CoreId(rng.gen_range(4) as usize);
-                match rng.gen_range(10) {
-                    0 => {
-                        let idx = c.set_index(addr);
-                        let la = addr.0 >> 6;
-                        let got = c.invalidate(addr);
-                        let set = &mut n.sets[idx];
-                        let want = set.iter().position(|&(l, _)| l == la).map(|p| {
-                            set.remove(p);
-                        });
-                        assert_eq!(got, want.is_some(), "invalidate step {step}");
-                    }
-                    1 => {
-                        let idx = c.set_index(addr);
-                        let la = addr.0 >> 6;
-                        let want = n.sets[idx].iter().any(|&(l, _)| l == la);
-                        assert_eq!(c.probe(addr), want, "probe step {step}");
-                    }
-                    _ => {
-                        let idx = c.set_index(addr);
-                        let la = addr.0 >> 6;
-                        let want = n.access(idx, la, core);
-                        assert_eq!(c.access(core, addr), want, "access step {step}");
-                    }
-                }
-            }
-            // Final state identity: every resident line, per owner.
-            assert_eq!(
-                c.resident_lines(),
-                n.sets.iter().map(Vec::len).sum::<usize>()
-            );
-            for core in 0..4 {
-                let want = n
-                    .sets
-                    .iter()
-                    .flatten()
-                    .filter(|&&(_, o)| o == CoreId(core))
-                    .count();
-                assert_eq!(c.resident_lines_of(CoreId(core)), want, "owner {core}");
-            }
-            for (idx, set) in n.sets.iter().enumerate() {
-                for &(la, _) in set {
-                    assert!(c.probe(PhysAddr(la << 6)), "line {la:#x} in set {idx}");
-                }
-            }
-        }
     }
 }

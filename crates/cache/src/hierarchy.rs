@@ -33,23 +33,28 @@ pub struct CacheHierarchy {
     l1_lat: u64,
     l2_lat: u64,
     l3_lat: u64,
-    line_shift: u32,
-    /// Per-core one-entry MRU line filter: the line address this core
-    /// touched last (`u64::MAX` = none yet). Invariant: after any access by
-    /// core *c*, `mru_line[c]` is resident in *c*'s private L1 in its set's
-    /// MRU way with *c* as owner — a repeat hit's move-to-MRU rotate is a
-    /// no-op and its owner refresh is idempotent, so the walk can be
-    /// skipped whole.
-    mru_line: Vec<u64>,
     stats: HierarchyStats,
 }
 
 impl CacheHierarchy {
     /// Build the hierarchy described by `m`.
+    ///
+    /// Panics if the machine does not fit the packed slot word
+    /// (`(line_addr << 8) | owner`): more than 256 cores, or a highest line
+    /// address wider than 56 bits.
     pub fn new(m: &MachineConfig) -> Self {
         let line = m.mapping.line_size();
         let shift = m.mapping.line_shift;
         let cores = m.topology.core_count();
+        assert!(
+            cores <= 1 << crate::cache::OWNER_BITS,
+            "{cores} cores do not fit the cache's 8-bit owner field"
+        );
+        let top_line = m.mapping.total_bytes().saturating_sub(1) >> shift;
+        assert!(
+            top_line < 1 << crate::cache::ADDR_BITS,
+            "line address {top_line:#x} does not fit the cache's 56-bit line field"
+        );
         // Private levels are hash-indexed so their placement is independent
         // of which bank/LLC colors back a page (see IndexMode::Hash).
         let mk = |lvl: &tint_hw::machine::CacheLevelConfig| {
@@ -80,8 +85,6 @@ impl CacheHierarchy {
             l1_lat: m.cache.l1.latency,
             l2_lat: m.cache.l2.latency,
             l3_lat: m.cache.l3.latency,
-            line_shift: shift,
-            mru_line: vec![u64::MAX; cores],
             stats: HierarchyStats::new(cores),
         }
     }
@@ -94,15 +97,6 @@ impl CacheHierarchy {
     /// memory time).
     pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (HitLevel, u64) {
         let c = core.index();
-        // Hot-line fast path: repeated hit on the line this core touched
-        // last. The line sits in its L1 set's MRU way (see `mru_line`), so
-        // the full walk would change nothing but the hit counters.
-        if addr.0 >> self.line_shift == self.mru_line[c] {
-            self.l1[c].record_filter_hit();
-            self.stats.cores[c].l1_hits += 1;
-            return (HitLevel::L1, self.l1_lat);
-        }
-        self.mru_line[c] = addr.0 >> self.line_shift;
         let st = &mut self.stats.cores[c];
 
         let (l1_hit, _) = self.l1[c].access(core, addr);
@@ -136,44 +130,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Reference walk without the MRU fast path: always performs the full
-    /// L1→L2→L3 lookup. Kept for equivalence testing — results and all
-    /// counters must match [`Self::access`] exactly on any access sequence.
-    pub fn access_reference(&mut self, core: CoreId, addr: PhysAddr) -> (HitLevel, u64) {
-        let c = core.index();
-        self.mru_line[c] = u64::MAX; // keep the filter cold for mixed use
-        let st = &mut self.stats.cores[c];
-
-        let (l1_hit, _) = self.l1[c].access(core, addr);
-        if l1_hit {
-            st.l1_hits += 1;
-            return (HitLevel::L1, self.l1_lat);
-        }
-        st.l1_misses += 1;
-
-        let (l2_hit, _) = self.l2[c].access(core, addr);
-        if l2_hit {
-            st.l2_hits += 1;
-            return (HitLevel::L2, self.l1_lat + self.l2_lat);
-        }
-        st.l2_misses += 1;
-
-        let (l3_hit, evicted) = self.l3.access(core, addr);
-        if let Some(ev) = evicted {
-            if ev.owner != core {
-                self.stats.cores[ev.owner.index()].l3_evicted_by_others += 1;
-            }
-        }
-        let st = &mut self.stats.cores[c];
-        if l3_hit {
-            st.l3_hits += 1;
-            (HitLevel::L3, self.l1_lat + self.l2_lat + self.l3_lat)
-        } else {
-            st.l3_misses += 1;
-            (HitLevel::Memory, self.l1_lat + self.l2_lat + self.l3_lat)
-        }
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
@@ -192,32 +148,6 @@ impl CacheHierarchy {
     /// The shared L3 (for occupancy inspection in tests).
     pub fn l3(&self) -> &SetAssocCache {
         &self.l3
-    }
-
-    /// Packed `(level, core, set)` keys — one per cache the walk for
-    /// `addr` from `core` may touch — appended to `out`. Sorting a batch
-    /// of these groups lookups by `(level, set stride)`, which is exactly
-    /// the order [`Self::prefetch_key`] wants them issued in: the host can
-    /// then overlap many independent tag-stride loads instead of chasing
-    /// one dependent load per simulated access. Read-only.
-    #[inline]
-    pub fn prefetch_keys(&self, core: CoreId, addr: PhysAddr, out: &mut Vec<u64>) {
-        let c = (core.index() as u64) << 32;
-        out.push(c | self.l1[core.index()].set_index(addr) as u64);
-        out.push((1 << 40) | c | self.l2[core.index()].set_index(addr) as u64);
-        out.push((2 << 40) | self.l3.set_index(addr) as u64);
-    }
-
-    /// Issue the host prefetch for one key from [`Self::prefetch_keys`].
-    #[inline]
-    pub fn prefetch_key(&self, key: u64) {
-        let set = (key & 0xFFFF_FFFF) as usize;
-        let core = ((key >> 32) & 0xFF) as usize;
-        match key >> 40 {
-            0 => self.l1[core].prefetch_set(set),
-            1 => self.l2[core].prefetch_set(set),
-            _ => self.l3.prefetch_set(set),
-        }
     }
 
     /// Does any level currently hold `addr` for `core`?
@@ -394,51 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn mru_filter_matches_reference_walk_bit_for_bit() {
-        use tint_hw::rng::SplitMix64;
-        // Random access streams with deliberate same-line repeats (the case
-        // the filter short-circuits), interleaved across cores so evictions
-        // and cross-core interference are exercised too.
-        for seed in 0..4u64 {
-            let (m, mut fast) = hierarchy();
-            let mut refr = CacheHierarchy::new(&m);
-            let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
-            let mut last = [PhysAddr(0); 2];
-            for step in 0..20_000u64 {
-                let c = CoreId((rng.gen_range(2)) as usize);
-                let a = if step > 0 && rng.gen_range(3) == 0 {
-                    // Repeat the core's previous address (same line).
-                    last[c.index()]
-                } else {
-                    PhysAddr((rng.gen_range(1 << 18) & !0x3F) | rng.gen_range(64))
-                };
-                last[c.index()] = a;
-                assert_eq!(
-                    fast.access(c, a),
-                    refr.access_reference(c, a),
-                    "seed {seed} step {step}: result diverged"
-                );
-            }
-            for c in 0..2 {
-                let (f, r) = (fast.stats().core(CoreId(c)), refr.stats().core(CoreId(c)));
-                assert_eq!(f.l1_hits, r.l1_hits, "seed {seed} core {c}");
-                assert_eq!(f.l1_misses, r.l1_misses, "seed {seed} core {c}");
-                assert_eq!(f.l2_hits, r.l2_hits, "seed {seed} core {c}");
-                assert_eq!(f.l3_hits, r.l3_hits, "seed {seed} core {c}");
-                assert_eq!(f.l3_misses, r.l3_misses, "seed {seed} core {c}");
-                assert_eq!(
-                    f.l3_evicted_by_others, r.l3_evicted_by_others,
-                    "seed {seed} core {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mru_filter_short_circuits_same_line_hits() {
+    fn same_line_repeats_hit_l1() {
         let (_, mut h) = hierarchy();
         let a = PhysAddr(0x5000);
-        h.access(CoreId(0), a); // cold miss, fills + arms the filter
+        h.access(CoreId(0), a); // cold miss, fills every level
         for off in 0..8 {
             let (lvl, cyc) = h.access(CoreId(0), PhysAddr(0x5000 + off * 8));
             assert_eq!((lvl, cyc), (HitLevel::L1, 3), "same 64B line");
@@ -446,6 +335,14 @@ mod tests {
         let st = h.stats().core(CoreId(0));
         assert_eq!(st.l1_hits, 8);
         assert_eq!(st.l1_misses, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "owner field")]
+    fn rejects_more_cores_than_the_owner_field_holds() {
+        let mut m = MachineConfig::tiny();
+        m.topology = tint_hw::Topology::new(1, 1, 257);
+        CacheHierarchy::new(&m);
     }
 
     #[test]

@@ -615,20 +615,6 @@ impl System {
         })
     }
 
-    /// Read-only translation probe for the engine's batch presort: the
-    /// task's pinned core and the physical address, but only when both the
-    /// task entry and the translation are already TLB-resident under the
-    /// current epoch. `None` (cold TLB / first touch) means "skip this op
-    /// in the presort" — never fault, never mutate.
-    #[inline]
-    pub fn peek_translate(&self, tid: Tid, addr: VirtAddr) -> Option<(CoreId, PhysAddr)> {
-        let (vm, core) = (*self.tlb.tasks.get(tid.0 as usize)?)?;
-        let page = addr.page();
-        let e = self.tlb.entries[Tlb::slot(vm, page.0)];
-        (e.page == page.0 && e.vm == vm as u32 && e.epoch == self.kernel.translation_epoch())
-            .then(|| (core, e.frame.at(addr.page_offset())))
-    }
-
     /// Install (idempotently) the sampled engine's warm-up/detailed
     /// schedule: a `window`-access detailed window once per `period`
     /// accesses, per core, placed by `seed`. `period == window` makes every

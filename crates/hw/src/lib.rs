@@ -14,6 +14,8 @@
 //!   (paper §III.A).
 //! * **Machine presets** ([`machine`]): the dual-socket AMD Opteron 6128 of
 //!   the paper's evaluation plus small configurations for tests.
+//! * **An unseeded integer-key hasher** ([`fxhash`]) for the simulator's
+//!   hot lookup maps.
 //!
 //! Everything downstream (the DRAM simulator, the cache hierarchy, the
 //! simulated kernel, and the TintMalloc allocator itself) is parameterised by
@@ -35,6 +37,7 @@
 
 pub mod addrmap;
 pub mod decoder;
+pub mod fxhash;
 pub mod machine;
 pub mod pci;
 pub mod profile;

@@ -21,14 +21,13 @@
 //!   is only guaranteed byte-identical with profiling off (the tables
 //!   themselves never change, but wall-clock records do).
 //!
-//! Component nesting: `Engine` contains `Presort` (the batch MLP
-//! prefetch pass) and `Access` (everything the engine spends inside
-//! `System::access`); `Access` contains `Tlb` (translation, including
-//! page faults), `Hierarchy`, `Dram`, and `Decode`. In sampled engine
-//! mode `Access` additionally splits into `Warmup` (estimated accesses)
-//! vs `Detailed` (exact measurement windows). Consumers derive
-//! `scheduler = Engine − Presort − Access` and
-//! `access other = Access − (Tlb + Hierarchy + Dram + Decode)`.
+//! Component nesting: `Engine` contains `Access` (everything the engine
+//! spends inside `System::access`); `Access` contains `Tlb` (translation,
+//! including page faults), `Hierarchy`, `Dram`, and `Decode`. In sampled
+//! engine mode `Access` additionally splits into `Warmup` (estimated
+//! accesses) vs `Detailed` (exact measurement windows). Consumers derive
+//! `scheduler = Engine − Access` (thread pick, op fill, compute fusion)
+//! and `access other = Access − (Tlb + Hierarchy + Dram + Decode)`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -42,24 +41,21 @@ pub enum Component {
     Access = 1,
     /// Translation: software-TLB lookup plus kernel translate/page fault.
     Tlb = 2,
-    /// Cache-hierarchy walk (L1/L2/LLC, including the MRU line filter).
+    /// Cache-hierarchy walk (L1/L2/LLC).
     Hierarchy = 3,
     /// DRAM timing (bank state machine, row-buffer model).
     Dram = 4,
     /// Physical frame → home-node decode.
     Decode = 5,
-    /// Batch MLP presort: collecting, sorting, and issuing tag-stride
-    /// prefetches for a refilled op batch (inside `Engine`).
-    Presort = 6,
     /// Sampled engine mode: estimated warm-up accesses (inside `Access`).
-    Warmup = 7,
+    Warmup = 6,
     /// Sampled engine mode: exact detailed-window accesses (inside
     /// `Access`).
-    Detailed = 8,
+    Detailed = 7,
 }
 
 /// Number of components in [`Component`].
-pub const COMPONENT_COUNT: usize = 9;
+pub const COMPONENT_COUNT: usize = 8;
 
 /// Stable lower-case names, indexable by `Component as usize`.
 pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] = [
@@ -69,7 +65,6 @@ pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] = [
     "hierarchy",
     "dram",
     "decode",
-    "presort",
     "warmup",
     "detailed",
 ];

@@ -34,9 +34,9 @@ use crate::pressure::{AuditCursor, MemPressure, OomKill, VictimPolicy, Watermark
 use crate::task::{ColorOp, ExhaustionPolicy, HeapPolicy, TaskStruct, Tid, VmId};
 use crate::vm::{AddressSpace, FrameSource};
 use crate::MAX_ORDER;
-use std::collections::HashMap;
 use tint_hw::addrmap::AddressMapping;
 use tint_hw::decoder::{FrameDecoder, FrameInfo, FrameMask};
+use tint_hw::fxhash::FxHashMap;
 use tint_hw::pci::{derive_mapping, PciConfigSpace};
 use tint_hw::topology::Topology;
 use tint_hw::types::{
@@ -159,7 +159,7 @@ pub struct Kernel {
     topology: Topology,
     buddy: BuddyAllocator,
     colors: ColorMatrix,
-    tasks: HashMap<Tid, TaskStruct>,
+    tasks: FxHashMap<Tid, TaskStruct>,
     /// Address spaces; threads created with [`Kernel::create_thread`] share
     /// their group leader's entry (CLONE_VM).
     vms: Vec<AddressSpace>,
@@ -243,7 +243,7 @@ impl Kernel {
             buddy: BuddyAllocator::new(mapping.frame_count()),
             node_masks: NodeMasks::new(colors.decoder(), mapping.node_count()),
             colors,
-            tasks: HashMap::new(),
+            tasks: FxHashMap::default(),
             vms: Vec::new(),
             next_tid: 1,
             topology,
@@ -940,17 +940,22 @@ impl Kernel {
             return Ok((0, 0));
         }
         let vm = task.vm;
-        // Collect the violating pages first (cannot mutate while iterating).
-        let violating: Vec<(PageNumber, FrameNumber)> = self.vms[vm.0]
+        // Collect the violating pages first (cannot mutate while iterating),
+        // in page order: the page table iterates in hash order, and each
+        // migration pops the next frame off the color lists, so the order
+        // decides which page gets which frame.
+        let mut violating: Vec<PageNumber> = self.vms[vm.0]
             .resident()
             .filter(|&(p, _)| {
                 range.is_none_or(|(start, pages)| p.0 >= start.0 && p.0 < start.0 + pages)
             })
             .filter(|&(_, f)| !Self::info_matches(task, self.colors.decoder().info(f)))
+            .map(|(p, _)| p)
             .collect();
+        violating.sort_unstable_by_key(|p| p.0);
         let mut cycles = 0u64;
         let mut migrated = 0u64;
-        for (page, _) in violating {
+        for page in violating {
             let Some(task) = self.tasks.get_mut(&tid) else {
                 self.stats.pages_migrated += migrated;
                 self.stats.fault_cycles += cycles;
@@ -1884,6 +1889,71 @@ mod tests {
         // A second pass is a no-op.
         assert_eq!(k.recolor_task(tid).unwrap().0, 0);
         k.color_lists().check_invariants();
+    }
+
+    /// Recoloring is a function of kernel state alone: two identically
+    /// built kernels migrate every page to the same frame at the same cost,
+    /// and the violating pages take the color list's frames in page order
+    /// (not in page-table iteration order).
+    #[test]
+    fn recolor_is_deterministic_and_in_page_order() {
+        const PAGES: u64 = 12;
+        let build = || {
+            let mut k = kernel();
+            let tid = k.create_task(CoreId(0));
+            let base = k.sys_mmap(tid, 0, 4096 * PAGES, 0).unwrap();
+            for p in (0..PAGES).rev() {
+                k.translate(tid, base.offset(p * 4096)).unwrap();
+            }
+            k.sys_mmap(tid, SET_MEM_COLOR | 1, 0, COLOR_ALLOC).unwrap();
+            k.sys_mmap(tid, SET_LLC_COLOR | 2, 0, COLOR_ALLOC).unwrap();
+            (k, tid, base)
+        };
+        let frames = |k: &mut Kernel, tid: Tid, base: VirtAddr| -> Vec<u64> {
+            (0..PAGES)
+                .map(|p| {
+                    k.translate(tid, base.offset(p * 4096))
+                        .unwrap()
+                        .phys
+                        .frame()
+                        .0
+                })
+                .collect()
+        };
+        let (mut a, tid, base) = build();
+        let (mut b, _, _) = build();
+        let before = frames(&mut a, tid, base);
+        let conforming = |k: &Kernel, f: u64| {
+            let d = k.mapping().decode_frame(FrameNumber(f));
+            d.bank_color == BankColor(1) && d.llc_color == LlcColor(2)
+        };
+        let violating: Vec<usize> = (0..PAGES as usize)
+            .filter(|&p| !conforming(&a, before[p]))
+            .collect();
+        assert!(violating.len() >= 2, "the order must matter");
+        // The frames migration will take, in pop order: fresh faults on a
+        // clone pop the same color list the same way.
+        let mut probe = a.clone();
+        let fresh = probe.sys_mmap(tid, 0, 4096 * PAGES, 0).unwrap();
+        let popped: Vec<u64> = (0..violating.len() as u64)
+            .map(|p| {
+                probe
+                    .translate(tid, fresh.offset(p * 4096))
+                    .unwrap()
+                    .phys
+                    .frame()
+                    .0
+            })
+            .collect();
+
+        let ra = a.recolor_task(tid).unwrap();
+        let rb = b.recolor_task(tid).unwrap();
+        assert_eq!(ra, rb, "migration count and cycles");
+        assert_eq!(ra.0, violating.len() as u64);
+        let after = frames(&mut a, tid, base);
+        assert_eq!(after, frames(&mut b, tid, base), "frame for every page");
+        let got: Vec<u64> = violating.iter().map(|&p| after[p]).collect();
+        assert_eq!(got, popped, "violating pages migrate in page order");
     }
 
     #[test]

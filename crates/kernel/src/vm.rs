@@ -7,7 +7,7 @@
 //! list of mapped regions.
 
 use crate::errno::Errno;
-use std::collections::HashMap;
+use tint_hw::fxhash::FxHashMap;
 use tint_hw::types::{FrameNumber, PageNumber, PhysAddr, VirtAddr, PAGE_SHIFT};
 
 /// Base of the simulated mmap arena (like Linux's mmap_base, just fixed).
@@ -61,7 +61,7 @@ pub struct Pte {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     vmas: Vec<Vma>,
-    table: HashMap<u64, Pte>,
+    table: FxHashMap<u64, Pte>,
     next_base: u64,
 }
 
@@ -70,7 +70,7 @@ impl AddressSpace {
     pub fn new() -> Self {
         Self {
             vmas: Vec::new(),
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             next_base: MMAP_BASE >> PAGE_SHIFT,
         }
     }

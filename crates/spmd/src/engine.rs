@@ -4,13 +4,14 @@
 //!
 //! * The **batched pipeline** (default): section bodies hand the engine
 //!   *runs* of operations through [`SectionBody::fill`] (one virtual call
-//!   per [`BATCH_OPS`] ops instead of one per op), the scheduler is a flat
-//!   min-scan over the thread array with a *still-minimum* fast path
-//!   (n ≤ 16 threads makes a `BinaryHeap` pure overhead), and consecutive
-//!   `Compute` ops are fused into one clock add. All three specializations
-//!   preserve the exact min-clock/tie-by-index execution order, so results
-//!   are bit-identical to the reference pipeline (asserted by tests here
-//!   and by a figure-level equivalence test in `tint-bench`).
+//!   per [`BATCH_OPS`] ops instead of one per op), the scheduler is a
+//!   16-leaf winner tree over packed `(clock, index)` keys with a
+//!   *still-minimum* fast path (n ≤ 16 threads makes a `BinaryHeap` pure
+//!   overhead), and consecutive `Compute` ops are fused into one clock
+//!   add. All three specializations preserve the exact
+//!   min-clock/tie-by-index execution order, so results are bit-identical
+//!   to the reference pipeline (asserted by tests here and by a
+//!   figure-level equivalence test in `tint-bench`).
 //! * The **reference pipeline**: the original one-op-at-a-time
 //!   `BinaryHeap` loop, kept as the semantic baseline. Export
 //!   `TINT_REFERENCE_PIPELINE=1` to route every section through it.
@@ -20,7 +21,7 @@
 //! pop the global minimum. If `(clock_i, i)` is still lexicographically
 //! smaller than every other runnable thread's `(clock, index)` key, that
 //! pop returns *i* again — so the batched pipeline just keeps draining
-//! thread *i* and only rescans when its key rises past the runner-up's.
+//! thread *i* and only re-picks when its key rises past the runner-up's.
 //! Why compute fusion is safe: `Compute` ops touch nothing but the local
 //! clock, and the memory system observes only `(access order, issue
 //! cycle)` pairs, which depend on clock values alone — summing consecutive
@@ -210,34 +211,6 @@ fn sampling_knobs() -> (u64, u64, u64, u64) {
     (window, period, seed, warm_touch)
 }
 
-/// Host-side MLP presort of one freshly refilled batch: for every Access
-/// op whose translation is already TLB-resident, collect the packed
-/// `(level, core, set)` keys of the tag strides its walk will touch, sort
-/// them so same-level/same-set strides group, and issue the prefetches in
-/// that order — many independent loads in flight instead of one dependent
-/// chain per op. Read-only by construction (the TLB peek never faults or
-/// fills, prefetching touches no simulated state), and execution replays
-/// the batch in original order, so results are bit-identical with or
-/// without it.
-#[inline]
-fn presort_prefetch(sys: &System, tid: Tid, batch: &[Op], keys: &mut Vec<u64>) {
-    let tp = profile::start();
-    keys.clear();
-    let hier = sys.mem().hierarchy();
-    for op in batch {
-        if let Op::Access { addr, .. } = *op {
-            if let Some((core, phys)) = sys.peek_translate(tid, addr) {
-                hier.prefetch_keys(core, phys, keys);
-            }
-        }
-    }
-    keys.sort_unstable();
-    for &k in keys.iter() {
-        hier.prefetch_key(k);
-    }
-    profile::stop(Component::Presort, tp);
-}
-
 /// Per-thread batch cursor over a section body.
 struct BodyCursor {
     buf: [Op; BATCH_OPS],
@@ -269,10 +242,10 @@ impl BodyCursor {
     }
 }
 
-/// Max threads the flat-scan scheduler handles; larger teams fall back to
+/// Max threads the winner-tree scheduler handles; larger teams fall back to
 /// the reference heap. 16 is the evaluation machine's core count and leaves
 /// 4 index bits in the packed key.
-const MAX_FLAT_THREADS: usize = 16;
+const TREE_LEAVES: usize = 16;
 
 /// Pack a thread's scheduling key: `(clock, index)` lexicographic order
 /// becomes plain `u64` order. Clocks stay far below 2^60 (simulations run
@@ -283,19 +256,55 @@ fn pack_key(clock: u64, i: usize) -> u64 {
     (clock << 4) | i as u64
 }
 
-/// One pass over the packed keys: the global minimum and the runner-up.
-/// Dead threads hold `u64::MAX`. Branch-free compares — keys are unique
-/// (the index lives in the low bits), so strict `<` is exact.
-#[inline]
-fn min2_scan(keys: &[u64]) -> (u64, u64) {
-    let mut m1 = u64::MAX;
-    let mut m2 = u64::MAX;
-    for &k in keys {
-        let lo = m1.min(k);
-        m2 = m2.min(m1.max(k));
-        m1 = lo;
+/// A tournament (winner) tree over up to [`TREE_LEAVES`] packed keys:
+/// leaves live at `t[16..32]`, node `k` holds the min of `t[2k]` and
+/// `t[2k + 1]`, and the root `t[1]` is the global minimum. Dead threads
+/// and unused leaves hold `u64::MAX`. Keys are unique (the index lives in
+/// the low bits), so the minimum and the runner-up — the min of the four
+/// siblings on the winner's leaf-to-root path — are exactly what a flat
+/// scan over the keys would return.
+struct WinnerTree {
+    t: [u64; 2 * TREE_LEAVES],
+}
+
+impl WinnerTree {
+    /// Build over `threads`' current `(clock, index)` keys.
+    fn new(threads: &[SimThread]) -> Self {
+        debug_assert!(threads.len() <= TREE_LEAVES);
+        let mut t = [u64::MAX; 2 * TREE_LEAVES];
+        for (i, th) in threads.iter().enumerate() {
+            t[TREE_LEAVES + i] = pack_key(th.clock, i);
+        }
+        for k in (1..TREE_LEAVES).rev() {
+            t[k] = t[2 * k].min(t[2 * k + 1]);
+        }
+        Self { t }
     }
-    (m1, m2)
+
+    /// The global minimum key and the runner-up (`u64::MAX` when no second
+    /// live key exists). Only meaningful while some key is live.
+    #[inline]
+    fn min2(&self) -> (u64, u64) {
+        let m1 = self.t[1];
+        let mut k = TREE_LEAVES + (m1 & 0xF) as usize;
+        let mut m2 = u64::MAX;
+        for _ in 0..4 {
+            m2 = m2.min(self.t[k ^ 1]);
+            k >>= 1;
+        }
+        (m1, m2)
+    }
+
+    /// Replace thread `i`'s key and replay its four matches.
+    #[inline]
+    fn set(&mut self, i: usize, key: u64) {
+        let mut k = TREE_LEAVES + i;
+        self.t[k] = key;
+        for _ in 0..4 {
+            k >>= 1;
+            self.t[k] = self.t[2 * k].min(self.t[2 * k + 1]);
+        }
+    }
 }
 
 /// Run one parallel section: each thread executes its body to completion;
@@ -330,17 +339,16 @@ fn run_section_batched(
 ) -> Result<Vec<u64>, Errno> {
     assert_eq!(threads.len(), bodies.len(), "one body per thread");
     let n = threads.len();
-    if n > MAX_FLAT_THREADS {
+    if n > TREE_LEAVES {
         return run_section_reference(sys, threads, bodies, ops_budget);
     }
     let mut end = vec![0u64; n];
-    let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
+    let mut tree = WinnerTree::new(threads);
     let mut live = n;
     let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
-    let mut sort_keys: Vec<u64> = Vec::with_capacity(3 * BATCH_OPS);
     let mut ops = 0u64;
     while live > 0 {
-        let (m1, runner_up) = min2_scan(&keys);
+        let (m1, runner_up) = tree.min2();
         let i = (m1 & 0xF) as usize;
         let tid = threads[i].tid;
         let mut clock = threads[i].clock;
@@ -348,20 +356,17 @@ fn run_section_batched(
         let body = bodies[i].as_mut();
         // Drain thread i while it remains the min-clock thread.
         loop {
-            if cur.cur == cur.len {
-                if cur.exhausted || !cur.refill(body) {
-                    // The reference loop's final `None` pop.
-                    ops += 1;
-                    assert!(
-                        ops <= ops_budget,
-                        "section exceeded its operation budget ({ops_budget}); runaway body?"
-                    );
-                    end[i] = clock;
-                    keys[i] = u64::MAX;
-                    live -= 1;
-                    break;
-                }
-                presort_prefetch(sys, tid, &cur.buf[..cur.len], &mut sort_keys);
+            if cur.cur == cur.len && (cur.exhausted || !cur.refill(body)) {
+                // The reference loop's final `None` pop.
+                ops += 1;
+                assert!(
+                    ops <= ops_budget,
+                    "section exceeded its operation budget ({ops_budget}); runaway body?"
+                );
+                end[i] = clock;
+                tree.set(i, u64::MAX);
+                live -= 1;
+                break;
             }
             let batch = &cur.buf[..cur.len];
             match batch[cur.cur] {
@@ -403,7 +408,7 @@ fn run_section_batched(
             // Still-minimum fast path: one compare against the runner-up.
             let key = pack_key(clock, i);
             if key >= runner_up {
-                keys[i] = key;
+                tree.set(i, key);
                 break;
             }
         }
@@ -425,7 +430,7 @@ fn run_section_batched(
 /// latency replaced by the running per-core mean). Deterministic for a
 /// given seed/window/period regardless of host job count — the schedule is
 /// pure per-core counter state inside the `System`. Teams wider than the
-/// flat scheduler fall back to the (exact) reference pipeline.
+/// winner-tree scheduler fall back to the (exact) reference pipeline.
 fn run_section_sampled(
     sys: &mut System,
     threads: &mut [SimThread],
@@ -434,18 +439,18 @@ fn run_section_sampled(
 ) -> Result<Vec<u64>, Errno> {
     assert_eq!(threads.len(), bodies.len(), "one body per thread");
     let n = threads.len();
-    if n > MAX_FLAT_THREADS {
+    if n > TREE_LEAVES {
         return run_section_reference(sys, threads, bodies, ops_budget);
     }
     let (window, period, seed, warm_touch) = sampling_knobs();
     sys.configure_sampling(window, period, seed, warm_touch);
     let mut end = vec![0u64; n];
-    let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
+    let mut tree = WinnerTree::new(threads);
     let mut live = n;
     let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
     let mut ops = 0u64;
     while live > 0 {
-        let (m1, runner_up) = min2_scan(&keys);
+        let (m1, runner_up) = tree.min2();
         let i = (m1 & 0xF) as usize;
         let tid = threads[i].tid;
         let core = threads[i].core;
@@ -453,10 +458,6 @@ fn run_section_sampled(
         let cur = &mut cursors[i];
         let body = bodies[i].as_mut();
         loop {
-            // No presort on refill here: measured on the full fig11 matrix,
-            // the per-batch sort costs more host time than its prefetches
-            // save in this loop, eating the margin the skipped bookkeeping
-            // buys (4.95 s vs 4.24 s sampled wall with/without it).
             if cur.cur == cur.len && (cur.exhausted || !cur.refill(body)) {
                 ops += 1;
                 assert!(
@@ -464,7 +465,7 @@ fn run_section_sampled(
                     "section exceeded its operation budget ({ops_budget}); runaway body?"
                 );
                 end[i] = clock;
-                keys[i] = u64::MAX;
+                tree.set(i, u64::MAX);
                 live -= 1;
                 break;
             }
@@ -516,7 +517,7 @@ fn run_section_sampled(
             );
             let key = pack_key(clock, i);
             if key >= runner_up {
-                keys[i] = key;
+                tree.set(i, key);
                 break;
             }
         }
@@ -606,18 +607,17 @@ fn run_section_dynamic_batched<'b>(
     ops_budget: u64,
 ) -> Result<Vec<u64>, Errno> {
     let n = threads.len();
-    if n > MAX_FLAT_THREADS {
+    if n > TREE_LEAVES {
         return run_section_dynamic_reference(sys, threads, chunks, ops_budget);
     }
     let mut end = vec![0u64; n];
     let mut current: Vec<Option<Box<dyn SectionBody + 'b>>> = (0..n).map(|_| None).collect();
     let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
-    let mut sort_keys: Vec<u64> = Vec::with_capacity(3 * BATCH_OPS);
-    let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
+    let mut tree = WinnerTree::new(threads);
     let mut live = n;
     let mut ops = 0u64;
     'threads: while live > 0 {
-        let (m1, runner_up) = min2_scan(&keys);
+        let (m1, runner_up) = tree.min2();
         let i = (m1 & 0xF) as usize;
         let tid = threads[i].tid;
         let mut clock = threads[i].clock;
@@ -649,7 +649,7 @@ fn run_section_dynamic_batched<'b>(
                             // reference loop's `continue` — not an op).
                             threads[i].clock = clock;
                             end[i] = clock;
-                            keys[i] = u64::MAX;
+                            tree.set(i, u64::MAX);
                             live -= 1;
                             continue 'threads;
                         }
@@ -661,7 +661,6 @@ fn run_section_dynamic_batched<'b>(
                     // `cur.exhausted` is set, so loop to charge its None op
                     // and pull the next chunk.
                 }
-                presort_prefetch(sys, tid, &cur.buf[..cur.len], &mut sort_keys);
             }
             let batch = &cur.buf[..cur.len];
             match batch[cur.cur] {
@@ -700,7 +699,7 @@ fn run_section_dynamic_batched<'b>(
             );
             let key = pack_key(clock, i);
             if key >= runner_up {
-                keys[i] = key;
+                tree.set(i, key);
                 break;
             }
         }
@@ -789,11 +788,9 @@ fn run_serial_batched(
     let tid = threads[0].tid;
     let mut clock = threads[0].clock;
     let mut buf = [Op::Compute(0); BATCH_OPS];
-    let mut sort_keys: Vec<u64> = Vec::with_capacity(3 * BATCH_OPS);
     let mut ops = 0u64;
     loop {
         let len = body.fill(&mut buf);
-        presort_prefetch(sys, tid, &buf[..len], &mut sort_keys);
         let mut k = 0;
         while k < len {
             match buf[k] {
@@ -1219,6 +1216,45 @@ mod tests {
         std::env::remove_var("TINT_REFERENCE_PIPELINE");
         assert!(!reference_pipeline());
         assert_eq!(batched, referenced);
+    }
+
+    /// The winner tree's `(min, runner-up)` equals a brute-force scan
+    /// after every leaf update: random clocks, deaths (`u64::MAX`),
+    /// revivals, and teams of 1–16 threads.
+    #[test]
+    fn winner_tree_matches_brute_force_scan() {
+        use tint_hw::rng::SplitMix64;
+        let brute = |keys: &[u64]| {
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            (sorted[0], sorted.get(1).copied().unwrap_or(u64::MAX))
+        };
+        let mut rng = SplitMix64::new(0x7EE);
+        for case in 0..400u64 {
+            let n = 1 + (case % TREE_LEAVES as u64) as usize;
+            let clock_span = 1 + rng.gen_range(1 << (4 * (case % 4) + 2));
+            let threads: Vec<SimThread> = (0..n)
+                .map(|i| SimThread {
+                    tid: Tid(i as u64),
+                    core: CoreId(i),
+                    clock: rng.gen_range(clock_span),
+                })
+                .collect();
+            let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
+            let mut tree = WinnerTree::new(&threads);
+            for step in 0..200 {
+                if keys.iter().any(|&k| k != u64::MAX) {
+                    assert_eq!(tree.min2(), brute(&keys), "case {case} step {step}");
+                }
+                let i = rng.gen_range(n as u64) as usize;
+                keys[i] = if rng.gen_range(5) == 0 {
+                    u64::MAX
+                } else {
+                    pack_key(rng.gen_range(clock_span), i)
+                };
+                tree.set(i, keys[i]);
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,26 @@ echo "== cold benchmark smoke =="
 # compared: a one-second run on a shared host is not a baseline.
 coldbench/quick.sh
 
+echo "== cold benchmark tests =="
+# The benchmark package is its own workspace, so `cargo test --workspace`
+# above never reaches its tests (gate parsing, metric arithmetic, units).
+cargo test --release --offline -q --manifest-path coldbench/Cargo.toml
+
+echo "== determinism smoke =="
+# Two cold runs of the page-migration ablation must print byte-identical
+# output: recoloring migrates pages in a fixed order, so any dependence on
+# hash-map iteration order (or other per-process state) shows up here.
+det_dir=$(mktemp -d)
+for run in 1 2; do
+    (cd "$det_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" ablate-migrate > "migrate$run.txt" 2> /dev/null)
+done
+if ! cmp -s "$det_dir/migrate1.txt" "$det_dir/migrate2.txt"; then
+    echo "FAIL: two cold ablate-migrate runs printed different output" >&2
+    diff "$det_dir/migrate1.txt" "$det_dir/migrate2.txt" >&2 || true
+    exit 1
+fi
+rm -rf "$det_dir"
+
 echo "== sim-cache smoke =="
 # Cross-figure cell reuse, asserted hard: every fig13/fig14 cell is a
 # subset of the fig11 matrix, so after fig11 runs in the same invocation,
