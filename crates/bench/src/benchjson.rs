@@ -28,6 +28,7 @@
 use crate::lockfile::Lockfile;
 use crate::table::Table;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tint_hw::profile::{self, COMPONENT_COUNT};
 
@@ -358,7 +359,14 @@ pub fn write_bench_json(
     // Crash-safe: write a temp file in the same directory, then atomically
     // rename over the target — a kill mid-write can no longer leave a
     // half-written perf trajectory behind.
-    let tmp = format!("{path}.tmp.{}", std::process::id());
+    // Unique per writer, not just per process: a writer that proceeds
+    // unlocked after a timeout must not share its sibling's temp file.
+    static WRITE: AtomicU64 = AtomicU64::new(0);
+    let tmp = format!(
+        "{path}.tmp.{}.{}",
+        std::process::id(),
+        WRITE.fetch_add(1, Ordering::Relaxed)
+    );
     std::fs::write(&tmp, &s).map_err(|e| format!("cannot write {tmp}: {e}"))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);

@@ -5,9 +5,11 @@
 //! must never run twice concurrently over the same store, and concurrent
 //! `repro` processes finishing at the same time must not interleave their
 //! read-merge-write of `BENCH_repro.json`. Both use the same primitive: a
-//! lockfile created with `O_CREAT|O_EXCL` (atomic on every POSIX
-//! filesystem — exactly one creator wins) whose contents are the holder's
-//! pid.
+//! lockfile whose contents are the holder's pid, published atomically. The
+//! pid is written to a private temp file first, which is then hard-linked
+//! to the lock path: `link` fails when the path exists (exactly one linker
+//! wins), and the lock never exists without its pid, so a racing acquirer
+//! cannot mistake a half-created lock for an unparsable, stale one.
 //!
 //! A crashed holder leaves the lockfile behind, so acquisition performs
 //! *stale-lock takeover*: if the recorded pid no longer names a live
@@ -20,8 +22,8 @@
 //! The lock is released on [`Drop`], so an early return cannot leak it;
 //! only a SIGKILL can, and that is exactly the case takeover handles.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A held lockfile; dropping it releases the lock.
@@ -47,23 +49,19 @@ impl Lockfile {
     /// holds the lock or the filesystem refuses the create.
     pub fn acquire(path: &Path) -> Result<Self, String> {
         for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(path)
-            {
-                Ok(mut f) => {
-                    // Best-effort pid stamp; an empty lock is still a lock
-                    // (it reads as stale-by-unparsable for takeover).
-                    let _ = writeln!(f, "{}", std::process::id());
+            match Self::publish(path) {
+                Ok(()) => {
                     return Ok(Self {
                         path: path.to_path_buf(),
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let holder = std::fs::read_to_string(path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
+                    let holder = match std::fs::read_to_string(path) {
+                        // Released since the link failed: retry, and never
+                        // remove what a racing acquirer may have just linked.
+                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                        read => read.ok().and_then(|s| s.trim().parse::<u32>().ok()),
+                    };
                     match holder {
                         Some(pid) if pid_alive(pid) => {
                             return Err(format!(
@@ -72,7 +70,7 @@ impl Lockfile {
                             ));
                         }
                         // Dead holder or unreadable/garbled lock: stale.
-                        // Remove and retry the exclusive create once (a
+                        // Remove and retry the exclusive link once (a
                         // racing taker may beat us to recreation, which
                         // the second loop iteration reports honestly).
                         _ => {
@@ -84,9 +82,27 @@ impl Lockfile {
             }
         }
         Err(format!(
-            "{} was recreated while taking over a stale lock",
+            "{} changed hands while acquiring it",
             path.display()
         ))
+    }
+
+    /// Create `path` holding this process's pid, failing with
+    /// `AlreadyExists` when it is taken: stamp a temp file unique to this
+    /// attempt, then hard-link it into place.
+    fn publish(path: &Path) -> std::io::Result<()> {
+        static ATTEMPT: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            ATTEMPT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        let linked = std::fs::write(&tmp, format!("{}\n", std::process::id()))
+            .and_then(|()| std::fs::hard_link(&tmp, path));
+        let _ = std::fs::remove_file(&tmp);
+        linked
     }
 
     /// [`Self::acquire`], retrying for up to `wait` while a live holder
@@ -162,6 +178,48 @@ mod tests {
         // A garbled lock (unparsable pid) is also stale.
         std::fs::write(&path, "not-a-pid\n").unwrap();
         let _l = Lockfile::acquire(&path).expect("garbled lock is stale");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_acquirers_never_share_the_lock() {
+        // Threads of one process share a pid, so a live holder always
+        // reads as live: any second holder means the lock was taken over
+        // while it was held (the pid-less window of a create-then-write
+        // lock). Each holder checks that nobody else is inside.
+        let dir = scratch("race");
+        let path = dir.join("x.lock");
+        let inside = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let acquired = std::sync::Arc::new(AtomicU64::new(0));
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (path, inside, acquired) = (path.clone(), inside.clone(), acquired.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        let Ok(lock) = Lockfile::acquire(&path) else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let holders = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        assert_eq!(holders, 1, "two holders of {}", path.display());
+                        acquired.fetch_add(1, Ordering::Relaxed);
+                        std::thread::yield_now();
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        drop(lock);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("no worker saw a second holder");
+        }
+        assert!(
+            acquired.load(Ordering::Relaxed) > 0,
+            "somebody got the lock"
+        );
+        assert!(!path.exists(), "the last holder released the lock");
+        let leftovers = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 0, "no temp stamp files left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
