@@ -207,6 +207,29 @@ const RMAP_NONE: u64 = 0;
 /// Bits of the packed rmap entry reserved for the page number.
 const RMAP_PAGE_BITS: u32 = 44;
 
+/// A deliberate inconsistency, seeded by [`Kernel::corrupt`] so negative
+/// tests can prove each detection path of [`Kernel::check_invariants`] and
+/// [`Kernel::audit_step`] fires. Every variant except
+/// [`Corruption::ResidentCounter`] keeps the frame-conservation counters
+/// balanced, so only the per-frame checks can catch it.
+#[cfg(any(test, feature = "test-hooks"))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corruption {
+    /// Park the frame in its color list as well, leaking the front page of
+    /// the first non-empty list to keep the page count (panics when no
+    /// page is parked).
+    ParkInColors(FrameNumber),
+    /// Batch the frame in the task's pcp list as well, leaking the batch's
+    /// last frame to keep the count (panics when the batch is empty).
+    BatchInPcp(Tid, FrameNumber),
+    /// Overwrite the frame's rmap entry with `(vm, page)`.
+    Rmap(FrameNumber, VmId, PageNumber),
+    /// Erase the frame's rmap entry.
+    ClearRmap(FrameNumber),
+    /// Count one resident page fewer than the page tables hold.
+    ResidentCounter,
+}
+
 /// Placement masks fixed at boot: every frame, and every frame of each
 /// node — the queries of the legacy, first-touch and local-uncolored paths.
 #[derive(Debug, Clone)]
@@ -624,6 +647,30 @@ impl Kernel {
             "frame {frame} rmap-cleared while unmapped"
         );
         self.rmap[frame.0 as usize] = RMAP_NONE;
+    }
+
+    /// Seed `c` behind the kernel's back (negative tests only).
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn corrupt(&mut self, c: Corruption) {
+        match c {
+            Corruption::ParkInColors(f) => {
+                let banks = self.mapping.bank_color_count() as u16;
+                (0..banks)
+                    .find_map(|b| self.colors.pop_bank(BankColor(b), 0))
+                    .expect("a parked page to leak");
+                self.colors.push(f);
+            }
+            Corruption::BatchInPcp(tid, f) => {
+                let pcp = &mut self.task_mut(tid).expect("a live task").pcp;
+                pcp.pop_back().expect("a batched frame to leak");
+                pcp.push_back(f);
+            }
+            Corruption::Rmap(f, vm, page) => {
+                self.rmap[f.0 as usize] = Self::rmap_pack(vm.0, page.0)
+            }
+            Corruption::ClearRmap(f) => self.rmap[f.0 as usize] = RMAP_NONE,
+            Corruption::ResidentCounter => self.resident_pages -= 1,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2617,6 +2664,32 @@ mod tests {
         k.audit_step(&mut cursor, total);
     }
 
+    /// A kernel with every owner kind populated: a legacy task with one
+    /// resident page and a partly used pcp batch, and a colored task with
+    /// resident pages and parked color-list pages. Returns the kernel, the
+    /// legacy task, its resident frame, a colored resident frame and a
+    /// buddy-free frame.
+    fn populated() -> (Kernel, Tid, FrameNumber, FrameNumber, FrameNumber) {
+        let mut k = kernel();
+        let legacy = k.create_task(CoreId(0));
+        let base = k.sys_mmap(legacy, 0, PAGE_SIZE, 0).unwrap();
+        let legacy_frame = k.translate(legacy, base).unwrap().phys.frame();
+        let colored = colored_task(&mut k, 1, 1, 2);
+        let base = k.sys_mmap(colored, 0, 4 * PAGE_SIZE, 0).unwrap();
+        let colored_frame = k.translate(colored, base).unwrap().phys.frame();
+        k.translate(colored, base.offset(PAGE_SIZE)).unwrap();
+        let free = (0..=MAX_ORDER)
+            .find_map(|o| k.buddy().blocks(o).next())
+            .unwrap();
+        k.check_invariants();
+        k.audit_step(&mut AuditCursor::default(), k.mapping().frame_count());
+        (k, legacy, legacy_frame, colored_frame, free)
+    }
+
+    fn full_audit(k: &Kernel) {
+        k.audit_step(&mut AuditCursor::default(), k.mapping().frame_count());
+    }
+
     #[test]
     #[should_panic(expected = "page table disagrees")]
     fn audit_step_catches_a_corrupted_rmap() {
@@ -2624,11 +2697,9 @@ mod tests {
         let tid = k.create_task(CoreId(0));
         let base = k.sys_mmap(tid, 0, 4 * PAGE_SIZE, 0).unwrap();
         let frame = k.translate(tid, base).unwrap().phys.frame();
-        // Corrupt the reverse map behind the kernel's back: point the
-        // frame's entry at a page that was never mapped.
-        k.rmap[frame.0 as usize] = Kernel::rmap_pack(0, 1);
-        let mut cursor = AuditCursor::default();
-        k.audit_step(&mut cursor, k.mapping().frame_count());
+        // Point the frame's entry at a page that was never mapped.
+        k.corrupt(Corruption::Rmap(frame, VmId(0), PageNumber(1)));
+        full_audit(&k);
     }
 
     #[test]
@@ -2638,10 +2709,86 @@ mod tests {
         let tid = k.create_task(CoreId(0));
         let base = k.sys_mmap(tid, 0, PAGE_SIZE, 0).unwrap();
         k.translate(tid, base).unwrap();
-        // Simulate a leak: the resident counter says one fewer page than
-        // the page tables actually hold.
-        k.resident_pages -= 1;
+        // The resident counter says one fewer page than the page tables
+        // actually hold.
+        k.corrupt(Corruption::ResidentCounter);
         k.audit_step(&mut AuditCursor::default(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_free_frame_in_a_color_list() {
+        let (mut k, _, _, _, free) = populated();
+        k.corrupt(Corruption::ParkInColors(free));
+        full_audit(&k);
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_free_frame_in_a_pcp_batch() {
+        let (mut k, legacy, _, _, free) = populated();
+        k.corrupt(Corruption::BatchInPcp(legacy, free));
+        full_audit(&k);
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_mapped_frame_in_a_color_list() {
+        let (mut k, _, _, colored_frame, _) = populated();
+        k.corrupt(Corruption::ParkInColors(colored_frame));
+        full_audit(&k);
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_mapped_frame_in_a_pcp_batch() {
+        let (mut k, legacy, legacy_frame, _, _) = populated();
+        k.corrupt(Corruption::BatchInPcp(legacy, legacy_frame));
+        full_audit(&k);
+    }
+
+    #[test]
+    #[should_panic(expected = "page table disagrees")]
+    fn audit_step_catches_a_stray_rmap_entry_on_a_free_frame() {
+        let (mut k, legacy, _, _, free) = populated();
+        let vm = k.task(legacy).unwrap().vm;
+        k.corrupt(Corruption::Rmap(free, vm, PageNumber(0)));
+        full_audit(&k);
+    }
+
+    #[test]
+    #[should_panic(expected = "rmapped but not page-table-owned")]
+    fn check_invariants_catches_a_stray_rmap_entry_on_a_free_frame() {
+        let (mut k, legacy, _, _, free) = populated();
+        let vm = k.task(legacy).unwrap().vm;
+        k.corrupt(Corruption::Rmap(free, vm, PageNumber(0)));
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "page-table-owned but has no rmap entry")]
+    fn check_invariants_catches_a_missing_rmap_entry() {
+        let (mut k, _, legacy_frame, _, _) = populated();
+        k.corrupt(Corruption::ClearRmap(legacy_frame));
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "rmap of frame")]
+    fn check_invariants_catches_a_misdirected_rmap_entry() {
+        let (mut k, legacy, legacy_frame, _, _) = populated();
+        let vm = k.task(legacy).unwrap().vm;
+        let page = k.vm(vm).resident().next().unwrap().0;
+        k.corrupt(Corruption::Rmap(legacy_frame, vm, PageNumber(page.0 + 1)));
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed twice")]
+    fn check_invariants_catches_a_frame_claimed_twice() {
+        let (mut k, _, _, _, free) = populated();
+        k.corrupt(Corruption::ParkInColors(free));
+        k.check_invariants();
     }
 
     #[test]

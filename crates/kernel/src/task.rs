@@ -177,6 +177,12 @@ impl TaskStruct {
         }
     }
 
+    /// Frames reserved in the pcp batch, not yet installed (part of the
+    /// task's OOM footprint).
+    pub fn pcp_pages(&self) -> usize {
+        self.pcp.len()
+    }
+
     /// True when any coloring flag is active (Algorithm 1's gate).
     pub fn coloring_active(&self) -> bool {
         self.using_bank || self.using_llc

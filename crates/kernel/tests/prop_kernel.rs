@@ -4,13 +4,20 @@
 //! Seeded-loop randomized tests over the workspace's deterministic PRNG —
 //! no external property-testing framework required.
 
+use std::collections::BTreeMap;
 use tint_hw::addrmap::{AddressMapping, DecodedFrame};
 use tint_hw::decoder::FrameDecoder;
 use tint_hw::rng::SplitMix64;
 use tint_hw::topology::Topology;
-use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, NodeId, PAGE_SIZE};
-use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
-use tint_kernel::{BuddyAllocator, Errno, HeapPolicy, Kernel, KernelCosts, MAX_ORDER};
+use tint_hw::types::{
+    BankColor, CoreId, FrameNumber, LlcColor, NodeId, PageNumber, VirtAddr, PAGE_SIZE,
+};
+use tint_kernel::kernel::{Corruption, COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
+use tint_kernel::task::VmId;
+use tint_kernel::{
+    AuditCursor, BuddyAllocator, Errno, HeapPolicy, Kernel, KernelCosts, Tid, VictimPolicy,
+    MAX_ORDER,
+};
 
 const CASES: u64 = 60;
 
@@ -345,5 +352,301 @@ fn mask_queries_match_a_per_frame_scan() {
                 );
             }
         }
+    }
+}
+
+/// A live tenant of a random kernel state and the regions it mapped.
+struct Tenant {
+    tid: Tid,
+    regions: Vec<(VirtAddr, u64)>,
+}
+
+/// Boot a small kernel (32 to 1,024 frames: sub-word, word-sized and
+/// multi-word bitsets) and drive it through random tenant traffic — legacy,
+/// first-touch and colored tasks, CLONE_VM threads, partial faulting,
+/// `munmap`, exits, OOM kills and raw blocks — leaving every owner kind
+/// populated some of the time.
+fn arb_kernel_state(rng: &mut SplitMix64) -> (Kernel, Vec<Tenant>) {
+    let mut map = AddressMapping::tiny();
+    map.row_bits = rng.gen_range_in(1, 7) as u32;
+    let mut k = Kernel::new(map, Topology::new(2, 1, 2), KernelCosts::default());
+    k.consume_boot_noise(rng.gen_range(8));
+    let mut live: Vec<Tenant> = Vec::new();
+    let mut raw: Vec<(FrameNumber, u32)> = Vec::new();
+    for _ in 0..rng.gen_range_in(1, 40) {
+        match rng.gen_range(8) {
+            0 | 1 => {
+                let core = CoreId(rng.gen_range(4) as usize);
+                let tid = match live.first() {
+                    Some(leader) if rng.gen_ratio(1, 4) => {
+                        k.create_thread(core, leader.tid).unwrap()
+                    }
+                    _ => k.create_task(core),
+                };
+                match rng.gen_range(3) {
+                    0 => {}
+                    1 => k.set_policy(tid, HeapPolicy::FirstTouch).unwrap(),
+                    _ => {
+                        let bank = rng.gen_range(map.bank_color_count() as u64);
+                        let llc = rng.gen_range(map.llc_color_count() as u64);
+                        k.sys_mmap(tid, SET_MEM_COLOR | bank, 0, COLOR_ALLOC)
+                            .unwrap();
+                        k.sys_mmap(tid, SET_LLC_COLOR | llc, 0, COLOR_ALLOC)
+                            .unwrap();
+                    }
+                }
+                live.push(Tenant {
+                    tid,
+                    regions: Vec::new(),
+                });
+            }
+            2 | 3 if !live.is_empty() => {
+                let i = rng.gen_range(live.len() as u64) as usize;
+                let pages = rng.gen_range_in(1, 9);
+                let tid = live[i].tid;
+                let base = k.sys_mmap(tid, 0, pages * PAGE_SIZE, 0).unwrap();
+                for p in 0..pages {
+                    if rng.gen_ratio(2, 3) {
+                        let _ = k.translate(tid, base.offset(p * PAGE_SIZE));
+                    }
+                }
+                live[i].regions.push((base, pages));
+            }
+            4 if !live.is_empty() => {
+                let i = rng.gen_range(live.len() as u64) as usize;
+                if !live[i].regions.is_empty() {
+                    let r = rng.gen_range(live[i].regions.len() as u64) as usize;
+                    let (base, pages) = live[i].regions.remove(r);
+                    k.sys_munmap(live[i].tid, base, pages * PAGE_SIZE).unwrap();
+                }
+            }
+            5 if !live.is_empty() => {
+                let i = rng.gen_range(live.len() as u64) as usize;
+                k.sys_exit(live.remove(i).tid).unwrap();
+            }
+            6 if !live.is_empty() => {
+                let kill = k.oom_kill(VictimPolicy::LargestFootprint).unwrap();
+                live.retain(|t| t.tid != kill.victim);
+            }
+            _ => match raw.pop() {
+                Some((f, order)) if rng.gen_ratio(1, 2) => k.free_pages_raw(f, order),
+                popped => {
+                    raw.extend(popped);
+                    if let Some(t) = live.first() {
+                        let order = rng.gen_range(3) as u32;
+                        if let Ok(out) = k.alloc_pages_raw(t.tid, order) {
+                            raw.push((out.frame, order));
+                        }
+                    }
+                }
+            },
+        }
+    }
+    (k, live)
+}
+
+/// Does `f` run to completion without panicking?
+fn passes(f: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok()
+}
+
+/// Audit every frame once: windows of `window` frames from `start`,
+/// wrapping past the top of memory.
+fn audit_wrap(k: &Kernel, start: u64, window: u64) {
+    let total = k.mapping().frame_count();
+    let mut cursor = AuditCursor { next: start };
+    let mut audited = 0;
+    while audited < total {
+        audited += k.audit_step(&mut cursor, window);
+    }
+}
+
+/// The seeded corruptions that apply to `k`'s current state: a frame given
+/// a second owner (every pair of buddy, color list, pcp batch and page
+/// table the auditor distinguishes), a stray or misdirected rmap entry,
+/// and a drifted resident counter.
+fn applicable_corruptions(k: &Kernel, live: &[Tenant]) -> Vec<Corruption> {
+    let free: Vec<FrameNumber> = (0..=MAX_ORDER).flat_map(|o| k.buddy().blocks(o)).collect();
+    let mut mapped: Vec<(VmId, PageNumber, FrameNumber)> = Vec::new();
+    for t in live {
+        let vm = k.task(t.tid).unwrap().vm;
+        if !mapped.iter().any(|m| m.0 == vm) {
+            mapped.extend(k.vm(vm).resident().map(|(p, f)| (vm, p, f)));
+        }
+    }
+    mapped.sort_unstable_by_key(|m| m.2 .0);
+    let batched: Vec<Tid> = live
+        .iter()
+        .map(|t| t.tid)
+        .filter(|&t| k.task(t).unwrap().pcp_pages() > 0)
+        .collect();
+    let parked = k.color_lists().pages() > 0;
+    let mut out = Vec::new();
+    if let Some(&f) = free.first() {
+        if parked {
+            out.push(Corruption::ParkInColors(f));
+        }
+        out.extend(batched.iter().map(|&t| Corruption::BatchInPcp(t, f)));
+        if let Some(&(vm, page, _)) = mapped.first() {
+            out.push(Corruption::Rmap(f, vm, page));
+            out.push(Corruption::Rmap(f, vm, PageNumber(page.0 + 4096)));
+        }
+    }
+    if let Some(&(vm, page, f)) = mapped.last() {
+        if parked {
+            out.push(Corruption::ParkInColors(f));
+        }
+        out.extend(batched.iter().map(|&t| Corruption::BatchInPcp(t, f)));
+        out.push(Corruption::Rmap(f, vm, PageNumber(page.0 + 4096)));
+        if let Some(&(vm2, page2, _)) = mapped.first().filter(|m| m.2 != f) {
+            out.push(Corruption::Rmap(f, vm2, page2));
+        }
+        out.push(Corruption::ResidentCounter);
+    }
+    if parked {
+        if let Some(&t) = batched.first() {
+            let f = k.color_lists().iter_frames().next().unwrap();
+            out.push(Corruption::BatchInPcp(t, f));
+        }
+    }
+    out
+}
+
+/// On random kernel states, a full wrap of `audit_step` — any window of
+/// 1..=frames, any start, wrapping — passes exactly when
+/// `check_invariants` passes: on the clean state (both pass) and after
+/// every applicable seeded corruption (both panic).
+#[test]
+fn a_full_audit_wrap_agrees_with_check_invariants() {
+    let mut rng = SplitMix64::new(0xa0d17);
+    let mut corrupted = 0;
+    for _ in 0..CASES {
+        let (k, live) = arb_kernel_state(&mut rng);
+        let total = k.mapping().frame_count();
+        let window = rng.gen_range_in(1, total + 1);
+        let start = rng.gen_range(total);
+        assert!(passes(|| k.check_invariants()), "clean state");
+        assert!(passes(|| audit_wrap(&k, start, window)), "clean audit");
+        for c in applicable_corruptions(&k, &live) {
+            let mut bad = k.clone();
+            bad.corrupt(c);
+            let window = rng.gen_range_in(1, total + 1);
+            let start = rng.gen_range(total);
+            assert!(
+                !passes(|| bad.check_invariants()),
+                "{c:?}: check_invariants"
+            );
+            assert!(
+                !passes(|| audit_wrap(&bad, start, window)),
+                "{c:?}: audit wrap from {start}, window {window}"
+            );
+            corrupted += 1;
+        }
+    }
+    assert!(
+        corrupted > CASES,
+        "corruptions were exercised ({corrupted})"
+    );
+}
+
+/// Under random create/thread/exit/OOM sequences the kernel's task table
+/// agrees with a `BTreeMap` model: the same lookups (live and dead tids),
+/// the same live count, and the same OOM victims under both policies.
+#[test]
+fn task_table_matches_a_btreemap_model() {
+    let mut rng = SplitMix64::new(0x7a5c);
+    for _ in 0..CASES {
+        let mut map = AddressMapping::tiny();
+        map.row_bits = 6;
+        let mut k = Kernel::new(map, Topology::new(2, 1, 2), KernelCosts::default());
+        let mut model: BTreeMap<Tid, (CoreId, VmId)> = BTreeMap::new();
+        let mut issued: Vec<Tid> = Vec::new();
+        for _ in 0..rng.gen_range_in(1, 120) {
+            match rng.gen_range(6) {
+                0 | 1 => {
+                    let core = CoreId(rng.gen_range(4) as usize);
+                    let leader = issued[..]
+                        .get(rng.gen_range(issued.len() as u64 + 1) as usize)
+                        .copied();
+                    let tid = match leader {
+                        Some(l) if rng.gen_ratio(1, 3) => match k.create_thread(core, l) {
+                            Ok(t) => t,
+                            Err(e) => {
+                                assert!(!model.contains_key(&l), "live leader refused");
+                                assert_eq!(e, Errno::Esrch);
+                                continue;
+                            }
+                        },
+                        _ => k.create_task(core),
+                    };
+                    assert!(issued.last().is_none_or(|&last| tid > last), "tids ascend");
+                    let vm = k.task(tid).unwrap().vm;
+                    if rng.gen_ratio(1, 2) {
+                        k.sys_mmap(tid, SET_MEM_COLOR | rng.gen_range(4), 0, COLOR_ALLOC)
+                            .unwrap();
+                    }
+                    let pages = rng.gen_range(6);
+                    if pages > 0 {
+                        let base = k.sys_mmap(tid, 0, pages * PAGE_SIZE, 0).unwrap();
+                        for p in 0..pages {
+                            let _ = k.translate(tid, base.offset(p * PAGE_SIZE));
+                        }
+                    }
+                    model.insert(tid, (core, vm));
+                    issued.push(tid);
+                }
+                2 | 3 if !issued.is_empty() => {
+                    let tid = issued[rng.gen_range(issued.len() as u64) as usize];
+                    let expect = if model.remove(&tid).is_some() {
+                        Ok(())
+                    } else {
+                        Err(Errno::Esrch)
+                    };
+                    assert_eq!(k.sys_exit(tid), expect, "exit of {tid:?}");
+                }
+                _ => {
+                    let policy = if rng.gen_ratio(1, 2) {
+                        VictimPolicy::Youngest
+                    } else {
+                        VictimPolicy::LargestFootprint
+                    };
+                    let expect = match policy {
+                        VictimPolicy::Youngest => model.keys().next_back().copied(),
+                        VictimPolicy::LargestFootprint => model
+                            .iter()
+                            .map(|(&tid, &(_, vm))| {
+                                let pcp = k.task(tid).unwrap().pcp_pages();
+                                (k.vm(vm).resident_pages() + pcp, tid)
+                            })
+                            .max()
+                            .map(|(_, tid)| tid),
+                    };
+                    match k.oom_kill(policy) {
+                        Ok(kill) => {
+                            assert_eq!(Some(kill.victim), expect, "{policy:?} victim");
+                            model.remove(&kill.victim);
+                        }
+                        Err(e) => {
+                            assert_eq!(e, Errno::Esrch);
+                            assert!(expect.is_none(), "an empty table has no victim");
+                        }
+                    }
+                }
+            }
+            assert_eq!(k.task_count(), model.len(), "live count");
+            for &tid in &issued {
+                match (k.task(tid), model.get(&tid)) {
+                    (Ok(t), Some(&(core, vm))) => {
+                        assert_eq!((t.tid, t.core, t.vm), (tid, core, vm), "{tid:?}");
+                    }
+                    (Err(e), None) => assert_eq!(e, Errno::Esrch),
+                    (got, want) => panic!("{tid:?}: kernel {got:?}, model {want:?}"),
+                }
+            }
+            let unissued = Tid(issued.last().map_or(1, |t| t.0 + 1));
+            assert_eq!(k.task(unissued).err(), Some(Errno::Esrch));
+            assert_eq!(k.task(Tid(0)).err(), Some(Errno::Esrch));
+        }
+        k.check_invariants();
     }
 }
