@@ -206,9 +206,36 @@ impl BuddyAllocator {
         assert!(inserted, "double free of block {start:#x} at order {order}");
     }
 
-    /// Is `frame` currently free (contained in any free block)? O(orders ×
-    /// log blocks) — cheap enough for the incremental auditor to call per
-    /// frame, without walking whole lists.
+    /// The free frames among the 64 starting at `base` (a multiple of 64),
+    /// as a bitmask: bit `i` set ⇔ frame `base + i` lies in a free block.
+    /// One ordered-set query per order — a `range` for the blocks smaller
+    /// than the word, a point lookup for the one block at each larger order
+    /// that could cover it — so the incremental auditor pays
+    /// `MAX_ORDER + 1` queries per 64 frames, not per frame.
+    pub fn free_word(&self, base: u64) -> u64 {
+        debug_assert!(base.is_multiple_of(64), "unaligned free-word base {base}");
+        let mut word = 0u64;
+        for order in 0..=MAX_ORDER {
+            let size = 1u64 << order;
+            let list = &self.free_lists[order as usize];
+            if size >= 64 {
+                // Free blocks never overlap: a block covering the word is
+                // the only one that can touch it.
+                if list.contains(&(base & !(size - 1))) {
+                    return u64::MAX;
+                }
+            } else {
+                let ones = (1u64 << size) - 1;
+                for &start in list.range(base..base + 64) {
+                    word |= ones << (start - base);
+                }
+            }
+        }
+        word
+    }
+
+    /// Is `frame` currently free (contained in any free block)? One point
+    /// lookup per order, O(orders × log blocks).
     pub fn contains_frame(&self, frame: FrameNumber) -> bool {
         if frame.0 >= self.frame_count {
             return false;

@@ -44,6 +44,12 @@ fn first_set_from(words: &[u64], start: usize) -> Option<usize> {
 /// ([`pop_bank`](Self::pop_bank), [`pop_llc`](Self::pop_llc)) find their
 /// victim with a shift and a trailing-zeros count instead of scanning up to
 /// `bank_color_count` lists.
+///
+/// A third index, a bitset with one bit per frame, records which frames
+/// are parked at all, making [`contains_frame`](Self::contains_frame) one
+/// load and giving the incremental auditor 64 memberships per word. It
+/// grows lazily to the highest frame ever parked, so a machine whose color
+/// lists only ever hold low frames never pays for a whole-memory bitset.
 #[derive(Debug, Clone)]
 pub struct ColorMatrix {
     /// `lists[bank_color][llc_color]` — FIFO page lists.
@@ -58,6 +64,9 @@ pub struct ColorMatrix {
     llc_words: usize,
     /// Words per LLC color in `nonempty_bank`.
     bank_words: usize,
+    /// Bit `f % 64` of word `f / 64` set ⇔ frame `f` is in some list.
+    /// Words past the end are all clear.
+    member: Vec<u64>,
     mapping: AddressMapping,
     /// LUT decoder for `mapping`: every frame sorted into or probed in the
     /// matrix is one table load, not a field-by-field decode.
@@ -79,6 +88,7 @@ impl ColorMatrix {
             nonempty_bank: vec![0; llcs * bank_words],
             llc_words,
             bank_words,
+            member: Vec::new(),
             decoder: FrameDecoder::new(&mapping),
             mapping,
             pages: 0,
@@ -97,6 +107,22 @@ impl ColorMatrix {
     fn mark_empty(&mut self, b: usize, l: usize) {
         self.nonempty_llc[b * self.llc_words + l / 64] &= !(1u64 << (l % 64));
         self.nonempty_bank[l * self.bank_words + b / 64] &= !(1u64 << (b % 64));
+    }
+
+    /// Record that `frame` was just parked.
+    #[inline]
+    fn set_member(&mut self, frame: FrameNumber) {
+        let w = (frame.0 / 64) as usize;
+        if w >= self.member.len() {
+            self.member.resize(w + 1, 0);
+        }
+        self.member[w] |= 1u64 << (frame.0 % 64);
+    }
+
+    /// Record that `frame` just left the lists.
+    #[inline]
+    fn clear_member(&mut self, frame: FrameNumber) {
+        self.member[(frame.0 / 64) as usize] &= !(1u64 << (frame.0 % 64));
     }
 
     /// Total pages held in color lists.
@@ -126,6 +152,7 @@ impl ColorMatrix {
             let (b, l) = (d.bank_color as usize, d.llc_color as usize);
             self.lists[b][l].push_back(f);
             self.mark_nonempty(b, l);
+            self.set_member(f);
         }
         self.pages += n;
         n
@@ -139,6 +166,7 @@ impl ColorMatrix {
         let (b, l) = (d.bank_color.index(), d.llc_color.index());
         self.lists[b][l].push_back(frame);
         self.mark_nonempty(b, l);
+        self.set_member(frame);
         self.pages += 1;
     }
 
@@ -149,6 +177,7 @@ impl ColorMatrix {
         if self.lists[b][l].is_empty() {
             self.mark_empty(b, l);
         }
+        self.clear_member(f);
         self.pages -= 1;
         Some(f)
     }
@@ -189,14 +218,18 @@ impl ColorMatrix {
 
     /// Drain every list (last colored task exited): return all parked pages
     /// in deterministic bank-major, LLC-minor, FIFO order so the caller can
-    /// hand them back to the buddy allocator. Resets both non-empty indexes
-    /// and the page counter — the matrix returns to its boot-up state.
+    /// hand them back to the buddy allocator. Resets every index and the
+    /// page counter — the matrix returns to its boot-up state (the
+    /// membership bitset keeps its grown length, all clear).
     pub fn drain_all(&mut self) -> Vec<FrameNumber> {
         let mut out = Vec::with_capacity(self.pages as usize);
         for row in &mut self.lists {
             for list in row {
                 out.extend(list.drain(..));
             }
+        }
+        for &f in &out {
+            self.member[(f.0 / 64) as usize] = 0;
         }
         self.nonempty_llc.iter_mut().for_each(|w| *w = 0);
         self.nonempty_bank.iter_mut().for_each(|w| *w = 0);
@@ -214,12 +247,16 @@ impl ColorMatrix {
         &self.decoder
     }
 
-    /// Is `frame` currently parked in its color list? Decodes the frame to
-    /// find the one list that could hold it, so the scan is bounded by that
-    /// list's length — the incremental auditor's per-frame membership probe.
+    /// Is `frame` currently parked in a color list? One bitset load, O(1).
     pub fn contains_frame(&self, frame: FrameNumber) -> bool {
-        let d = self.decoder.decode_frame(frame);
-        self.lists[d.bank_color.index()][d.llc_color.index()].contains(&frame)
+        self.member_word(frame.0 / 64) >> (frame.0 % 64) & 1 == 1
+    }
+
+    /// Membership of frames `64 * word .. 64 * word + 64` as a bitmask (bit
+    /// `i` set ⇔ frame `64 * word + i` is parked) — the incremental
+    /// auditor's word-at-a-time probe. Zero beyond the grown bitset.
+    pub fn member_word(&self, word: u64) -> u64 {
+        self.member.get(word as usize).copied().unwrap_or(0)
     }
 
     /// Iterate over every frame currently held in any color list (for
@@ -231,7 +268,9 @@ impl ColorMatrix {
     }
 
     /// Check structural invariants: every page sits in the list matching its
-    /// decoded colors and the page count is consistent.
+    /// decoded colors, the page count is consistent, and the non-empty and
+    /// membership indexes agree with the lists — every listed frame has its
+    /// membership bit, and the bits number exactly the pages.
     pub fn check_invariants(&self) {
         let mut total = 0u64;
         for (b, row) in self.lists.iter().enumerate() {
@@ -240,6 +279,10 @@ impl ColorMatrix {
                     let d = self.decoder.decode_frame(f);
                     assert_eq!(d.bank_color.index(), b, "page {f} in wrong bank list");
                     assert_eq!(d.llc_color.index(), l, "page {f} in wrong LLC list");
+                    assert!(
+                        self.contains_frame(f),
+                        "membership index lost listed page {f}"
+                    );
                 }
                 total += list.len() as u64;
                 let nonempty = !list.is_empty();
@@ -256,6 +299,18 @@ impl ColorMatrix {
             }
         }
         assert_eq!(total, self.pages, "page count drifted");
+        let members: u64 = self.member.iter().map(|w| w.count_ones() as u64).sum();
+        assert_eq!(
+            members, self.pages,
+            "membership index holds {members} frames for {} listed pages",
+            self.pages
+        );
+    }
+
+    /// Set `frame`'s membership bit without listing it (negative tests).
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn corrupt_member_bit(&mut self, frame: FrameNumber) {
+        self.set_member(frame);
     }
 }
 
@@ -374,6 +429,48 @@ mod tests {
         assert_eq!(m.pop_bank(BankColor(0), 0), None);
         m.push(FrameNumber(3));
         assert_eq!(m.pages(), 1);
+        m.check_invariants();
+    }
+
+    #[test]
+    fn membership_index_tracks_push_pop_and_drain() {
+        let mut m = matrix();
+        assert!(
+            !m.contains_frame(FrameNumber(5)),
+            "empty matrix parks nothing"
+        );
+        m.create_color_list(4, FrameNumber(64));
+        assert!((64..80).all(|f| m.contains_frame(FrameNumber(f))));
+        assert!(!m.contains_frame(FrameNumber(80)));
+        assert!(
+            !m.contains_frame(FrameNumber(1 << 20)),
+            "beyond the grown bitset"
+        );
+        let f = m.pop(BankColor(1), LlcColor(1)).unwrap();
+        assert!(!m.contains_frame(f), "pop clears the bit");
+        m.push(f);
+        assert!(m.contains_frame(f), "push sets it again");
+        m.check_invariants();
+        m.drain_all();
+        assert!((64..80).all(|f| !m.contains_frame(FrameNumber(f))));
+        m.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "membership index holds 17 frames for 16 listed pages")]
+    fn check_invariants_catches_a_phantom_membership_bit() {
+        let mut m = matrix();
+        m.create_color_list(4, FrameNumber(0));
+        m.corrupt_member_bit(FrameNumber(100));
+        m.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "membership index lost listed page")]
+    fn check_invariants_catches_a_lost_membership_bit() {
+        let mut m = matrix();
+        m.create_color_list(4, FrameNumber(0));
+        m.clear_member(FrameNumber(3));
         m.check_invariants();
     }
 

@@ -36,7 +36,6 @@ use crate::vm::{AddressSpace, FrameSource};
 use crate::MAX_ORDER;
 use tint_hw::addrmap::AddressMapping;
 use tint_hw::decoder::{FrameDecoder, FrameInfo, FrameMask};
-use tint_hw::fxhash::FxHashMap;
 use tint_hw::pci::{derive_mapping, PciConfigSpace};
 use tint_hw::topology::Topology;
 use tint_hw::types::{
@@ -159,7 +158,7 @@ pub struct Kernel {
     topology: Topology,
     buddy: BuddyAllocator,
     colors: ColorMatrix,
-    tasks: FxHashMap<Tid, TaskStruct>,
+    tasks: TaskTable,
     /// Address spaces; threads created with [`Kernel::create_thread`] share
     /// their group leader's entry (CLONE_VM).
     vms: Vec<AddressSpace>,
@@ -228,6 +227,75 @@ pub enum Corruption {
     ClearRmap(FrameNumber),
     /// Count one resident page fewer than the page tables hold.
     ResidentCounter,
+    /// Set the frame's color-membership bit without listing the frame.
+    ParkedBit(FrameNumber),
+}
+
+/// [`TaskTable::slot`] entry of a tid that is not live.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The live tasks, packed densely, plus a `tid → slot` index.
+///
+/// Tids are issued sequentially and never reused (like [`VmId`]s), so the
+/// index is a vector indexed by tid rather than a hash map, and an exit
+/// swap-removes its task from `live`. Every whole-table walk — the exit
+/// path's sharer and colored-task scans, the OOM victim pick, the pcp sums
+/// of the invariant checks — then scans a contiguous slice whose length is
+/// the live count, not the table's high-water capacity. Walk order is
+/// unspecified; no caller depends on it (the victim pick is a max over
+/// unique `(footprint, tid)` keys).
+#[derive(Debug, Clone, Default)]
+struct TaskTable {
+    live: Vec<TaskStruct>,
+    /// `slot[tid]`: index of the task in `live`, or [`NO_SLOT`].
+    slot: Vec<u32>,
+}
+
+impl TaskTable {
+    fn insert(&mut self, task: TaskStruct) {
+        let tid = task.tid.0 as usize;
+        if tid >= self.slot.len() {
+            self.slot.resize(tid + 1, NO_SLOT);
+        }
+        debug_assert_eq!(self.slot[tid], NO_SLOT, "tid {tid} issued twice");
+        self.slot[tid] = u32::try_from(self.live.len()).expect("task table overflow");
+        self.live.push(task);
+    }
+
+    fn slot_of(&self, tid: Tid) -> Option<usize> {
+        let slot = *self.slot.get(tid.0 as usize)?;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    fn get(&self, tid: Tid) -> Option<&TaskStruct> {
+        self.slot_of(tid).map(|s| &self.live[s])
+    }
+
+    fn get_mut(&mut self, tid: Tid) -> Option<&mut TaskStruct> {
+        self.slot_of(tid).map(|s| &mut self.live[s])
+    }
+
+    fn remove(&mut self, tid: Tid) -> Option<TaskStruct> {
+        let slot = self.slot_of(tid)?;
+        self.slot[tid.0 as usize] = NO_SLOT;
+        let task = self.live.swap_remove(slot);
+        if let Some(moved) = self.live.get(slot) {
+            self.slot[moved.tid.0 as usize] = slot as u32;
+        }
+        Some(task)
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, TaskStruct> {
+        self.live.iter()
+    }
+
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
 }
 
 /// Placement masks fixed at boot: every frame, and every frame of each
@@ -266,7 +334,7 @@ impl Kernel {
             buddy: BuddyAllocator::new(mapping.frame_count()),
             node_masks: NodeMasks::new(colors.decoder(), mapping.node_count()),
             colors,
-            tasks: FxHashMap::default(),
+            tasks: TaskTable::default(),
             vms: Vec::new(),
             next_tid: 1,
             topology,
@@ -367,76 +435,86 @@ impl Kernel {
     /// never called on hot paths). Panics with a description on violation.
     ///
     /// Verified invariants:
-    /// * the buddy allocator's and color matrix's own structural invariants;
+    /// * the buddy allocator's and color matrix's own structural invariants
+    ///   (the color-membership index included);
     /// * every physical frame is owned by **exactly one** of: a buddy free
     ///   list, a color list, a page table, or a task's pcp batch;
     /// * every resident page lies inside a VMA of its address space;
     /// * the frames owned by none of those structures are exactly the
-    ///   untracked pool (boot noise + outstanding raw blocks).
+    ///   untracked pool (boot noise + outstanding raw blocks);
+    /// * the reverse map is the exact inverse of the page tables.
     pub fn check_invariants(&self) {
         self.buddy.check_invariants();
         self.colors.check_invariants();
         let mut owner = vec![0u8; self.mapping.frame_count() as usize];
-        let mut claim = |f: FrameNumber, code: u8, what: &str| {
-            let slot = &mut owner[f.0 as usize];
-            assert_eq!(*slot, 0, "frame {f} claimed twice (now {what})");
-            *slot = code;
+        let mut claimed = 0u64;
+        let mut claim = |frames: std::ops::Range<u64>, code: u8, what: &str| {
+            let slots = &mut owner[frames.start as usize..frames.end as usize];
+            if let Some(i) = slots.iter().position(|&c| c != 0) {
+                panic!(
+                    "frame {} claimed twice (now {what})",
+                    frames.start + i as u64
+                );
+            }
+            slots.fill(code);
+            claimed += frames.end - frames.start;
         };
         for order in 0..=MAX_ORDER {
             for start in self.buddy.blocks(order) {
-                for i in 0..1u64 << order {
-                    claim(FrameNumber(start.0 + i), 1, "buddy free list");
-                }
+                claim(start.0..start.0 + (1 << order), 1, "buddy free list");
             }
         }
         for f in self.colors.iter_frames() {
-            claim(f, 2, "color list");
+            claim(f.0..f.0 + 1, 2, "color list");
         }
-        for vm in &self.vms {
+        // The reverse map must be the inverse of the page tables. From the
+        // PTE side, one array load each: every resident page's frame maps
+        // back to exactly that page.
+        for (vm_index, vm) in self.vms.iter().enumerate() {
             for (p, f) in vm.resident() {
                 assert!(
                     vm.vma_of(p).is_some(),
                     "resident page {p:?} outside any VMA"
                 );
-                claim(f, 3, "page table");
+                claim(f.0..f.0 + 1, 3, "page table");
+                let entry = self.rmap[f.0 as usize];
+                assert_ne!(
+                    entry, RMAP_NONE,
+                    "frame {f} is page-table-owned but has no rmap entry"
+                );
+                let (rvm, rpage) = Self::rmap_unpack(entry);
+                assert!(
+                    (rvm, rpage) == (vm_index, p.0),
+                    "rmap of frame {f} points at vm {rvm} page {rpage}, \
+                     but vm {vm_index} page {} maps it",
+                    p.0
+                );
             }
         }
-        for t in self.tasks.values() {
+        for t in self.tasks.iter() {
             for &f in &t.pcp {
-                claim(f, 4, "pcp batch");
+                claim(f.0..f.0 + 1, 4, "pcp batch");
             }
         }
-        let claimed = owner.iter().filter(|&&c| c != 0).count() as u64;
         assert_eq!(
             claimed + self.untracked_pages,
             self.mapping.frame_count(),
             "frame accounting drifted (untracked: {})",
             self.untracked_pages
         );
-        // The reverse map must agree with the page tables exactly: an rmap
-        // entry on every page-table-owned frame (pointing back at a live
-        // PTE for that frame) and on nothing else, with the resident-page
-        // counter matching the population.
+        // From the rmap side: an entry on nothing but page-table-owned
+        // frames, and exactly as many entries as resident pages. With the
+        // PTE-side check (and no frame claimed twice) this makes the rmap
+        // and the page tables a bijection.
         let mut rmapped = 0u64;
         for (fno, &entry) in self.rmap.iter().enumerate() {
-            if entry == RMAP_NONE {
-                assert_ne!(
+            if entry != RMAP_NONE {
+                rmapped += 1;
+                assert_eq!(
                     owner[fno], 3,
-                    "frame {fno} is page-table-owned but has no rmap entry"
+                    "frame {fno} rmapped but not page-table-owned"
                 );
-                continue;
             }
-            rmapped += 1;
-            assert_eq!(
-                owner[fno], 3,
-                "frame {fno} rmapped but not page-table-owned"
-            );
-            let (vm, page) = Self::rmap_unpack(entry);
-            assert_eq!(
-                self.vms[vm].pte(PageNumber(page)).map(|p| p.frame),
-                Some(FrameNumber(fno as u64)),
-                "rmap of frame {fno} points at vm {vm} page {page}, which maps elsewhere"
-            );
         }
         assert_eq!(
             rmapped, self.resident_pages,
@@ -514,7 +592,7 @@ impl Kernel {
         let victim = match policy {
             VictimPolicy::LargestFootprint => self
                 .tasks
-                .values()
+                .iter()
                 .map(|t| {
                     let footprint = self.vms[t.vm.0].resident_pages() as u64 + t.pcp.len() as u64;
                     (footprint, t.tid.0)
@@ -522,7 +600,7 @@ impl Kernel {
                 // Ties by *youngest* (largest tid): kill the newcomer.
                 .max()
                 .map(|(_, tid)| Tid(tid)),
-            VictimPolicy::Youngest => self.tasks.keys().max().copied(),
+            VictimPolicy::Youngest => self.tasks.iter().map(|t| t.tid).max(),
         }
         .ok_or(Errno::Esrch)?;
         let before = self.free_frames();
@@ -548,21 +626,27 @@ impl Kernel {
     }
 
     /// One bounded slice of the invariant audit: examine up to `frames`
-    /// physical frames starting at `cursor`, plus an O(tasks) whole-memory
-    /// conservation check. Returns the number of frames examined and
-    /// advances (wrapping) the cursor, so a scheduler can keep auditing
-    /// *continuously* during simulated-hours runs at a bounded per-quantum
-    /// cost instead of stop-the-world [`Kernel::check_invariants`] sweeps.
+    /// physical frames starting at `cursor`, plus a whole-memory
+    /// conservation check over the live tasks. Returns the number of frames
+    /// examined and advances (wrapping) the cursor, so a scheduler can keep
+    /// auditing *continuously* during simulated-hours runs at a bounded
+    /// per-quantum cost instead of stop-the-world
+    /// [`Kernel::check_invariants`] sweeps.
     ///
     /// Per frame, exactly one of these may own it: a buddy free list, a
     /// color list, a translation (checked *both ways* through the reverse
-    /// map and the page table it claims), or a task's pcp batch. Panics
-    /// with a description on any violation.
+    /// map and the page table it claims), or a task's pcp batch. The window
+    /// is audited 64 frames at a time: one owner bitmask per kind (a range
+    /// query per buddy order, a color-membership word, the rmap entries,
+    /// the window's pcp frames), and any pairwise overlap is a frame with
+    /// two owners. Cost: O(window × orders / 64) ordered-set queries, one
+    /// page-table probe per mapped frame, and O(live tasks + their pcp
+    /// frames). Panics with a description on any violation.
     pub fn audit_step(&self, cursor: &mut AuditCursor, frames: u64) -> u64 {
         let total = self.mapping.frame_count();
         // Conservation first: every frame is free, resident, batched, or
-        // deliberately untracked. O(tasks).
-        let pcp_total: u64 = self.tasks.values().map(|t| t.pcp.len() as u64).sum();
+        // deliberately untracked.
+        let pcp_total: u64 = self.tasks.iter().map(|t| t.pcp.len() as u64).sum();
         assert_eq!(
             self.buddy.free_pages()
                 + self.colors.pages()
@@ -578,27 +662,46 @@ impl Kernel {
             self.untracked_pages
         );
         let budget = frames.min(total);
-        let pcp: std::collections::HashSet<u64> = self
-            .tasks
-            .values()
-            .flat_map(|t| t.pcp.iter().map(|f| f.0))
-            .collect();
-        for i in 0..budget {
-            let fno = (cursor.next + i) % total;
-            let f = FrameNumber(fno);
-            let mut owners = 0u32;
-            if self.buddy.contains_frame(f) {
-                owners += 1;
+        let start = cursor.next % total;
+        // The window's pcp frames as offsets from `start`, ascending; a
+        // frame batched twice appears twice.
+        let mut batched: Vec<u64> = Vec::new();
+        for t in self.tasks.iter() {
+            for &f in &t.pcp {
+                let off = if f.0 >= start {
+                    f.0 - start
+                } else {
+                    f.0 + total - start
+                };
+                if off < budget {
+                    batched.push(off);
+                }
             }
-            if self.colors.contains_frame(f) {
-                owners += 1;
+        }
+        batched.sort_unstable();
+        let mut batched = batched.as_slice();
+        let mut done = 0u64;
+        while done < budget {
+            let mut f = start + done;
+            if f >= total {
+                f -= total;
             }
-            if pcp.contains(&fno) {
-                owners += 1;
-            }
-            let entry = self.rmap[fno as usize];
-            if entry != RMAP_NONE {
-                owners += 1;
+            // Bits lo..hi of the 64-frame word at `base`.
+            let base = f & !63;
+            let lo = f - base;
+            let hi = (lo + budget - done).min(64).min(total - base);
+            let window = (u64::MAX >> (64 - hi)) & (u64::MAX << lo);
+            let free = self.buddy.free_word(base) & window;
+            let parked = self.colors.member_word(base / 64) & window;
+            let mut mapped = 0u64;
+            for bit in lo..hi {
+                let fno = base + bit;
+                let entry = self.rmap[fno as usize];
+                if entry == RMAP_NONE {
+                    continue;
+                }
+                mapped |= 1 << bit;
+                let f = FrameNumber(fno);
                 let (vm, page) = Self::rmap_unpack(entry);
                 let pte = self.vms[vm].pte(PageNumber(page));
                 assert_eq!(
@@ -607,9 +710,38 @@ impl Kernel {
                     "audit: rmap says frame {f} backs vm {vm} page {page}, page table disagrees"
                 );
             }
-            assert!(owners <= 1, "audit: frame {f} claimed by {owners} owners");
+            let word_end = done + (hi - lo);
+            let in_word = batched.partition_point(|&off| off < word_end);
+            let (mut pcp, mut pcp_twice) = (0u64, 0u64);
+            for &off in &batched[..in_word] {
+                let bit = 1u64 << (lo + off - done);
+                pcp_twice |= pcp & bit;
+                pcp |= bit;
+            }
+            let claimed_twice = (free & (parked | mapped | pcp))
+                | (parked & (mapped | pcp))
+                | (mapped & pcp)
+                | pcp_twice;
+            if claimed_twice != 0 {
+                let bit = claimed_twice.trailing_zeros() as u64;
+                let off = done + bit - lo;
+                let owners = [free, parked, mapped]
+                    .iter()
+                    .map(|m| m >> bit & 1)
+                    .sum::<u64>()
+                    + batched[..in_word].iter().filter(|&&o| o == off).count() as u64;
+                panic!(
+                    "audit: frame {} claimed by {owners} owners",
+                    FrameNumber(base + bit)
+                );
+            }
+            batched = &batched[in_word..];
+            done = word_end;
         }
-        cursor.next = (cursor.next + budget) % total;
+        cursor.next = start + budget;
+        if cursor.next >= total {
+            cursor.next -= total;
+        }
         budget
     }
 
@@ -670,6 +802,7 @@ impl Kernel {
             }
             Corruption::ClearRmap(f) => self.rmap[f.0 as usize] = RMAP_NONE,
             Corruption::ResidentCounter => self.resident_pages -= 1,
+            Corruption::ParkedBit(f) => self.colors.corrupt_member_bit(f),
         }
     }
 
@@ -685,7 +818,7 @@ impl Kernel {
         self.vms.push(AddressSpace::new());
         let tid = Tid(self.next_tid);
         self.next_tid += 1;
-        self.tasks.insert(tid, TaskStruct::new(tid, core, vm));
+        self.tasks.insert(TaskStruct::new(tid, core, vm));
         tid
     }
 
@@ -701,7 +834,7 @@ impl Kernel {
         self.next_tid += 1;
         let mut t = TaskStruct::new(tid, core, vm);
         t.inherit_from(self.task(leader)?);
-        self.tasks.insert(tid, t);
+        self.tasks.insert(t);
         Ok(tid)
     }
 
@@ -719,12 +852,12 @@ impl Kernel {
     /// after arbitrary churn the free-pool populations return to their
     /// post-boot baseline (zero leaked frames, zero pool skew).
     pub fn destroy_task(&mut self, tid: Tid) -> Result<(), Errno> {
-        let mut task = self.tasks.remove(&tid).ok_or(Errno::Esrch)?;
+        let mut task = self.tasks.remove(tid).ok_or(Errno::Esrch)?;
         for f in task.pcp.drain(..) {
             self.buddy.free(f, 0);
         }
         let vm = task.vm;
-        if !self.tasks.values().any(|t| t.vm == vm) {
+        if !self.tasks.iter().any(|t| t.vm == vm) {
             let ptes = self.vms[vm.0].teardown();
             if !ptes.is_empty() {
                 // Existing translations died: caches above must flush.
@@ -736,7 +869,7 @@ impl Kernel {
                 self.release_frame(pte.frame, pte.source);
             }
         }
-        if !self.tasks.values().any(|t| t.coloring_active()) {
+        if !self.tasks.iter().any(|t| t.coloring_active()) {
             for f in self.colors.drain_all() {
                 self.buddy.free(f, 0);
             }
@@ -746,12 +879,12 @@ impl Kernel {
 
     /// Immutable task access.
     pub fn task(&self, tid: Tid) -> Result<&TaskStruct, Errno> {
-        self.tasks.get(&tid).ok_or(Errno::Esrch)
+        self.tasks.get(tid).ok_or(Errno::Esrch)
     }
 
     /// Mutable task access.
     pub fn task_mut(&mut self, tid: Tid) -> Result<&mut TaskStruct, Errno> {
-        self.tasks.get_mut(&tid).ok_or(Errno::Esrch)
+        self.tasks.get_mut(tid).ok_or(Errno::Esrch)
     }
 
     /// Set the base policy used when no colors are active.
@@ -809,7 +942,7 @@ impl Kernel {
     /// colored task, must not drain one pool into the other.
     pub fn sys_munmap(&mut self, tid: Tid, base: VirtAddr, length: u64) -> Result<(), Errno> {
         let pages = length.div_ceil(PAGE_SIZE);
-        let vm = self.tasks.get(&tid).ok_or(Errno::Esrch)?.vm;
+        let vm = self.tasks.get(tid).ok_or(Errno::Esrch)?.vm;
         let ptes = self.vms[vm.0].unmap_region(base, pages)?;
         if !ptes.is_empty() {
             self.translation_epoch += 1;
@@ -861,7 +994,7 @@ impl Kernel {
     /// Translate `addr` for `tid`, taking a page fault (and allocating a
     /// frame under the task's policy) on first touch.
     pub fn translate(&mut self, tid: Tid, addr: VirtAddr) -> Result<Translation, Errno> {
-        let task = self.tasks.get(&tid).ok_or(Errno::Esrch)?;
+        let task = self.tasks.get(tid).ok_or(Errno::Esrch)?;
         if let Some(phys) = self.vms[task.vm.0].translate(addr) {
             return Ok(Translation {
                 phys,
@@ -879,7 +1012,7 @@ impl Kernel {
     /// faulting task's policy (Algorithm 1 for colored tasks) and install it
     /// into the task's — possibly shared — address space.
     pub fn page_fault(&mut self, tid: Tid, page: PageNumber) -> Result<AllocOutcome, Errno> {
-        let task = self.tasks.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let task = self.tasks.get_mut(tid).ok_or(Errno::Esrch)?;
         let vm = task.vm;
         if self.vms[vm.0].vma_of(page).is_none() {
             return Err(Errno::Efault);
@@ -930,7 +1063,7 @@ impl Kernel {
     /// order-zero requests (§III.C).
     pub fn alloc_pages_raw(&mut self, tid: Tid, order: u32) -> Result<AllocOutcome, Errno> {
         assert!(order <= MAX_ORDER, "order beyond MAX_ORDER");
-        let task = self.tasks.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let task = self.tasks.get_mut(tid).ok_or(Errno::Esrch)?;
         let out = Self::alloc_pages(
             &self.mapping,
             &self.topology,
@@ -982,7 +1115,7 @@ impl Kernel {
     }
 
     fn recolor(&mut self, tid: Tid, range: Option<(PageNumber, u64)>) -> Result<(u64, u64), Errno> {
-        let task = self.tasks.get(&tid).ok_or(Errno::Esrch)?;
+        let task = self.tasks.get(tid).ok_or(Errno::Esrch)?;
         if !task.coloring_active() {
             return Ok((0, 0));
         }
@@ -1003,7 +1136,7 @@ impl Kernel {
         let mut cycles = 0u64;
         let mut migrated = 0u64;
         for page in violating {
-            let Some(task) = self.tasks.get_mut(&tid) else {
+            let Some(task) = self.tasks.get_mut(tid) else {
                 self.stats.pages_migrated += migrated;
                 self.stats.fault_cycles += cycles;
                 return Err(Errno::Esrch);
@@ -2748,6 +2881,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_frame_batched_twice() {
+        let (mut k, legacy, _, _, _) = populated();
+        let batched = k.task(legacy).unwrap().pcp[0];
+        k.corrupt(Corruption::BatchInPcp(legacy, batched));
+        full_audit(&k);
+    }
+
+    #[test]
     #[should_panic(expected = "page table disagrees")]
     fn audit_step_catches_a_stray_rmap_entry_on_a_free_frame() {
         let (mut k, legacy, _, _, free) = populated();
@@ -2781,6 +2923,22 @@ mod tests {
         let page = k.vm(vm).resident().next().unwrap().0;
         k.corrupt(Corruption::Rmap(legacy_frame, vm, PageNumber(page.0 + 1)));
         k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "membership index holds")]
+    fn check_invariants_catches_a_drifted_membership_index() {
+        let (mut k, _, _, _, free) = populated();
+        k.corrupt(Corruption::ParkedBit(free));
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by 2 owners")]
+    fn audit_step_catches_a_phantom_membership_bit() {
+        let (mut k, _, _, _, free) = populated();
+        k.corrupt(Corruption::ParkedBit(free));
+        full_audit(&k);
     }
 
     #[test]

@@ -159,11 +159,13 @@ impl AddressSpace {
 
     /// Tear the whole address space down (task exit): drop every VMA and
     /// return every resident PTE, sorted by frame for determinism. The
-    /// space is reset in place — `VmId` slots are never reused.
+    /// space is reset in place and its storage released: `VmId` slots are
+    /// never reused, so a dead space must not keep a table's capacity that
+    /// every later whole-kernel walk would still step over.
     pub fn teardown(&mut self) -> Vec<Pte> {
-        self.vmas.clear();
+        self.vmas = Vec::new();
         self.next_base = MMAP_BASE >> PAGE_SHIFT;
-        let mut ptes: Vec<Pte> = self.table.drain().map(|(_, pte)| pte).collect();
+        let mut ptes: Vec<Pte> = std::mem::take(&mut self.table).into_values().collect();
         ptes.sort_by_key(|pte| pte.frame.0);
         ptes
     }
@@ -302,6 +304,11 @@ mod tests {
         );
         assert_eq!(a.vma_count(), 0);
         assert_eq!(a.resident_pages(), 0);
+        assert_eq!(
+            a.table.capacity(),
+            0,
+            "the dead table's storage is released"
+        );
         // The arena restarts at its base: fresh regions map as if new.
         assert_eq!(a.map_region(1), VirtAddr(MMAP_BASE));
     }

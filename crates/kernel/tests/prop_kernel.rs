@@ -463,8 +463,8 @@ fn audit_wrap(k: &Kernel, start: u64, window: u64) {
 
 /// The seeded corruptions that apply to `k`'s current state: a frame given
 /// a second owner (every pair of buddy, color list, pcp batch and page
-/// table the auditor distinguishes), a stray or misdirected rmap entry,
-/// and a drifted resident counter.
+/// table the auditor distinguishes), a stray or misdirected rmap entry, a
+/// drifted resident counter, and a color-membership bit on a free frame.
 fn applicable_corruptions(k: &Kernel, live: &[Tenant]) -> Vec<Corruption> {
     let free: Vec<FrameNumber> = (0..=MAX_ORDER).flat_map(|o| k.buddy().blocks(o)).collect();
     let mut mapped: Vec<(VmId, PageNumber, FrameNumber)> = Vec::new();
@@ -482,6 +482,9 @@ fn applicable_corruptions(k: &Kernel, live: &[Tenant]) -> Vec<Corruption> {
         .collect();
     let parked = k.color_lists().pages() > 0;
     let mut out = Vec::new();
+    if let Some(&f) = free.last() {
+        out.push(Corruption::ParkedBit(f));
+    }
     if let Some(&f) = free.first() {
         if parked {
             out.push(Corruption::ParkInColors(f));
@@ -510,6 +513,24 @@ fn applicable_corruptions(k: &Kernel, live: &[Tenant]) -> Vec<Corruption> {
         }
     }
     out
+}
+
+/// The buddy allocator's word-at-a-time free mask agrees with its
+/// per-frame membership probe on every word, partial top words included.
+#[test]
+fn free_word_matches_contains_frame() {
+    let mut rng = SplitMix64::new(0xf3ee);
+    for _ in 0..CASES {
+        let frames = [32, 96, 512, 1 << 13][rng.gen_range(4) as usize];
+        let b = arb_buddy_state(&mut rng, frames);
+        for base in (0..frames).step_by(64) {
+            let word = b.free_word(base);
+            for i in 0..64 {
+                let f = FrameNumber(base + i);
+                assert_eq!(word >> i & 1 == 1, b.contains_frame(f), "frame {f}");
+            }
+        }
+    }
 }
 
 /// On random kernel states, a full wrap of `audit_step` — any window of

@@ -45,6 +45,8 @@ echo "== cold benchmark smoke =="
 # failed operation or golden mismatch. Its timings are printed, not
 # compared: a one-second run on a shared host is not a baseline.
 coldbench/quick.sh
+# The same at the held-out seed, whose goldens no tuning ever looked at.
+coldbench/quick.sh 977
 
 echo "== cold benchmark tests =="
 # The benchmark package is its own workspace, so `cargo test --workspace`
@@ -52,18 +54,23 @@ echo "== cold benchmark tests =="
 cargo test --release --offline -q --manifest-path coldbench/Cargo.toml
 
 echo "== determinism smoke =="
-# Two cold runs of the page-migration ablation must print byte-identical
-# output: recoloring migrates pages in a fixed order, so any dependence on
-# hash-map iteration order (or other per-process state) shows up here.
+# Two cold runs each of the page-migration ablation and of a short soak
+# must print byte-identical output: recoloring migrates pages in a fixed
+# order, and the soak's OOM kills and exits walk the kernel's task table,
+# so any dependence on hash-map or table iteration order (or other
+# per-process state) shows up here.
 det_dir=$(mktemp -d)
-for run in 1 2; do
-    (cd "$det_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" ablate-migrate > "migrate$run.txt" 2> /dev/null)
+for cmd in "ablate-migrate" "--scale 0.1 soak"; do
+    for run in 1 2; do
+        # shellcheck disable=SC2086 # $cmd is a word list on purpose
+        (cd "$det_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" $cmd > "run$run.txt" 2> /dev/null)
+    done
+    if ! cmp -s "$det_dir/run1.txt" "$det_dir/run2.txt"; then
+        echo "FAIL: two cold \`repro $cmd\` runs printed different output" >&2
+        diff "$det_dir/run1.txt" "$det_dir/run2.txt" >&2 || true
+        exit 1
+    fi
 done
-if ! cmp -s "$det_dir/migrate1.txt" "$det_dir/migrate2.txt"; then
-    echo "FAIL: two cold ablate-migrate runs printed different output" >&2
-    diff "$det_dir/migrate1.txt" "$det_dir/migrate2.txt" >&2 || true
-    exit 1
-fi
 rm -rf "$det_dir"
 
 echo "== sim-cache smoke =="
