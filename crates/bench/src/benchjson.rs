@@ -12,7 +12,7 @@
 //!   into*, not clobbered: `repro probe:lbm` after `repro all` keeps the
 //!   figure records;
 //! * **concurrent-writer safety** — the read-merge-write runs under a
-//!   `<path>.lock` [`Lockfile`] (`O_EXCL` + stale-lock takeover, see
+//!   `<path>.lock` [`Lockfile`] (exclusive create + stale-lock takeover, see
 //!   [`crate::lockfile`]), so two `repro` processes finishing at the same
 //!   time serialize their merges instead of silently dropping each other's
 //!   blocks. A live holder is waited on briefly; on timeout the write

@@ -76,7 +76,7 @@
 //! share one journal directory with no locks on the append path; replay
 //! merges every shard. `repro gc-journal` compacts the store — live
 //! deduped cells are rewritten into a fresh generation and committed with
-//! one atomic rename (guarded by an `O_EXCL` lockfile with stale-lock
+//! one atomic rename (guarded by an exclusive lockfile with stale-lock
 //! takeover), so a crash mid-GC leaves the old or new generation fully
 //! intact. On persistent I/O failure (disk full, I/O errors — or the
 //! seeded `TINT_HOST_FAULT=io:<permille>:<seed>` harness) the journal

@@ -19,7 +19,7 @@
 //!   cells.v1.jnl              legacy single-file journal (read-once; see below)
 //!   cells.v1.jnl.migrated     marker: the v1 file has been absorbed
 //!   cells.v2/                 the store root
-//!     gc.lock                 O_EXCL GC lockfile (only while GC runs)
+//!     gc.lock                 exclusive GC lockfile (only while GC runs)
 //!     gen-00000001/           a *generation*: a directory of shards
 //!       <pid>-<nonce>.jnl     one append-only shard per writer process
 //!     gen-00000002.tmp.<pid>  an uncommitted GC build (ignored by replay)
@@ -64,7 +64,7 @@
 //! **single atomic rename** to `gen-<N+1>` — so a crash at any point
 //! leaves either the old or the new generation fully intact, and
 //! concurrent readers of the old generation are unaffected. A `gc.lock`
-//! `O_EXCL` lockfile (with stale-lock takeover, see [`crate::lockfile`])
+//! exclusive lockfile (with stale-lock takeover, see [`crate::lockfile`])
 //! keeps two GCs from racing. Old generations are removed only after the
 //! commit rename.
 //!
@@ -1057,7 +1057,7 @@ pub fn flush() {
 /// Compact the store: merge the current generation (and any unmigrated v1
 /// file) exactly like replay, write the live deduped cells into one fresh
 /// shard in a new generation, and commit it with a single atomic rename.
-/// Guarded by the `gc.lock` `O_EXCL` lockfile with stale-lock takeover;
+/// Guarded by the `gc.lock` exclusive lockfile with stale-lock takeover;
 /// a second live GC fails fast. A crash at *any* point leaves either the
 /// old or the new generation fully intact (the commit is one rename), and
 /// concurrent readers of the old generation are unaffected. Old

@@ -1,4 +1,4 @@
-//! Advisory `O_EXCL` lockfiles with stale-lock takeover.
+//! Advisory exclusive-create lockfiles with stale-lock takeover.
 //!
 //! Two harness paths need cross-*process* mutual exclusion on a shared
 //! file-system resource: journal generation GC ([`crate::journal::gc`])
@@ -15,6 +15,12 @@
 //! *stale-lock takeover*: if the recorded pid no longer names a live
 //! process (checked via `/proc/<pid>`; an unreadable or unparsable pid is
 //! treated as stale too), the lock is deleted and acquisition retried.
+//! A lock that disappears between the failed link and the pid read was
+//! released, not abandoned: acquisition retries without deleting anything,
+//! since a racing acquirer may already have linked a fresh lock there.
+//! One window remains: two acquirers that both read a *dead* holder's pid
+//! can each delete and relink, and the second deletes the first's fresh
+//! lock. It needs a crashed holder and two simultaneous takers.
 //! A live holder makes [`Lockfile::acquire`] fail fast — callers choose
 //! whether to error out (GC) or wait briefly ([`Lockfile::acquire_wait`],
 //! the BENCH_repro.json merge).

@@ -337,7 +337,8 @@ impl System {
 
     /// One bounded slice of the incremental invariant audit (see
     /// [`Kernel::audit_step`]): up to `frames` frames from `cursor`, plus
-    /// the O(tasks) conservation check. Returns the frames examined.
+    /// the conservation check over the live tasks. Returns the frames
+    /// examined.
     pub fn audit_step(&self, cursor: &mut AuditCursor, frames: u64) -> u64 {
         self.kernel.audit_step(cursor, frames)
     }

@@ -1,8 +1,8 @@
 //! A multiplicative (Fx-style) hasher for the simulator's integer-keyed
 //! maps.
 //!
-//! The kernel's task table and page tables are keyed by integers the
-//! simulation itself generates (tids, virtual page numbers), so SipHash's
+//! The kernel's page tables are keyed by integers the simulation itself
+//! generates (virtual page numbers), so SipHash's
 //! DoS resistance buys nothing there and its cost lands on every TLB miss.
 //! This is the rotate-xor-multiply word hash the Rust compiler uses
 //! internally: one multiply per `u64` key. It is unseeded, so map iteration

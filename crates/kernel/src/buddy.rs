@@ -235,7 +235,8 @@ impl BuddyAllocator {
     }
 
     /// Is `frame` currently free (contained in any free block)? One point
-    /// lookup per order, O(orders × log blocks).
+    /// lookup per order, O(orders × log blocks) — the per-frame reference
+    /// [`Self::free_word`] is tested against.
     pub fn contains_frame(&self, frame: FrameNumber) -> bool {
         if frame.0 >= self.frame_count {
             return false;

@@ -228,6 +228,8 @@ impl ColorMatrix {
                 out.extend(list.drain(..));
             }
         }
+        // Every parked frame is in `out`: zeroing their words clears the
+        // index without touching words that were never set.
         for &f in &out {
             self.member[(f.0 / 64) as usize] = 0;
         }

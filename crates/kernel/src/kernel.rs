@@ -594,7 +594,7 @@ impl Kernel {
                 .tasks
                 .iter()
                 .map(|t| {
-                    let footprint = self.vms[t.vm.0].resident_pages() as u64 + t.pcp.len() as u64;
+                    let footprint = (self.vms[t.vm.0].resident_pages() + t.pcp_pages()) as u64;
                     (footprint, t.tid.0)
                 })
                 // Ties by *youngest* (largest tid): kill the newcomer.
