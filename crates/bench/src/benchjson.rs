@@ -47,9 +47,6 @@ pub struct CmdRecord {
     pub cache_hits: u64,
     /// Cells this command actually simulated.
     pub cache_misses: u64,
-    /// Engine mode the command ran under (`"exact"` or `"sampled"`), so a
-    /// wall_ms from a sampled run is never compared against an exact one.
-    pub engine: &'static str,
     /// Per-component nanoseconds when `--profile` was on.
     pub profile: Option<[u64; COMPONENT_COUNT]>,
 }
@@ -113,7 +110,7 @@ fn json_table(t: &Table, indent: &str) -> String {
 fn record_json(r: &CmdRecord) -> String {
     let mut s = format!(
         "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_cycles\": {}, \"reps\": {}, \"scale\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"engine\": \"{}\"",
+         \"cache_hits\": {}, \"cache_misses\": {}",
         json_escape(&r.name),
         r.wall_ms,
         r.sim_cycles,
@@ -121,7 +118,6 @@ fn record_json(r: &CmdRecord) -> String {
         r.scale,
         r.cache_hits,
         r.cache_misses,
-        r.engine,
     );
     if let Some(nanos) = &r.profile {
         let fields: Vec<String> = profile::COMPONENT_NAMES
@@ -390,7 +386,6 @@ mod tests {
             scale: 1.0,
             cache_hits: 0,
             cache_misses: 1,
-            engine: "exact",
             profile: None,
         }
     }

@@ -38,6 +38,13 @@
 //!   payload: len bytes — CellKey then ExpResult, little-endian fields
 //! ```
 //!
+//! The payload byte at offset 10 is an engine-mode byte. Writers emit 0
+//! (the exact engine). Older stores may also hold 1 (a since-retired
+//! reference pipeline) or 2 (a since-retired sampled engine): replay skips
+//! those records and counts them in [`ReplayStats::retired_skipped`], and
+//! GC drops them. They are not corruption, so their shard is not
+//! quarantined.
+//!
 //! Replay scans every shard of the **current generation** (the
 //! highest-numbered `gen-*` directory), merges them, and dedupes by
 //! [`CellKey`]. Failure isolation is per shard, so one bad shard never
@@ -293,14 +300,7 @@ fn encode(key: &CellKey, r: &ExpResult) -> Vec<u8> {
     e.u64(key.fingerprint);
     e.u8(scheme_code(key.scheme));
     e.u8(pin_code(key.pin));
-    // Engine-mode byte: 0 = exact batched, 1 = reference pipeline,
-    // 2 = sampled. Values 0/1 predate sampled mode, so old v1 journals
-    // decode unchanged.
-    e.u8(if key.sampled {
-        2
-    } else {
-        key.reference_pipeline as u8
-    });
+    e.u8(MODE_EXACT);
     e.u64(key.seed);
     let m = &r.metrics;
     e.u32(m.threads as u32);
@@ -321,26 +321,34 @@ fn encode(key: &CellKey, r: &ExpResult) -> Vec<u8> {
     e.0
 }
 
-/// Decode one cell record; `None` means the payload is not a well-formed
+/// The engine-mode byte of every record written today.
+const MODE_EXACT: u8 = 0;
+/// Mode bytes of retired engines (1 = reference pipeline, 2 = sampled).
+const MODES_RETIRED: [u8; 2] = [1, 2];
+
+/// One well-formed record payload.
+enum Record {
+    Cell(CellKey, ExpResult),
+    /// A cell a retired engine mode produced: skipped, not served.
+    Retired,
+}
+
+/// Decode one record; `None` means the payload is not a well-formed
 /// record (treated as corruption by the replayer).
-fn decode(payload: &[u8]) -> Option<(CellKey, ExpResult)> {
+fn decode(payload: &[u8]) -> Option<Record> {
     let mut d = Dec {
         buf: payload,
         at: 0,
     };
     let (fingerprint, scheme, pin) = (d.u64()?, scheme_from(d.u8()?)?, pin_from(d.u8()?)?);
-    let (reference_pipeline, sampled) = match d.u8()? {
-        0 => (false, false),
-        1 => (true, false),
-        2 => (false, true),
-        _ => return None,
-    };
+    let mode = d.u8()?;
+    if mode != MODE_EXACT && !MODES_RETIRED.contains(&mode) {
+        return None;
+    }
     let key = CellKey {
         fingerprint,
         scheme,
         pin,
-        reference_pipeline,
-        sampled,
         seed: d.u64()?,
     };
     let threads = d.u32()? as usize;
@@ -374,7 +382,11 @@ fn decode(payload: &[u8]) -> Option<(CellKey, ExpResult)> {
     if d.at != payload.len() {
         return None; // trailing bytes: not a record this version wrote
     }
-    Some((key, r))
+    Some(if mode == MODE_EXACT {
+        Record::Cell(key, r)
+    } else {
+        Record::Retired
+    })
 }
 
 /// One framed entry: `len | crc | payload`.
@@ -514,6 +526,8 @@ pub struct ReplayStats {
     pub torn_dropped: u64,
     /// Corrupt shards (or a corrupt v1 file) quarantined this replay.
     pub quarantined: u64,
+    /// Well-formed records of a retired engine mode, skipped.
+    pub retired_skipped: u64,
     /// Healthy v2 shards merged.
     pub shards: u64,
     /// Cells absorbed from a legacy v1 journal.
@@ -664,6 +678,8 @@ pub fn replay() -> ReplayStats {
 /// One scanned byte stream (a shard or a v1 file).
 struct Scan {
     cells: Vec<(CellKey, ExpResult)>,
+    /// Records of a retired engine mode, skipped.
+    retired: u64,
     /// Trailing bytes after the last whole good entry (torn write).
     torn: u64,
     /// Mid-stream corruption: bad magic, bad CRC, insane length, or an
@@ -677,6 +693,7 @@ struct Scan {
 fn scan_bytes(bytes: &[u8], magic: &[u8; 8]) -> Scan {
     let mut scan = Scan {
         cells: Vec::new(),
+        retired: 0,
         torn: 0,
         corrupt: false,
     };
@@ -715,7 +732,8 @@ fn scan_bytes(bytes: &[u8], magic: &[u8; 8]) -> Scan {
             break;
         }
         match decode(payload) {
-            Some(kv) => scan.cells.push(kv),
+            Some(Record::Cell(k, v)) => scan.cells.push((k, v)),
+            Some(Record::Retired) => scan.retired += 1,
             None => {
                 scan.corrupt = true;
                 break;
@@ -734,6 +752,7 @@ struct GenScan {
     healthy_keys: HashSet<CellKey>,
     shards: u64,
     torn: u64,
+    retired: u64,
     quarantined: u64,
     /// Total bytes of the shards scanned (GC's before-size).
     bytes: u64,
@@ -751,6 +770,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
         healthy_keys: HashSet::new(),
         shards: 0,
         torn: 0,
+        retired: 0,
         quarantined: 0,
         bytes: 0,
     };
@@ -768,6 +788,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
         g.bytes += bytes.len() as u64;
         let scan = scan_bytes(&bytes, SHARD_MAGIC);
         g.torn += scan.torn;
+        g.retired += scan.retired;
         if scan.corrupt {
             g.quarantined += 1;
             let q = unique_corrupt_path(root, &path);
@@ -803,6 +824,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
 /// A scanned legacy v1 journal.
 struct V1Scan {
     cells: Vec<(CellKey, ExpResult)>,
+    retired: u64,
     corrupt: bool,
     bytes: u64,
     torn: u64,
@@ -818,6 +840,7 @@ fn scan_v1(dir: &Path) -> Option<V1Scan> {
     let scan = scan_bytes(&bytes, V1_MAGIC);
     Some(V1Scan {
         cells: scan.cells,
+        retired: scan.retired,
         corrupt: scan.corrupt,
         bytes: bytes.len() as u64,
         torn: scan.torn,
@@ -870,6 +893,7 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     if let Some(g) = gen {
         stats.shards = g.shards;
         stats.torn_dropped += g.torn;
+        stats.retired_skipped += g.retired;
         stats.quarantined += g.quarantined;
         merged.extend(g.merged);
         healthy_keys.extend(g.healthy_keys);
@@ -877,6 +901,7 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     let mut v1_healthy = false;
     if let Some(v) = v1 {
         stats.torn_dropped += v.torn;
+        stats.retired_skipped += v.retired;
         if v.corrupt {
             stats.quarantined += 1;
             quarantine_v1(&dir);
@@ -1113,8 +1138,6 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
             scheme_code(k.scheme),
             pin_code(k.pin),
             k.seed,
-            k.reference_pipeline,
-            k.sampled,
         )
     });
 
@@ -1206,8 +1229,6 @@ mod tests {
             scheme: ColorScheme::MemLlcPart,
             pin: PinConfig::T8N2,
             seed: 7,
-            reference_pipeline: true,
-            sampled: false,
         };
         let r = ExpResult {
             metrics: RunMetrics {
@@ -1229,26 +1250,25 @@ mod tests {
             color_list_moves: 23,
             poisoned: false,
         };
-        let (k2, r2) = decode(&encode(&key, &r)).expect("roundtrip decodes");
+        let mut payload = encode(&key, &r);
+        assert_eq!(payload[10], MODE_EXACT, "writers emit mode byte 0 only");
+        let Some(Record::Cell(k2, r2)) = decode(&payload) else {
+            panic!("roundtrip decodes as a cell");
+        };
         assert_eq!(k2, key);
         assert_eq!(r2, r);
 
-        // The mode byte also distinguishes sampled cells, and an exact-mode
-        // record (code 0) never decodes as sampled.
-        let sampled_key = CellKey {
-            reference_pipeline: false,
-            sampled: true,
-            ..key
-        };
-        let (k3, _) = decode(&encode(&sampled_key, &r)).expect("sampled roundtrip decodes");
-        assert_eq!(k3, sampled_key);
-        let exact_key = CellKey {
-            reference_pipeline: false,
-            sampled: false,
-            ..key
-        };
-        let (k4, _) = decode(&encode(&exact_key, &r)).expect("exact roundtrip decodes");
-        assert!(!k4.sampled && !k4.reference_pipeline);
+        // Retired engine modes decode as well-formed but skipped records;
+        // any other mode byte is corruption.
+        for mode in MODES_RETIRED {
+            payload[10] = mode;
+            assert!(
+                matches!(decode(&payload), Some(Record::Retired)),
+                "mode {mode}"
+            );
+        }
+        payload[10] = 3;
+        assert!(decode(&payload).is_none());
     }
 
     #[test]
@@ -1258,8 +1278,6 @@ mod tests {
             scheme: ColorScheme::Buddy,
             pin: PinConfig::T4N1,
             seed: 1,
-            reference_pipeline: false,
-            sampled: false,
         };
         let r = ExpResult {
             metrics: RunMetrics::new(2),

@@ -77,8 +77,6 @@ fn cell(i: u64) -> (CellKey, ExpResult) {
         scheme: ColorScheme::MemLlc,
         pin: PinConfig::T8N2,
         seed: i,
-        reference_pipeline: false,
-        sampled: false,
     };
     let r = ExpResult {
         metrics: RunMetrics {
@@ -252,6 +250,54 @@ fn mixed_v1_and_v2_startup_merges_and_dedupes() {
         assert_eq!(again.v1_absorbed, 0);
         assert_eq!(again.replayed, 8);
         assert_eq!(again.shards, 2);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records from retired engine modes (mode byte 1, the reference
+/// pipeline; 2, the sampled engine) are skipped and counted on replay:
+/// the exact cell beside them still serves and nothing is quarantined.
+#[test]
+fn retired_engine_mode_records_are_skipped_not_quarantined() {
+    let _g = LOCK.lock().unwrap();
+    let dir = scratch("retired");
+    isolated(|| {
+        journal::set_dir(Some(&dir));
+        journal::replay();
+        let cells: Vec<_> = (0..3).map(cell).collect();
+        for (k, r) in &cells {
+            journal::append(k, r);
+        }
+        journal::flush();
+
+        // Rewrite the 2nd and 3rd records' mode byte (payload offset 10:
+        // after the u64 fingerprint and the scheme and pin bytes) to 1 and
+        // 2, re-sealing each entry's CRC.
+        let shards = shard_paths(&dir);
+        assert_eq!(shards.len(), 1);
+        let mut bytes = std::fs::read(&shards[0]).unwrap();
+        let mut at = 8; // shard magic
+        for entry in 0..3u8 {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let payload = at + 8..at + 8 + len;
+            assert_eq!(bytes[payload.start + 10], 0, "writers emit mode 0");
+            bytes[payload.start + 10] = entry;
+            let crc = journal::crc32(&bytes[payload.clone()]);
+            bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+            at = payload.end;
+        }
+        assert_eq!(at, bytes.len());
+        std::fs::write(&shards[0], &bytes).unwrap();
+
+        rebirth(&dir);
+        let stats = journal::replay();
+        assert_eq!(stats.replayed, 1, "only the mode-0 cell replays");
+        assert_eq!(stats.retired_skipped, 2);
+        assert_eq!(stats.quarantined, 0);
+        assert_eq!(shard_paths(&dir), shards, "the shard stays in place");
+        assert!(simcache::lookup(&cells[0].0).is_some());
+        assert!(simcache::lookup(&cells[1].0).is_none());
+        assert!(simcache::lookup(&cells[2].0).is_none());
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

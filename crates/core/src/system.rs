@@ -15,12 +15,10 @@
 use crate::colors::ThreadColors;
 use crate::heap::{Heap, PageSource};
 use std::collections::HashMap;
-use tint_cache::HitLevel;
 use tint_hw::machine::MachineConfig;
 use tint_hw::pci::PciConfigSpace;
 use tint_hw::profile::{self, Component};
-use tint_hw::rng::SplitMix64;
-use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, NodeId, PhysAddr, Rw, VirtAddr};
+use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, Rw, VirtAddr};
 use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
 use tint_kernel::{
     AuditCursor, Errno, ExhaustionPolicy, FaultPlan, HeapPolicy, Kernel, KernelCosts, MemPressure,
@@ -47,103 +45,6 @@ pub struct System {
     mem: MemorySystem,
     heaps: HashMap<Tid, Heap>,
     tlb: Tlb,
-    /// Warm-up/detailed schedule for the sampled engine; `None` until
-    /// [`System::configure_sampling`] (exact mode never installs one).
-    sampling: Option<Sampling>,
-}
-
-/// Warm-up/detailed interleave for the sampled engine: per-core access
-/// counters with one detailed measurement window per period. Period 0's
-/// window starts at access 0 (so the latency estimator is warm before the
-/// first estimated op); later windows sit at a seeded per-(core, period)
-/// offset so successive periods sample different program phases.
-#[derive(Debug, Clone)]
-struct Sampling {
-    /// Detailed-window length, in accesses per core.
-    window: u64,
-    /// Period length (one window per period), in accesses per core.
-    period: u64,
-    /// Schedule seed (mixed with core and period index).
-    seed: u64,
-    cores: Vec<CoreSample>,
-    /// One in `warm_touch` TLB-resident warm-up accesses runs the full
-    /// functional path (translation + cache-hierarchy update) instead of
-    /// replaying a latency, so cache contents track the access stream
-    /// between detailed windows. `1` disables the replay fast path
-    /// entirely (every warm-up access walks).
-    warm_touch: u64,
-    /// Per-core rings of recent exact access latencies (all hit levels),
-    /// fed by the detailed windows and replayed round-robin by the warm-up
-    /// fast path — the replayed stream reproduces both the mean and the
-    /// spread of the core's real latency mixture, which the idle-time
-    /// metric (a cross-thread *difference* of clocks) is sensitive to.
-    rings: Vec<LatRing>,
-}
-
-/// One core's position in the sampling schedule.
-#[derive(Debug, Clone, Copy)]
-struct CoreSample {
-    /// Accesses issued by this core so far.
-    seq: u64,
-    /// Detailed window of the current period: `[win_start, win_end)`.
-    win_start: u64,
-    win_end: u64,
-    /// First access index past the current period.
-    period_end: u64,
-    /// Index of the current period.
-    period_idx: u64,
-    /// Warm-up accesses taken by this core's fast path; every
-    /// `warm_touch`-th is promoted to a full functional access so the
-    /// caches stay approximately warm between detailed windows.
-    warm_seq: u64,
-}
-
-/// Capacity of one core's latency-replay ring.
-const LAT_RING: usize = 64;
-
-/// Fixed-capacity ring of recent exact latencies with an independent
-/// round-robin replay cursor.
-#[derive(Debug, Clone)]
-struct LatRing {
-    buf: [u64; LAT_RING],
-    /// Filled entries (saturates at [`LAT_RING`]).
-    len: u32,
-    /// Next write slot.
-    write: u32,
-    /// Next replay slot (wraps at `len`).
-    read: u32,
-}
-
-impl LatRing {
-    fn new() -> Self {
-        Self {
-            buf: [0; LAT_RING],
-            len: 0,
-            write: 0,
-            read: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, v: u64) {
-        self.buf[self.write as usize] = v;
-        self.write = (self.write + 1) % LAT_RING as u32;
-        self.len = (self.len + 1).min(LAT_RING as u32);
-    }
-
-    /// Next replayed latency; `None` until the first push.
-    #[inline]
-    fn replay(&mut self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = self.buf[self.read as usize];
-        self.read += 1;
-        if self.read >= self.len {
-            self.read = 0;
-        }
-        Some(v)
-    }
 }
 
 /// Slots in the software TLB (direct-mapped).
@@ -251,7 +152,6 @@ impl System {
             mem,
             heaps: HashMap::new(),
             tlb: Tlb::default(),
-            sampling: None,
         }
     }
 
@@ -483,32 +383,6 @@ impl System {
         rw: Rw,
         now: u64,
     ) -> Result<MemAccess, Errno> {
-        let (core, phys, fault_cycles) = self.translate_for_access(tid, addr)?;
-        let detail = self.mem.access(core, phys, rw, now + fault_cycles);
-        // Latency-estimator hook: when a sampling schedule is installed
-        // (sampled cells only; exact cells never configure one), every
-        // exact latency feeds the core's replay ring, whatever its hit
-        // level — the warm-up fast path replays the full latency mixture.
-        // Pure observation, no timing influence.
-        if let Some(s) = self.sampling.as_mut() {
-            s.rings[core.index()].push(detail.latency);
-        }
-        Ok(MemAccess {
-            latency: fault_cycles + detail.latency,
-            faulted: fault_cycles > 0,
-            detail,
-        })
-    }
-
-    /// Shared front half of [`Self::access`] / [`Self::access_estimated`]:
-    /// the task-entry fill and the software-TLB translate (faulting on
-    /// first touch).
-    #[inline]
-    fn translate_for_access(
-        &mut self,
-        tid: Tid,
-        addr: VirtAddr,
-    ) -> Result<(CoreId, PhysAddr, u64), Errno> {
         let ti = tid.0 as usize;
         let (vm, core) = match self.tlb.tasks.get(ti).copied().flatten() {
             Some(entry) => entry,
@@ -545,141 +419,12 @@ impl System {
             (tr.phys, tr.fault_cycles)
         };
         profile::stop(Component::Tlb, tt);
-        Ok((core, phys, fault_cycles))
-    }
-
-    /// Warm-up counterpart of [`Self::access`] for the sampled engine.
-    ///
-    /// Fast path (the overwhelming majority of warm-up accesses): the page
-    /// is TLB-resident and this is not a periodic warming touch, so the
-    /// access replays the next latency from the core's ring of recent exact
-    /// latencies — no translation, no cache walk. The replayed stream has
-    /// the same mean and spread as the core's real latency mixture, which
-    /// keeps both the runtime (a sum of latencies) and the idle time (a
-    /// cross-thread difference of sums) honest.
-    ///
-    /// Slow path (TLB misses, every `warm_touch`-th resident access, and
-    /// everything before the first replay sample): real translation — page
-    /// faults are real state, so first-touch placement is exact in sampled
-    /// mode — and [`MemorySystem::access_warm`], which is the exact timing
-    /// path minus bookkeeping: cache contents, DRAM row buffers, and link
-    /// ports all advance for real, so detailed windows sample from live
-    /// contention state and slow-path latencies are exact.
-    pub fn access_estimated(
-        &mut self,
-        tid: Tid,
-        addr: VirtAddr,
-        rw: Rw,
-        now: u64,
-    ) -> Result<MemAccess, Errno> {
-        if let Some(s) = self.sampling.as_mut() {
-            if let Some((vm, core)) = self.tlb.tasks.get(tid.0 as usize).copied().flatten() {
-                let page = addr.page();
-                let e = self.tlb.entries[Tlb::slot(vm, page.0)];
-                if e.page == page.0
-                    && e.vm == vm as u32
-                    && e.epoch == self.kernel.translation_epoch()
-                {
-                    let c = core.index();
-                    let cs = &mut s.cores[c];
-                    cs.warm_seq += 1;
-                    if s.warm_touch > 1 && cs.warm_seq % s.warm_touch != 0 {
-                        if let Some(latency) = s.rings[c].replay() {
-                            return Ok(MemAccess {
-                                latency,
-                                faulted: false,
-                                detail: AccessResult {
-                                    latency,
-                                    level: HitLevel::L1,
-                                    hops: 0,
-                                    home_node: NodeId(0),
-                                    dram: None,
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let (core, phys, fault_cycles) = self.translate_for_access(tid, addr)?;
-        let detail = self.mem.access_warm(core, phys, rw, now + fault_cycles);
-        // Warming accesses are exact in everything but bookkeeping, so
-        // their latencies are as good as detailed ones for the replay
-        // ring — and much more frequent.
-        if let Some(s) = self.sampling.as_mut() {
-            s.rings[core.index()].push(detail.latency);
-        }
+        let detail = self.mem.access(core, phys, rw, now + fault_cycles);
         Ok(MemAccess {
             latency: fault_cycles + detail.latency,
             faulted: fault_cycles > 0,
             detail,
         })
-    }
-
-    /// Install (idempotently) the sampled engine's warm-up/detailed
-    /// schedule: a `window`-access detailed window once per `period`
-    /// accesses, per core, placed by `seed`. `period == window` makes every
-    /// access detailed.
-    pub fn configure_sampling(&mut self, window: u64, period: u64, seed: u64, warm_touch: u64) {
-        assert!(window >= 1, "sampling window must be at least one access");
-        assert!(period >= window, "sampling period must cover the window");
-        assert!(warm_touch >= 1, "warm-touch stride must be at least 1");
-        if let Some(s) = &self.sampling {
-            if (s.window, s.period, s.seed, s.warm_touch) == (window, period, seed, warm_touch) {
-                return;
-            }
-        }
-        let cores = self.machine.topology.core_count();
-        self.sampling = Some(Sampling {
-            window,
-            period,
-            seed,
-            cores: vec![
-                CoreSample {
-                    seq: 0,
-                    win_start: 0,
-                    win_end: window,
-                    period_end: period,
-                    period_idx: 0,
-                    warm_seq: 0,
-                };
-                cores
-            ],
-            warm_touch,
-            rings: vec![LatRing::new(); cores],
-        });
-    }
-
-    /// Whether a sampling schedule is installed.
-    pub fn sampling_configured(&self) -> bool {
-        self.sampling.is_some()
-    }
-
-    /// Advance `core`'s position in the sampling schedule by one access and
-    /// report whether that access falls in a detailed window. Without a
-    /// schedule installed every access is detailed.
-    #[inline]
-    pub fn sample_is_detailed(&mut self, core: CoreId) -> bool {
-        let Some(s) = self.sampling.as_mut() else {
-            return true;
-        };
-        let cs = &mut s.cores[core.index()];
-        let seq = cs.seq;
-        cs.seq += 1;
-        while seq >= cs.period_end {
-            cs.period_idx += 1;
-            let start = cs.period_idx * s.period;
-            cs.period_end = start + s.period;
-            let off = if s.period > s.window {
-                let mut r = SplitMix64::new(s.seed ^ ((core.index() as u64) << 32) ^ cs.period_idx);
-                r.gen_range(s.period - s.window)
-            } else {
-                0
-            };
-            cs.win_start = start + off;
-            cs.win_end = cs.win_start + s.window;
-        }
-        seq >= cs.win_start && seq < cs.win_end
     }
 
     /// Translate without timing (used by tests to inspect placement).

@@ -23,9 +23,7 @@
 //!
 //! Component nesting: `Engine` contains `Access` (everything the engine
 //! spends inside `System::access`); `Access` contains `Tlb` (translation,
-//! including page faults), `Hierarchy`, `Dram`, and `Decode`. In sampled
-//! engine mode `Access` additionally splits into `Warmup` (estimated
-//! accesses) vs `Detailed` (exact measurement windows). Consumers derive
+//! including page faults), `Hierarchy`, `Dram`, and `Decode`. Consumers derive
 //! `scheduler = Engine − Access` (thread pick, op fill, compute fusion)
 //! and `access other = Access − (Tlb + Hierarchy + Dram + Decode)`.
 
@@ -47,27 +45,14 @@ pub enum Component {
     Dram = 4,
     /// Physical frame → home-node decode.
     Decode = 5,
-    /// Sampled engine mode: estimated warm-up accesses (inside `Access`).
-    Warmup = 6,
-    /// Sampled engine mode: exact detailed-window accesses (inside
-    /// `Access`).
-    Detailed = 7,
 }
 
 /// Number of components in [`Component`].
-pub const COMPONENT_COUNT: usize = 8;
+pub const COMPONENT_COUNT: usize = 6;
 
 /// Stable lower-case names, indexable by `Component as usize`.
-pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] = [
-    "engine",
-    "access",
-    "tlb",
-    "hierarchy",
-    "dram",
-    "decode",
-    "warmup",
-    "detailed",
-];
+pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] =
+    ["engine", "access", "tlb", "hierarchy", "dram", "decode"];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NANOS: [AtomicU64; COMPONENT_COUNT] = [const { AtomicU64::new(0) }; COMPONENT_COUNT];

@@ -125,50 +125,6 @@ impl MemorySystem {
         result
     }
 
-    /// Warming access for the sampled engine: identical timing and state to
-    /// [`Self::access`] — cache walk, link serialization, DRAM bank
-    /// machinery all run for real, so detailed windows later sample from
-    /// contention state (row buffers, link ports) the warm-up phase kept
-    /// live — but skips the [`MemStats`] bookkeeping, the profile probes,
-    /// and the home-node decode for cache hits (where it is unused).
-    /// Metrics derived from `MemStats` come from detailed windows only;
-    /// latency fidelity costs nothing to keep.
-    pub fn access_warm(&mut self, core: CoreId, addr: PhysAddr, rw: Rw, now: u64) -> AccessResult {
-        let (level, hier_cycles) = self.hierarchy.access(core, addr);
-        if level == HitLevel::Memory {
-            let home_node = self.decoder.node_of_frame(addr.frame());
-            let hops = self.config.topology.hops(core, home_node);
-            let hop_extra = self.config.interconnect.hop_extra(hops);
-            let mut arrive = now + hier_cycles + hop_extra / 2;
-            if hops > 0 {
-                let port = &mut self.link_free_at[home_node.index()];
-                let start = arrive.max(*port);
-                *port = start + self.config.interconnect.link_busy;
-                arrive = start;
-            }
-            let dram = self.dram.access(addr, rw, arrive);
-            let done = dram.complete_at + (hop_extra - hop_extra / 2);
-            AccessResult {
-                latency: done - now,
-                level,
-                hops,
-                home_node,
-                dram: Some(dram),
-            }
-        } else {
-            // Cache hits never leave the socket: skip the home-node decode
-            // (it is pure, so this cannot perturb state) and report node 0,
-            // matching the "meaningful when `level == Memory`" contract.
-            AccessResult {
-                latency: hier_cycles,
-                level,
-                hops: 0,
-                home_node: NodeId(0),
-                dram: None,
-            }
-        }
-    }
-
     /// Accumulated per-core counters.
     pub fn stats(&self) -> &MemStats {
         &self.stats

@@ -1,34 +1,37 @@
 //! The conservative discrete-event SPMD scheduler.
 //!
-//! Two interchangeable pipelines execute a section:
+//! Every section — parallel, dynamic or serial — runs through one loop,
+//! generic over where threads get their work (a `WorkSource`): one body
+//! per thread for static and serial sections, a shared chunk queue for
+//! dynamic ones. The runnable thread with the smallest clock executes its
+//! next operation; ties break by thread index. Three devices make that
+//! order cheap to follow without changing it:
 //!
-//! * The **batched pipeline** (default): section bodies hand the engine
-//!   *runs* of operations through [`SectionBody::fill`] (one virtual call
-//!   per [`BATCH_OPS`] ops instead of one per op), the scheduler is a
-//!   16-leaf winner tree over packed `(clock, index)` keys with a
-//!   *still-minimum* fast path (n ≤ 16 threads makes a `BinaryHeap` pure
-//!   overhead), and consecutive `Compute` ops are fused into one clock
-//!   add. All three specializations preserve the exact
-//!   min-clock/tie-by-index execution order, so results are bit-identical
-//!   to the reference pipeline (asserted by tests here and by a
-//!   figure-level equivalence test in `tint-bench`).
-//! * The **reference pipeline**: the original one-op-at-a-time
-//!   `BinaryHeap` loop, kept as the semantic baseline. Export
-//!   `TINT_REFERENCE_PIPELINE=1` to route every section through it.
+//! * section bodies hand the engine *runs* of operations through
+//!   [`SectionBody::fill`] (one virtual call per [`BATCH_OPS`] ops);
+//! * the scheduler is a 16-leaf winner tree over packed `(clock, index)`
+//!   keys with a *still-minimum* fast path;
+//! * consecutive `Compute` ops are fused into one clock add.
+//!
+//! The result is bit-identical to the one-op-at-a-time min-heap loops
+//! the engine started from; those loops now live in this crate's tests as
+//! the oracle the engine is checked against.
 //!
 //! Why the still-minimum fast path is safe: after thread *i* executes an
-//! operation, the heap loop would push `(clock_i, i)` back and immediately
+//! operation, a heap loop would push `(clock_i, i)` back and immediately
 //! pop the global minimum. If `(clock_i, i)` is still lexicographically
 //! smaller than every other runnable thread's `(clock, index)` key, that
-//! pop returns *i* again — so the batched pipeline just keeps draining
-//! thread *i* and only re-picks when its key rises past the runner-up's.
+//! pop returns *i* again — so the engine just keeps draining thread *i*
+//! and only re-picks when its key rises past the runner-up's.
 //! Why compute fusion is safe: `Compute` ops touch nothing but the local
 //! clock, and the memory system observes only `(access order, issue
 //! cycle)` pairs, which depend on clock values alone — summing consecutive
-//! compute increments changes neither.
+//! compute increments changes neither. Only when an access fails
+//! mid-section can fusion show: a thread may have run computes the heap
+//! loop had not started yet, and the error path rewinds them.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::borrow::BorrowMut;
+use std::collections::VecDeque;
 use tint_hw::profile::{self, Component};
 use tint_hw::types::{CoreId, Rw, VirtAddr};
 use tint_kernel::{Errno, Tid};
@@ -120,97 +123,6 @@ impl<I: Iterator<Item = Op>> SectionBody for I {
     }
 }
 
-/// Route sections through the reference (one-op-at-a-time heap) pipeline?
-/// Checked once per section, so the env lookup never sits on a hot path.
-/// Public because the `tint-bench` cell cache folds this mode into its
-/// memoization key: the two pipelines are asserted bit-identical, but a
-/// cache that served a reference-mode request from a batched-mode result
-/// would make that very assertion vacuous.
-pub fn reference_pipeline() -> bool {
-    std::env::var_os("TINT_REFERENCE_PIPELINE").is_some_and(|v| v == "1")
-}
-
-/// How parallel sections execute memory accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Every access runs the full timing model (the default; figure
-    /// output in this mode is bit-identical to the reference pipeline).
-    Exact,
-    /// Functional warm-up (TLB + cache state updated, latency estimated
-    /// from a running per-core mean) interleaved with exact detailed
-    /// measurement windows on a seeded deterministic schedule. Measured at
-    /// 1.1× the speed of exact mode at its default warm-touch setting, the
-    /// only setting that holds the 2 % ratio bound (EXPERIMENTS.md, fig11/
-    /// fig12 at 16t4n on a 1-vCPU host); validated against exact mode by
-    /// `repro validate-sampled`. `TINT_REFERENCE_PIPELINE=1` overrides it
-    /// (the reference pipeline is always exact), and serial and dynamic
-    /// sections always run exact.
-    Sampled,
-}
-
-/// Process-global engine mode, initialized from `TINT_ENGINE` on first
-/// read (`exact`/unset or `sampled`) and overridable programmatically —
-/// the `validate-sampled` differential needs to flip modes mid-process.
-static ENGINE_MODE: std::sync::OnceLock<std::sync::atomic::AtomicU8> = std::sync::OnceLock::new();
-
-fn engine_mode_cell() -> &'static std::sync::atomic::AtomicU8 {
-    ENGINE_MODE.get_or_init(|| {
-        std::sync::atomic::AtomicU8::new(match std::env::var_os("TINT_ENGINE") {
-            None => 0,
-            Some(v) if v == "exact" => 0,
-            Some(v) if v == "sampled" => 1,
-            Some(v) => panic!("TINT_ENGINE must be `exact` or `sampled`, got {v:?}"),
-        })
-    })
-}
-
-/// The current engine mode. Checked once per section; also folded into the
-/// `tint-bench` cell-cache key so sampled and exact results never mix.
-pub fn engine_mode() -> EngineMode {
-    if engine_mode_cell().load(std::sync::atomic::Ordering::Relaxed) == 1 {
-        EngineMode::Sampled
-    } else {
-        EngineMode::Exact
-    }
-}
-
-/// Override the engine mode for this process (wins over `TINT_ENGINE`).
-pub fn set_engine_mode(mode: EngineMode) {
-    engine_mode_cell().store(
-        match mode {
-            EngineMode::Exact => 0,
-            EngineMode::Sampled => 1,
-        },
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// Sampled-mode schedule knobs: detailed-window length and period (both in
-/// accesses per core), the schedule seed, and the warm-touch stride (one
-/// in this many warm-up accesses walks the hierarchy; `1` = every one),
-/// from `TINT_SAMPLE_WINDOW` / `TINT_SAMPLE_PERIOD` / `TINT_SAMPLE_SEED` /
-/// `TINT_SAMPLE_WARM_TOUCH`. Read once per section.
-fn sampling_knobs() -> (u64, u64, u64, u64) {
-    let parse = |name: &str, default: u64| -> u64 {
-        match std::env::var(name) {
-            Ok(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} must be an integer, got {v:?}")),
-            Err(_) => default,
-        }
-    };
-    let window = parse("TINT_SAMPLE_WINDOW", 256).max(1);
-    let period = parse("TINT_SAMPLE_PERIOD", 8_192).max(window);
-    let seed = parse("TINT_SAMPLE_SEED", 0x5A3D);
-    // Default stride 1: every warm-up access walks the hierarchy for real
-    // (exact state and latency; only bookkeeping is skipped). Strides > 1
-    // replay ring latencies for TLB-resident repeats — faster, but skipped
-    // walks starve cache/DRAM state and the figure-ratio error grows
-    // quickly; `repro validate-sampled` measures exactly that drift.
-    let warm_touch = parse("TINT_SAMPLE_WARM_TOUCH", 1).max(1);
-    (window, period, seed, warm_touch)
-}
-
 /// Per-thread batch cursor over a section body.
 struct BodyCursor {
     buf: [Op; BATCH_OPS],
@@ -242,9 +154,9 @@ impl BodyCursor {
     }
 }
 
-/// Max threads the winner-tree scheduler handles; larger teams fall back to
-/// the reference heap. 16 is the evaluation machine's core count and leaves
-/// 4 index bits in the packed key.
+/// Max threads in a team: sections of wider teams return `EINVAL`. 16 is
+/// the largest preset's core count and leaves 4 index bits in the packed
+/// key.
 const TREE_LEAVES: usize = 16;
 
 /// Pack a thread's scheduling key: `(clock, index)` lexicographic order
@@ -307,41 +219,119 @@ impl WinnerTree {
     }
 }
 
-/// Run one parallel section: each thread executes its body to completion;
-/// the section ends at the implicit barrier. Returns each thread's end time
-/// (the engine caller computes idle per Algorithm 3).
-///
-/// Determinism: the runnable thread with the smallest clock executes its
-/// next operation; ties break by thread index.
-pub fn run_section(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    bodies: &mut [Box<dyn SectionBody + '_>],
-    ops_budget: u64,
-) -> Result<Vec<u64>, Errno> {
-    let t0 = profile::start();
-    let r = if reference_pipeline() {
-        run_section_reference(sys, threads, bodies, ops_budget)
-    } else if engine_mode() == EngineMode::Sampled {
-        run_section_sampled(sys, threads, bodies, ops_budget)
-    } else {
-        run_section_batched(sys, threads, bodies, ops_budget)
-    };
-    profile::stop(Component::Engine, t0);
-    r
+/// Where a section's threads get their work.
+trait WorkSource {
+    /// Load thread `i`'s next ops into `cur`, whose previous batch is used
+    /// up. Returns `false` once the thread has reached the barrier. Adds
+    /// to `ops` the operations a one-op-at-a-time loop charges for
+    /// finishing a body or a chunk (its `None` pops).
+    fn refill(&mut self, i: usize, cur: &mut BodyCursor, ops: &mut u64) -> bool;
 }
 
-fn run_section_batched(
+/// One body per thread. An exhausted body charges `end_ops` operations: 1
+/// for the final `None` of a parallel section, 0 in a serial section,
+/// whose budget counts only real operations.
+struct Static<'s, B> {
+    bodies: &'s mut [B],
+    end_ops: u64,
+}
+
+impl<'b, B: BorrowMut<dyn SectionBody + 'b>> WorkSource for Static<'_, B> {
+    #[inline]
+    fn refill(&mut self, i: usize, cur: &mut BodyCursor, ops: &mut u64) -> bool {
+        if !cur.exhausted && cur.refill(self.bodies[i].borrow_mut()) {
+            return true;
+        }
+        *ops += self.end_ops;
+        false
+    }
+}
+
+/// A shared chunk queue (OpenMP `schedule(dynamic)`). Each finished chunk
+/// charges one operation; a thread that finds the queue drained is done
+/// and charges none.
+struct Dynamic<'b> {
+    queue: VecDeque<Box<dyn SectionBody + 'b>>,
+    /// The chunk each thread is working on.
+    current: Vec<Option<Box<dyn SectionBody + 'b>>>,
+}
+
+impl WorkSource for Dynamic<'_> {
+    #[inline]
+    fn refill(&mut self, i: usize, cur: &mut BodyCursor, ops: &mut u64) -> bool {
+        // A thread that finishes or pulls a chunk keeps its clock, so it
+        // stays the minimum throughout, as in the one-op-at-a-time loop.
+        loop {
+            if cur.exhausted {
+                cur.exhausted = false;
+                self.current[i] = None;
+                *ops += 1;
+            }
+            let chunk = match &mut self.current[i] {
+                Some(chunk) => chunk,
+                None => match self.queue.pop_front() {
+                    Some(chunk) => self.current[i].insert(chunk),
+                    None => return false,
+                },
+            };
+            if cur.refill(chunk.as_mut()) {
+                return true;
+            }
+            // An empty fill set `cur.exhausted`: charge the chunk's end and
+            // pull the next one.
+        }
+    }
+}
+
+/// Called when an access fails at packed key `failed`: a one-op-at-a-time
+/// loop would by then have started exactly the ops whose key is below
+/// `failed`. Compute fusion can run past that point only in the fused run
+/// that ended a thread's latest stint as the minimum (every earlier op
+/// started below the runner-up, hence below `failed`). Consecutive
+/// computes in a batch always form one fused run, so that run is the
+/// computes right before the thread's cursor. Replaying it stops each
+/// clock where the one-op-at-a-time loop would; for a finished thread, and
+/// for the failing one (its last op is the access), it changes nothing.
+fn rewind_fused_tails(threads: &mut [SimThread], cursors: &[BodyCursor], failed: u64) {
+    for (j, (t, cur)) in threads.iter_mut().zip(cursors).enumerate() {
+        let ran = &cur.buf[..cur.cur];
+        let start = ran
+            .iter()
+            .rposition(|op| matches!(op, Op::Access { .. }))
+            .map_or(0, |p| p + 1);
+        let run = &ran[start..]; // computes only
+        let cycles = |op: &Op| if let Op::Compute(c) = *op { c } else { 0 };
+        let mut clock = t.clock - run.iter().map(cycles).sum::<u64>();
+        for op in run {
+            if pack_key(clock, j) > failed {
+                break;
+            }
+            clock += cycles(op);
+        }
+        t.clock = clock;
+    }
+}
+
+/// The section loop: run every thread of `threads` to the barrier in
+/// min-clock order, ties by index. Returns each thread's end time and
+/// moves every clock to the latest one.
+fn run_team<W: WorkSource>(
     sys: &mut System,
     threads: &mut [SimThread],
-    bodies: &mut [Box<dyn SectionBody + '_>],
+    work: &mut W,
     ops_budget: u64,
 ) -> Result<Vec<u64>, Errno> {
-    assert_eq!(threads.len(), bodies.len(), "one body per thread");
     let n = threads.len();
     if n > TREE_LEAVES {
-        return run_section_reference(sys, threads, bodies, ops_budget);
+        return Err(Errno::Einval);
     }
+    let t0 = profile::start();
+    let check_budget = |ops: u64| {
+        assert!(
+            ops <= ops_budget,
+            "section exceeded its operation budget ({ops_budget}); runaway body?"
+        )
+    };
     let mut end = vec![0u64; n];
     let mut tree = WinnerTree::new(threads);
     let mut live = n;
@@ -353,20 +343,17 @@ fn run_section_batched(
         let tid = threads[i].tid;
         let mut clock = threads[i].clock;
         let cur = &mut cursors[i];
-        let body = bodies[i].as_mut();
         // Drain thread i while it remains the min-clock thread.
         loop {
-            if cur.cur == cur.len && (cur.exhausted || !cur.refill(body)) {
-                // The reference loop's final `None` pop.
-                ops += 1;
-                assert!(
-                    ops <= ops_budget,
-                    "section exceeded its operation budget ({ops_budget}); runaway body?"
-                );
-                end[i] = clock;
-                tree.set(i, u64::MAX);
-                live -= 1;
-                break;
+            if cur.cur == cur.len {
+                let more = work.refill(i, cur, &mut ops);
+                check_budget(ops);
+                if !more {
+                    end[i] = clock;
+                    tree.set(i, u64::MAX);
+                    live -= 1;
+                    break;
+                }
             }
             let batch = &cur.buf[..cur.len];
             match batch[cur.cur] {
@@ -394,6 +381,8 @@ fn run_section_batched(
                         Ok(a) => a,
                         Err(e) => {
                             threads[i].clock = clock;
+                            rewind_fused_tails(threads, &cursors, pack_key(clock, i));
+                            profile::stop(Component::Engine, t0);
                             return Err(e);
                         }
                     };
@@ -401,10 +390,7 @@ fn run_section_batched(
                     clock += acc.latency;
                 }
             }
-            assert!(
-                ops <= ops_budget,
-                "section exceeded its operation budget ({ops_budget}); runaway body?"
-            );
+            check_budget(ops);
             // Still-minimum fast path: one compare against the runner-up.
             let key = pack_key(clock, i);
             if key >= runner_up {
@@ -419,163 +405,27 @@ fn run_section_batched(
     for t in threads.iter_mut() {
         t.clock = barrier;
     }
+    profile::stop(Component::Engine, t0);
     Ok(end)
 }
 
-/// The sampled parallel-section driver: the batched scheduler, but each
-/// access first consults the per-core sampling schedule — inside a
-/// detailed window it runs the exact pipeline ([`System::access`], which
-/// also feeds the latency estimator), outside it runs the functional
-/// warm-up ([`System::access_estimated`]: real TLB and cache state, DRAM
-/// latency replaced by the running per-core mean). Deterministic for a
-/// given seed/window/period regardless of host job count — the schedule is
-/// pure per-core counter state inside the `System`. Teams wider than the
-/// winner-tree scheduler fall back to the (exact) reference pipeline.
-fn run_section_sampled(
+/// Run one parallel section: each thread executes its body to completion;
+/// the section ends at the implicit barrier. Returns each thread's end time
+/// (the engine caller computes idle per Algorithm 3).
+///
+/// `EINVAL` when the team is wider than 16 threads or `bodies` does not
+/// hold exactly one body per thread.
+pub fn run_section(
     sys: &mut System,
     threads: &mut [SimThread],
     bodies: &mut [Box<dyn SectionBody + '_>],
     ops_budget: u64,
 ) -> Result<Vec<u64>, Errno> {
-    assert_eq!(threads.len(), bodies.len(), "one body per thread");
-    let n = threads.len();
-    if n > TREE_LEAVES {
-        return run_section_reference(sys, threads, bodies, ops_budget);
+    if threads.len() != bodies.len() {
+        return Err(Errno::Einval);
     }
-    let (window, period, seed, warm_touch) = sampling_knobs();
-    sys.configure_sampling(window, period, seed, warm_touch);
-    let mut end = vec![0u64; n];
-    let mut tree = WinnerTree::new(threads);
-    let mut live = n;
-    let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
-    let mut ops = 0u64;
-    while live > 0 {
-        let (m1, runner_up) = tree.min2();
-        let i = (m1 & 0xF) as usize;
-        let tid = threads[i].tid;
-        let core = threads[i].core;
-        let mut clock = threads[i].clock;
-        let cur = &mut cursors[i];
-        let body = bodies[i].as_mut();
-        loop {
-            if cur.cur == cur.len && (cur.exhausted || !cur.refill(body)) {
-                ops += 1;
-                assert!(
-                    ops <= ops_budget,
-                    "section exceeded its operation budget ({ops_budget}); runaway body?"
-                );
-                end[i] = clock;
-                tree.set(i, u64::MAX);
-                live -= 1;
-                break;
-            }
-            let batch = &cur.buf[..cur.len];
-            match batch[cur.cur] {
-                Op::Compute(c) => {
-                    cur.cur += 1;
-                    ops += 1;
-                    let mut add = c;
-                    while cur.cur < cur.len {
-                        let Op::Compute(c2) = batch[cur.cur] else {
-                            break;
-                        };
-                        add += c2;
-                        cur.cur += 1;
-                        ops += 1;
-                    }
-                    clock += add;
-                }
-                Op::Access { addr, rw } => {
-                    cur.cur += 1;
-                    ops += 1;
-                    let ta = profile::start();
-                    let r = if sys.sample_is_detailed(core) {
-                        let td = profile::start();
-                        let r = sys.access(tid, addr, rw, clock);
-                        profile::stop(Component::Detailed, td);
-                        r
-                    } else {
-                        let tw = profile::start();
-                        let r = sys.access_estimated(tid, addr, rw, clock);
-                        profile::stop(Component::Warmup, tw);
-                        r
-                    };
-                    let acc = match r {
-                        Ok(a) => a,
-                        Err(e) => {
-                            threads[i].clock = clock;
-                            return Err(e);
-                        }
-                    };
-                    profile::stop(Component::Access, ta);
-                    clock += acc.latency;
-                }
-            }
-            assert!(
-                ops <= ops_budget,
-                "section exceeded its operation budget ({ops_budget}); runaway body?"
-            );
-            let key = pack_key(clock, i);
-            if key >= runner_up {
-                tree.set(i, key);
-                break;
-            }
-        }
-        threads[i].clock = clock;
-    }
-    let barrier = end.iter().copied().max().unwrap_or(0);
-    for t in threads.iter_mut() {
-        t.clock = barrier;
-    }
-    Ok(end)
-}
-
-/// The reference parallel-section pipeline: one op at a time through a
-/// min-heap. Semantically authoritative; the batched pipeline must match it
-/// bit for bit.
-pub fn run_section_reference(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    bodies: &mut [Box<dyn SectionBody + '_>],
-    ops_budget: u64,
-) -> Result<Vec<u64>, Errno> {
-    assert_eq!(threads.len(), bodies.len(), "one body per thread");
-    let n = threads.len();
-    let mut end = vec![0u64; n];
-    // Min-heap of (clock, thread index).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..n).map(|i| Reverse((threads[i].clock, i))).collect();
-    let mut ops = 0u64;
-    while let Some(Reverse((clock, i))) = heap.pop() {
-        debug_assert_eq!(clock, threads[i].clock);
-        match bodies[i].next_op() {
-            Some(Op::Compute(c)) => {
-                threads[i].clock += c;
-                heap.push(Reverse((threads[i].clock, i)));
-            }
-            Some(Op::Access { addr, rw }) => {
-                let ta = profile::start();
-                let acc = sys.access(threads[i].tid, addr, rw, threads[i].clock)?;
-                profile::stop(Component::Access, ta);
-                threads[i].clock += acc.latency;
-                heap.push(Reverse((threads[i].clock, i)));
-            }
-            None => {
-                end[i] = threads[i].clock;
-            }
-        }
-        ops += 1;
-        assert!(
-            ops <= ops_budget,
-            "section exceeded its operation budget ({ops_budget}); runaway body?"
-        );
-    }
-    // The implicit barrier: every thread resumes at the latest end time.
-    let barrier = end.iter().copied().max().unwrap_or(0);
-    for t in threads.iter_mut() {
-        t.clock = barrier;
-    }
-    Ok(end)
+    let mut work = Static { bodies, end_ops: 1 };
+    run_team(sys, threads, &mut work, ops_budget)
 }
 
 /// Run a parallel section with **dynamic scheduling** (OpenMP
@@ -583,273 +433,39 @@ pub fn run_section_reference(
 /// the next chunk when it finishes its current one, and the section ends
 /// when the queue drains and every thread reaches the barrier. Determinism:
 /// chunks are handed out in queue order to whichever thread asks first under
-/// the min-clock rule (ties by thread index).
+/// the min-clock rule (ties by thread index). `EINVAL` for teams wider
+/// than 16 threads.
 pub fn run_section_dynamic(
     sys: &mut System,
     threads: &mut [SimThread],
-    chunks: std::collections::VecDeque<Box<dyn SectionBody + '_>>,
+    chunks: VecDeque<Box<dyn SectionBody + '_>>,
     ops_budget: u64,
 ) -> Result<Vec<u64>, Errno> {
-    let t0 = profile::start();
-    let r = if reference_pipeline() {
-        run_section_dynamic_reference(sys, threads, chunks, ops_budget)
-    } else {
-        run_section_dynamic_batched(sys, threads, chunks, ops_budget)
+    let mut work = Dynamic {
+        queue: chunks,
+        current: (0..threads.len()).map(|_| None).collect(),
     };
-    profile::stop(Component::Engine, t0);
-    r
-}
-
-fn run_section_dynamic_batched<'b>(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    mut chunks: std::collections::VecDeque<Box<dyn SectionBody + 'b>>,
-    ops_budget: u64,
-) -> Result<Vec<u64>, Errno> {
-    let n = threads.len();
-    if n > TREE_LEAVES {
-        return run_section_dynamic_reference(sys, threads, chunks, ops_budget);
-    }
-    let mut end = vec![0u64; n];
-    let mut current: Vec<Option<Box<dyn SectionBody + 'b>>> = (0..n).map(|_| None).collect();
-    let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
-    let mut tree = WinnerTree::new(threads);
-    let mut live = n;
-    let mut ops = 0u64;
-    'threads: while live > 0 {
-        let (m1, runner_up) = tree.min2();
-        let i = (m1 & 0xF) as usize;
-        let tid = threads[i].tid;
-        let mut clock = threads[i].clock;
-        let cur = &mut cursors[i];
-        // Drain thread i (pulling chunks as needed) while it stays minimal.
-        loop {
-            if cur.cur == cur.len {
-                // Current chunk batch consumed: charge the reference loop's
-                // chunk-finishing `None` op, then pull queue chunks until
-                // one yields ops. A finishing/pulling thread keeps its clock,
-                // so it stays the minimum throughout (as the reference
-                // re-push/re-pop does).
-                loop {
-                    if cur.exhausted {
-                        cur.exhausted = false;
-                        cur.len = 0;
-                        cur.cur = 0;
-                        current[i] = None;
-                        ops += 1;
-                        assert!(
-                            ops <= ops_budget,
-                            "dynamic section exceeded its operation budget ({ops_budget})"
-                        );
-                    }
-                    if current[i].is_none() {
-                        current[i] = chunks.pop_front();
-                        if current[i].is_none() {
-                            // Queue drained: this thread is done (the
-                            // reference loop's `continue` — not an op).
-                            threads[i].clock = clock;
-                            end[i] = clock;
-                            tree.set(i, u64::MAX);
-                            live -= 1;
-                            continue 'threads;
-                        }
-                    }
-                    if cur.refill(current[i].as_mut().unwrap().as_mut()) {
-                        break;
-                    }
-                    // Empty fill: the chunk was already exhausted;
-                    // `cur.exhausted` is set, so loop to charge its None op
-                    // and pull the next chunk.
-                }
-            }
-            let batch = &cur.buf[..cur.len];
-            match batch[cur.cur] {
-                Op::Compute(c) => {
-                    cur.cur += 1;
-                    ops += 1;
-                    let mut add = c;
-                    while cur.cur < cur.len {
-                        let Op::Compute(c2) = batch[cur.cur] else {
-                            break;
-                        };
-                        add += c2;
-                        cur.cur += 1;
-                        ops += 1;
-                    }
-                    clock += add;
-                }
-                Op::Access { addr, rw } => {
-                    cur.cur += 1;
-                    ops += 1;
-                    let ta = profile::start();
-                    let acc = match sys.access(tid, addr, rw, clock) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            threads[i].clock = clock;
-                            return Err(e);
-                        }
-                    };
-                    profile::stop(Component::Access, ta);
-                    clock += acc.latency;
-                }
-            }
-            assert!(
-                ops <= ops_budget,
-                "dynamic section exceeded its operation budget ({ops_budget})"
-            );
-            let key = pack_key(clock, i);
-            if key >= runner_up {
-                tree.set(i, key);
-                break;
-            }
-        }
-        threads[i].clock = clock;
-    }
-    let barrier = end.iter().copied().max().unwrap_or(0);
-    for t in threads.iter_mut() {
-        t.clock = barrier;
-    }
-    Ok(end)
-}
-
-/// The reference dynamic-section pipeline (one op at a time, min-heap).
-pub fn run_section_dynamic_reference(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    mut chunks: std::collections::VecDeque<Box<dyn SectionBody + '_>>,
-    ops_budget: u64,
-) -> Result<Vec<u64>, Errno> {
-    let n = threads.len();
-    let mut end = vec![0u64; n];
-    let mut current: Vec<Option<Box<dyn SectionBody + '_>>> = (0..n).map(|_| None).collect();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..n).map(|i| Reverse((threads[i].clock, i))).collect();
-    let mut ops = 0u64;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        // Ensure the thread has a chunk; pull the next one if needed.
-        if current[i].is_none() {
-            current[i] = chunks.pop_front();
-        }
-        let Some(body) = current[i].as_mut() else {
-            end[i] = threads[i].clock; // queue drained: this thread is done
-            continue;
-        };
-        match body.next_op() {
-            Some(Op::Compute(c)) => threads[i].clock += c,
-            Some(Op::Access { addr, rw }) => {
-                let ta = profile::start();
-                let acc = sys.access(threads[i].tid, addr, rw, threads[i].clock)?;
-                profile::stop(Component::Access, ta);
-                threads[i].clock += acc.latency;
-            }
-            None => {
-                current[i] = None; // chunk finished; try the queue next turn
-            }
-        }
-        heap.push(Reverse((threads[i].clock, i)));
-        ops += 1;
-        assert!(
-            ops <= ops_budget,
-            "dynamic section exceeded its operation budget ({ops_budget})"
-        );
-    }
-    let barrier = end.iter().copied().max().unwrap_or(0);
-    for t in threads.iter_mut() {
-        t.clock = barrier;
-    }
-    Ok(end)
+    run_team(sys, threads, &mut work, ops_budget)
 }
 
 /// Run a serial section on the master (index 0); the other threads simply
 /// wait (their clocks move to the master's end — serial time is excluded
 /// from idle accounting, as in the paper's Algorithm 3 instrumentation).
+/// `EINVAL` for an empty team.
 pub fn run_serial(
     sys: &mut System,
     threads: &mut [SimThread],
-    body: &mut (dyn SectionBody + '_),
+    mut body: &mut (dyn SectionBody + '_),
     ops_budget: u64,
 ) -> Result<u64, Errno> {
-    let t0 = profile::start();
-    let r = if reference_pipeline() {
-        run_serial_reference(sys, threads, body, ops_budget)
-    } else {
-        run_serial_batched(sys, threads, body, ops_budget)
+    let Some(master) = threads.first_mut() else {
+        return Err(Errno::Einval);
     };
-    profile::stop(Component::Engine, t0);
-    r
-}
-
-fn run_serial_batched(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    body: &mut (dyn SectionBody + '_),
-    ops_budget: u64,
-) -> Result<u64, Errno> {
-    let tid = threads[0].tid;
-    let mut clock = threads[0].clock;
-    let mut buf = [Op::Compute(0); BATCH_OPS];
-    let mut ops = 0u64;
-    loop {
-        let len = body.fill(&mut buf);
-        let mut k = 0;
-        while k < len {
-            match buf[k] {
-                Op::Compute(c) => {
-                    k += 1;
-                    ops += 1;
-                    let mut add = c;
-                    while k < len {
-                        let Op::Compute(c2) = buf[k] else { break };
-                        add += c2;
-                        k += 1;
-                        ops += 1;
-                    }
-                    clock += add;
-                }
-                Op::Access { addr, rw } => {
-                    k += 1;
-                    ops += 1;
-                    let ta = profile::start();
-                    let acc = sys.access(tid, addr, rw, clock)?;
-                    profile::stop(Component::Access, ta);
-                    clock += acc.latency;
-                }
-            }
-            assert!(ops <= ops_budget, "serial section exceeded its budget");
-        }
-        if len < BATCH_OPS {
-            break;
-        }
-    }
-    for t in threads.iter_mut() {
-        t.clock = clock;
-    }
-    Ok(clock)
-}
-
-/// The reference serial-section pipeline (one op at a time).
-pub fn run_serial_reference(
-    sys: &mut System,
-    threads: &mut [SimThread],
-    body: &mut (dyn SectionBody + '_),
-    ops_budget: u64,
-) -> Result<u64, Errno> {
-    let master = &mut threads[0];
-    let mut ops = 0u64;
-    while let Some(op) = body.next_op() {
-        match op {
-            Op::Compute(c) => master.clock += c,
-            Op::Access { addr, rw } => {
-                let ta = profile::start();
-                let acc = sys.access(master.tid, addr, rw, master.clock)?;
-                profile::stop(Component::Access, ta);
-                master.clock += acc.latency;
-            }
-        }
-        ops += 1;
-        assert!(ops <= ops_budget, "serial section exceeded its budget");
-    }
-    let end = threads[0].clock;
+    let mut work = Static {
+        bodies: std::slice::from_mut(&mut body),
+        end_ops: 0,
+    };
+    let end = run_team(sys, std::slice::from_mut(master), &mut work, ops_budget)?[0];
     for t in threads.iter_mut() {
         t.clock = end;
     }
@@ -955,12 +571,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "operation budget")]
-    fn runaway_body_trips_budget_reference() {
-        let (mut sys, mut threads) = setup(1);
-        let mut bodies: Vec<Box<dyn SectionBody>> =
-            vec![Box::new(std::iter::repeat(Op::Compute(1)))];
-        let _ = run_section_reference(&mut sys, &mut threads, &mut bodies, 10);
+    fn teams_wider_than_the_tree_are_einval() {
+        let mut sys = System::boot(MachineConfig::tiny());
+        let cores: Vec<_> = (0..TREE_LEAVES + 1).map(|i| CoreId(i % 4)).collect();
+        let mut threads = SimThread::spawn_all(&mut sys, &cores);
+        let before = threads.clone();
+        let mut bodies: Vec<_> = (0..threads.len()).map(|_| compute_body(3, 10)).collect();
+        assert_eq!(
+            run_section(&mut sys, &mut threads, &mut bodies, 1_000),
+            Err(Errno::Einval)
+        );
+        let chunks: VecDeque<_> = (0..4).map(|_| compute_body(3, 10)).collect();
+        assert_eq!(
+            run_section_dynamic(&mut sys, &mut threads, chunks, 1_000),
+            Err(Errno::Einval)
+        );
+        assert_eq!(
+            run_section(&mut sys, &mut threads[..2], &mut bodies[..1], 1_000),
+            Err(Errno::Einval),
+            "one body per thread"
+        );
+        assert_eq!(
+            threads, before,
+            "a refused section leaves every clock alone"
+        );
     }
 
     #[test]
@@ -1051,171 +685,6 @@ mod tests {
             run_section(&mut sys, &mut threads, &mut bodies, 100_000).unwrap()
         };
         assert_eq!(run(), run(), "bit-identical repeat runs");
-    }
-
-    /// Build the mixed-op body set used by the pipeline-equivalence tests:
-    /// per-thread streams with irregular compute runs (including
-    /// consecutive computes to exercise fusion, and zero-cycle computes to
-    /// exercise tie-breaking) interleaved with real memory accesses.
-    fn mixed_bodies(
-        sys: &mut System,
-        threads: &[SimThread],
-        seed: u64,
-    ) -> Vec<Box<dyn SectionBody + 'static>> {
-        use tint_hw::rng::SplitMix64;
-        let mut bodies: Vec<Box<dyn SectionBody>> = Vec::new();
-        for (ti, t) in threads.iter().enumerate() {
-            let a = sys.malloc(t.tid, 32 * 4096).unwrap();
-            let mut rng = SplitMix64::new(seed ^ (ti as u64).wrapping_mul(0x9E37));
-            let ops: Vec<Op> = (0..300)
-                .map(|_| match rng.gen_range(5) {
-                    0 => Op::Compute(rng.gen_range(200)),
-                    1 => Op::Compute(0),
-                    2 => Op::Compute(rng.gen_range(7)),
-                    _ => Op::Access {
-                        addr: a.offset(rng.gen_range(32 * 4096 / 64) * 64),
-                        rw: if rng.gen_range(3) == 0 {
-                            Rw::Write
-                        } else {
-                            Rw::Read
-                        },
-                    },
-                })
-                .collect();
-            bodies.push(Box::new(ops.into_iter()));
-        }
-        bodies
-    }
-
-    #[test]
-    fn batched_section_matches_reference_bit_for_bit() {
-        for seed in 0..4u64 {
-            let (mut sys_a, mut thr_a) = setup(4);
-            let mut bodies_a = mixed_bodies(&mut sys_a, &thr_a, seed);
-            let end_a =
-                run_section_batched(&mut sys_a, &mut thr_a, &mut bodies_a, 1_000_000).unwrap();
-
-            let (mut sys_b, mut thr_b) = setup(4);
-            let mut bodies_b = mixed_bodies(&mut sys_b, &thr_b, seed);
-            let end_b =
-                run_section_reference(&mut sys_b, &mut thr_b, &mut bodies_b, 1_000_000).unwrap();
-
-            assert_eq!(end_a, end_b, "seed {seed}: end times diverge");
-            assert_eq!(thr_a, thr_b, "seed {seed}: barrier clocks diverge");
-            for c in 0..4 {
-                let (a, b) = (
-                    sys_a.mem().stats().core(CoreId(c)),
-                    sys_b.mem().stats().core(CoreId(c)),
-                );
-                assert_eq!(a.accesses, b.accesses, "seed {seed} core {c}");
-                assert_eq!(a.total_latency, b.total_latency, "seed {seed} core {c}");
-            }
-            assert_eq!(
-                sys_a.mem().dram().stats().requests,
-                sys_b.mem().dram().stats().requests
-            );
-            assert_eq!(
-                sys_a.mem().dram().stats().total_latency,
-                sys_b.mem().dram().stats().total_latency,
-                "seed {seed}: DRAM timing state diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_dynamic_matches_reference_bit_for_bit() {
-        use tint_hw::rng::SplitMix64;
-        let build_chunks = |sys: &mut System,
-                            threads: &[SimThread],
-                            seed: u64|
-         -> std::collections::VecDeque<Box<dyn SectionBody + 'static>> {
-            let a = sys.malloc(threads[0].tid, 64 * 4096).unwrap();
-            let mut rng = SplitMix64::new(seed);
-            (0..13)
-                .map(|ci| {
-                    let ops: Vec<Op> = (0..rng.gen_range(120) + 1)
-                        .map(|_| match rng.gen_range(4) {
-                            0 => Op::Compute(rng.gen_range(90)),
-                            1 => Op::Compute(0),
-                            _ => Op::Access {
-                                addr: a.offset(
-                                    (rng.gen_range(64 * 4096 / 64) * 64 + ci * 64) % (64 * 4096),
-                                ),
-                                rw: Rw::Write,
-                            },
-                        })
-                        .collect();
-                    Box::new(ops.into_iter()) as Box<dyn SectionBody>
-                })
-                .collect()
-        };
-        for seed in 0..4u64 {
-            let (mut sys_a, mut thr_a) = setup(3);
-            let chunks_a = build_chunks(&mut sys_a, &thr_a, seed);
-            let end_a =
-                run_section_dynamic_batched(&mut sys_a, &mut thr_a, chunks_a, 1_000_000).unwrap();
-
-            let (mut sys_b, mut thr_b) = setup(3);
-            let chunks_b = build_chunks(&mut sys_b, &thr_b, seed);
-            let end_b =
-                run_section_dynamic_reference(&mut sys_b, &mut thr_b, chunks_b, 1_000_000).unwrap();
-
-            assert_eq!(end_a, end_b, "seed {seed}: end times diverge");
-            assert_eq!(thr_a, thr_b, "seed {seed}: barrier clocks diverge");
-            for c in 0..3 {
-                assert_eq!(
-                    sys_a.mem().stats().core(CoreId(c)).accesses,
-                    sys_b.mem().stats().core(CoreId(c)).accesses,
-                    "seed {seed} core {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_serial_matches_reference() {
-        let run = |reference: bool| {
-            let (mut sys, mut threads) = setup(2);
-            let a = sys.malloc(threads[0].tid, 8 * 4096).unwrap();
-            let ops: Vec<Op> = (0..200)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        Op::Compute(i)
-                    } else {
-                        Op::Access {
-                            addr: a.offset((i * 64) % (8 * 4096)),
-                            rw: Rw::Write,
-                        }
-                    }
-                })
-                .collect();
-            let mut body = ops.into_iter();
-            let end = if reference {
-                run_serial_reference(&mut sys, &mut threads, &mut body, 10_000).unwrap()
-            } else {
-                run_serial_batched(&mut sys, &mut threads, &mut body, 10_000).unwrap()
-            };
-            (end, sys.mem().stats().core(CoreId(0)).total_latency)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn env_var_routes_to_reference_pipeline() {
-        // Process-global env var: this test is the only one in the crate
-        // that sets it, and it restores the variable before returning.
-        let run = || {
-            let (mut sys, mut threads) = setup(2);
-            let mut bodies = vec![compute_body(10, 7), compute_body(3, 11)];
-            run_section(&mut sys, &mut threads, &mut bodies, 1_000).unwrap()
-        };
-        let batched = run();
-        std::env::set_var("TINT_REFERENCE_PIPELINE", "1");
-        assert!(reference_pipeline());
-        let referenced = run();
-        std::env::remove_var("TINT_REFERENCE_PIPELINE");
-        assert!(!reference_pipeline());
-        assert_eq!(batched, referenced);
     }
 
     /// The winner tree's `(min, runner-up)` equals a brute-force scan

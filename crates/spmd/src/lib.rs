@@ -47,10 +47,7 @@ pub mod metrics;
 pub mod program;
 pub mod scheduler;
 
-pub use engine::{
-    engine_mode, reference_pipeline, run_section_dynamic, set_engine_mode, EngineMode, Op,
-    SectionBody, SimThread,
-};
+pub use engine::{run_section_dynamic, Op, SectionBody, SimThread};
 pub use metrics::{RunMetrics, SectionOutcome};
 pub use program::{Program, Section};
 pub use scheduler::{ChurnOutcome, Job, PressureWindow, RoundRobin};

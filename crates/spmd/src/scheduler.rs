@@ -40,8 +40,7 @@
 //! outcome: see [`ChurnOutcome`].
 
 use crate::engine::{Op, SectionBody};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use tint_hw::types::CoreId;
 use tint_kernel::{AuditCursor, Errno, MemPressure, Tid, VictimPolicy, MAX_ORDER};
 use tintmalloc::System;
@@ -213,8 +212,9 @@ struct CoreState<'a> {
     /// FIFO run queue of admitted tasks.
     queue: VecDeque<(Tid, Box<dyn SectionBody + 'a>)>,
     /// Not-yet-admitted jobs keyed by `(ready_time, seq)`; `seq` preserves
-    /// arrival order at equal times and indexes `jobs`.
-    pending: BinaryHeap<Reverse<(u64, u64)>>,
+    /// arrival order at equal times and indexes `jobs`. A job is pending at
+    /// most once, so keys are unique.
+    pending: BTreeSet<(u64, u64)>,
     /// Slot storage for pending jobs (a popped entry takes its slot).
     jobs: Vec<Option<PendingJob<'a>>>,
 }
@@ -227,7 +227,7 @@ impl CoreState<'_> {
     /// The clock at which this core can next run something.
     fn ready_at(&self) -> u64 {
         if self.queue.is_empty() {
-            let Reverse((t, _)) = self.pending.peek().expect("has_work checked");
+            let (t, _) = self.pending.first().expect("has_work checked");
             self.clock.max(*t)
         } else {
             self.clock
@@ -278,13 +278,13 @@ impl RoundRobin {
                 cores.push(CoreState {
                     clock: 0,
                     queue: VecDeque::new(),
-                    pending: BinaryHeap::new(),
+                    pending: BTreeSet::new(),
                     jobs: Vec::new(),
                 });
             }
             let core = &mut cores[idx];
             let seq = core.jobs.len() as u64;
-            core.pending.push(Reverse((job.arrival, seq)));
+            core.pending.insert((job.arrival, seq));
             core.jobs.push(Some(PendingJob { job, attempts: 0 }));
         }
 
@@ -306,11 +306,11 @@ impl RoundRobin {
             let core = &mut cores[ci];
             core.clock = now;
             // Admit everything that is due by now, in (ready, seq) order.
-            while let Some(&Reverse((t, seq))) = core.pending.peek() {
+            while let Some(&(t, seq)) = core.pending.first() {
                 if t > core.clock {
                     break;
                 }
-                core.pending.pop();
+                core.pending.pop_first();
                 let mut pj = core.jobs[seq as usize].take().expect("pending job slot");
                 if pj.attempts == 0 {
                     out.arrivals += 1;
@@ -324,7 +324,7 @@ impl RoundRobin {
                         pj.attempts += 1;
                         out.admission_backoffs += 1;
                         let ready = core.clock + self.backoff(pj.attempts);
-                        core.pending.push(Reverse((ready, seq)));
+                        core.pending.insert((ready, seq));
                         core.jobs[seq as usize] = Some(pj);
                     }
                     continue;
@@ -336,7 +336,7 @@ impl RoundRobin {
                         out.alloc_retries += 1;
                         sys.note_alloc_retry();
                         let ready = core.clock + self.backoff(pj.attempts);
-                        core.pending.push(Reverse((ready, seq)));
+                        core.pending.insert((ready, seq));
                         core.jobs[seq as usize] = Some(pj);
                     }
                     Err(Errno::Enomem)
@@ -350,7 +350,7 @@ impl RoundRobin {
                                 killed.insert(kill.victim);
                                 pj.attempts += 1;
                                 let ready = core.clock + self.backoff(pj.attempts);
-                                core.pending.push(Reverse((ready, seq)));
+                                core.pending.insert((ready, seq));
                                 core.jobs[seq as usize] = Some(pj);
                             }
                             // Nobody left to kill: the failure is terminal.

@@ -341,8 +341,8 @@ mod tests {
     #[test]
     fn fill_matches_next_op_for_every_pattern() {
         use tint_spmd::SectionBody;
-        // The batched engine pulls ops through `SectionBody::fill`; the
-        // reference pipeline pulls them one at a time through `next_op`.
+        // The engine pulls ops through `SectionBody::fill`; its test
+        // oracle pulls them one at a time through `next_op`.
         // Both routes must yield the identical op stream for every pattern
         // (an odd buffer size exercises chunk boundaries).
         fn drain_fill(body: &mut dyn SectionBody) -> Vec<Op> {
