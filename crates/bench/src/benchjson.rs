@@ -12,7 +12,7 @@
 //!   into*, not clobbered: `repro probe:lbm` after `repro all` keeps the
 //!   figure records;
 //! * **concurrent-writer safety** — the read-merge-write runs under a
-//!   `<path>.lock` [`Lockfile`] (exclusive create + stale-lock takeover, see
+//!   `<path>.lock` [`Lockfile`] (an exclusive OS file lock, see
 //!   [`crate::lockfile`]), so two `repro` processes finishing at the same
 //!   time serialize their merges instead of silently dropping each other's
 //!   blocks. A live holder is waited on briefly; on timeout the write
@@ -30,7 +30,6 @@ use crate::table::Table;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tint_hw::profile::{self, COMPONENT_COUNT};
 
 /// How long a writer waits for a live sibling's `<path>.lock`.
 const LOCK_WAIT: Duration = Duration::from_secs(5);
@@ -47,8 +46,6 @@ pub struct CmdRecord {
     pub cache_hits: u64,
     /// Cells this command actually simulated.
     pub cache_misses: u64,
-    /// Per-component nanoseconds when `--profile` was on.
-    pub profile: Option<[u64; COMPONENT_COUNT]>,
 }
 
 /// Run-wide counters for the `invocation` block, collected by the caller
@@ -108,9 +105,9 @@ fn json_table(t: &Table, indent: &str) -> String {
 
 /// Serialize one command record as a single JSON object line (no indent).
 fn record_json(r: &CmdRecord) -> String {
-    let mut s = format!(
+    format!(
         "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_cycles\": {}, \"reps\": {}, \"scale\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}",
+         \"cache_hits\": {}, \"cache_misses\": {}}}",
         json_escape(&r.name),
         r.wall_ms,
         r.sim_cycles,
@@ -118,17 +115,7 @@ fn record_json(r: &CmdRecord) -> String {
         r.scale,
         r.cache_hits,
         r.cache_misses,
-    );
-    if let Some(nanos) = &r.profile {
-        let fields: Vec<String> = profile::COMPONENT_NAMES
-            .iter()
-            .zip(nanos)
-            .map(|(n, &v)| format!("\"{}_ms\": {:.3}", n, v as f64 / 1e6))
-            .collect();
-        s.push_str(&format!(", \"profile\": {{{}}}", fields.join(", ")));
-    }
-    s.push('}');
-    s
+    )
 }
 
 /// What survives from an existing `BENCH_repro.json`: the per-command
@@ -386,7 +373,6 @@ mod tests {
             scale: 1.0,
             cache_hits: 0,
             cache_misses: 1,
-            profile: None,
         }
     }
 
@@ -462,7 +448,7 @@ mod tests {
             assert_eq!(json_field_num(line, "wall_ms"), Some(20.0), "{name}");
         }
         // The lock is released at the end.
-        assert!(!dir.join("BENCH_repro.json.lock").exists());
+        Lockfile::acquire(&dir.join("BENCH_repro.json.lock")).expect("lock released");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

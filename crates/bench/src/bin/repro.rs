@@ -1,7 +1,7 @@
 //! `repro` — regenerate every results figure of the TintMalloc paper.
 //!
 //! ```text
-//! repro [--reps N] [--scale F] [--csv] [--profile] [--jobs N]
+//! repro [--reps N] [--scale F] [--csv] [--jobs N]
 //!       [--strict-deadline]
 //!       [--configs 16t4n,8t4n,...] <command>...
 //!
@@ -64,12 +64,13 @@
 //! share one journal directory with no locks on the append path; replay
 //! merges every shard. `repro gc-journal` compacts the store — live
 //! deduped cells are rewritten into a fresh generation and committed with
-//! one atomic rename (guarded by an exclusive lockfile with stale-lock
-//! takeover), so a crash mid-GC leaves the old or new generation fully
-//! intact. On persistent I/O failure (disk full, I/O errors — or the
-//! seeded `TINT_HOST_FAULT=io:<permille>:<seed>` harness) the journal
+//! one atomic rename (guarded by an exclusive OS file lock), so a crash
+//! mid-GC leaves the old or new generation fully intact. On persistent I/O
+//! failure (disk full, I/O errors — or the seeded
+//! `TINT_HOST_FAULT=io:<permille>:<seed>` harness) the journal
 //! warns once, disarms itself, and the run completes journal-less with
-//! byte-identical figures.
+//! byte-identical figures. A legacy v1 journal (`cells.v1.jnl`) is not
+//! read: `repro` prints a one-line notice and leaves the file untouched.
 //!
 //! Workers are panic-isolated: a panicking cell is retried up to
 //! `TINT_CELL_RETRIES` times (default 2), then recorded as a poisoned cell
@@ -94,11 +95,15 @@
 //! commands this run executed; the `total` block sums over every merged
 //! record.
 //!
-//! `--profile` turns on the pipeline self-profile (see `tint_hw::profile`):
-//! per-component wall time — scheduler, TLB, cache hierarchy, DRAM, frame
-//! decode — printed as a table after each command and recorded in the JSON.
-//! The timing probes themselves cost time, so wall_ms measured under
-//! `--profile` is inflated; figure *tables* are unaffected.
+//! `TINT_JOBS`, `TINT_CELL_RETRIES`, `TINT_CELL_TIMEOUT_S` and
+//! `TINT_HOST_FAULT` are read once, at startup, before any simulation: a
+//! value that does not parse (or a zero `TINT_JOBS`, a non-positive
+//! `TINT_CELL_TIMEOUT_S`) is a usage error — one line on stderr and exit
+//! code 2 — never a warning that is then ignored.
+//!
+//! Host-time performance is measured by the cold benchmark in
+//! `coldbench/`, not by this binary: `wall_ms` in the JSON is a
+//! bookkeeping figure that includes cell-cache and journal hits.
 
 use tint_bench::benchjson::{write_bench_json, CmdRecord, InvocationMeta};
 use tint_bench::figures::{
@@ -109,13 +114,12 @@ use tint_bench::figures::{
 use tint_bench::hostfault::{self, HostFaultPlan};
 use tint_bench::journal;
 use tint_bench::runner::{
-    available_jobs, cell_retries, cell_timeout, install_cancel_handlers, parse_jobs,
-    poisoned_cells, pressure_stats, retries_used, set_jobs, set_strict_deadline, simulated_cycles,
-    validate_env_jobs,
+    available_jobs, install_cancel_handlers, parse_jobs, poisoned_cells, pressure_stats,
+    retries_used, set_cell_retries, set_cell_timeout_ms, set_jobs, set_strict_deadline,
+    simulated_cycles,
 };
 use tint_bench::simcache;
 use tint_bench::table::Table;
-use tint_hw::profile::{self, Component, COMPONENT_COUNT};
 use tint_workloads::PinConfig;
 
 /// Exit with a one-line usage/config error (exit code 2: bad invocation).
@@ -133,36 +137,6 @@ fn parse_config(s: &str) -> Option<PinConfig> {
         "4t1n" => Some(PinConfig::T4N1),
         _ => None,
     }
-}
-
-/// Render one command's component profile as a table with derived rows.
-/// `Engine` contains `Access`, which contains the four leaf components, so
-/// the interesting shares are the subtractions.
-fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
-    let ms = |c: Component| nanos[c as usize] as f64 / 1e6;
-    let engine = ms(Component::Engine);
-    let access = ms(Component::Access);
-    let leaves =
-        ms(Component::Tlb) + ms(Component::Hierarchy) + ms(Component::Dram) + ms(Component::Decode);
-    let mut t = Table::new(vec!["component", "ms", "share_of_engine"]);
-    let share = |v: f64| {
-        if engine > 0.0 {
-            format!("{:.1}%", 100.0 * v / engine)
-        } else {
-            "-".to_string()
-        }
-    };
-    let mut row = |name: &str, v: f64| t.row(vec![name.to_string(), format!("{v:.1}"), share(v)]);
-    row("engine (sections total)", engine);
-    row("  scheduler (engine - access)", engine - access);
-    row("  access (System::access)", access);
-    row("    tlb + translate", ms(Component::Tlb));
-    row("    cache hierarchy", ms(Component::Hierarchy));
-    row("    dram timing", ms(Component::Dram));
-    row("    frame decode", ms(Component::Decode));
-    row("    access other", access - leaves);
-    row("outside engine (setup, alloc)", wall_ms - engine);
-    t
 }
 
 /// Per-invocation state shared across commands: the fig11/fig12 matrix is
@@ -229,7 +203,6 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
                 row("live cells", g.live_cells.to_string());
                 row("shards merged", g.shards_merged.to_string());
                 row("shards quarantined", g.quarantined.to_string());
-                row("v1 cells absorbed", g.v1_absorbed.to_string());
                 row("bytes before", g.bytes_before.to_string());
                 row("bytes after", g.bytes_after.to_string());
                 row(
@@ -337,6 +310,7 @@ fn main() {
     let mut opts = FigOpts::default();
     let mut configs: Vec<PinConfig> = PinConfig::ALL.to_vec();
     let mut cmds: Vec<String> = Vec::new();
+    let mut jobs_flag = None;
     let mut it = args.iter();
     // A missing or malformed flag argument is a usage error with a one-line
     // message and exit code 2 — never a panic.
@@ -357,10 +331,9 @@ fn main() {
                     .unwrap_or_else(|_| fail("--scale wants a number"));
             }
             "--csv" => opts.csv = true,
-            "--profile" => profile::set_enabled(true),
             "--strict-deadline" => set_strict_deadline(true),
             "--jobs" => match parse_jobs(arg(&mut it, "--jobs")) {
-                Ok(n) => set_jobs(n),
+                Ok(n) => jobs_flag = Some(n),
                 Err(e) => fail(&format!("invalid --jobs: {e}")),
             },
             "--configs" => {
@@ -384,19 +357,35 @@ fn main() {
     if opts.scale.is_nan() || opts.scale < 0.0 {
         fail("--scale must be non-negative");
     }
-    // Environment knobs are validated up front: a typo'd TINT_JOBS or
-    // TINT_HOST_FAULT must stop the run before 20 minutes of simulation.
-    if let Err(e) = validate_env_jobs() {
-        fail(&e);
+    // The environment is read here, once: a typo'd variable must stop the
+    // run before 20 minutes of simulation. The `--jobs` flag wins over
+    // TINT_JOBS, but a bad TINT_JOBS is an error either way.
+    let env = |name: &str| std::env::var(name).ok();
+    let env_jobs = env("TINT_JOBS")
+        .map(|v| parse_jobs(&v).unwrap_or_else(|e| fail(&format!("invalid TINT_JOBS: {e}"))));
+    if let Some(n) = jobs_flag.or(env_jobs) {
+        set_jobs(n);
     }
-    if let Ok(v) = std::env::var("TINT_HOST_FAULT") {
+    if let Some(v) = env("TINT_CELL_RETRIES") {
+        match v.trim().parse::<u32>() {
+            Ok(n) => set_cell_retries(Some(n)),
+            Err(_) => fail(&format!("invalid TINT_CELL_RETRIES={v:?}: want a u32")),
+        }
+    }
+    if let Some(v) = env("TINT_CELL_TIMEOUT_S") {
+        match v.trim().parse::<f64>() {
+            Ok(s) if s > 0.0 && s.is_finite() => set_cell_timeout_ms(Some((s * 1e3).ceil() as u64)),
+            _ => fail(&format!(
+                "invalid TINT_CELL_TIMEOUT_S={v:?}: want seconds > 0"
+            )),
+        }
+    }
+    if let Some(v) = env("TINT_HOST_FAULT") {
         match HostFaultPlan::parse(&v) {
             Ok(plan) => hostfault::set_plan(Some(plan)),
             Err(e) => fail(&format!("invalid TINT_HOST_FAULT: {e}")),
         }
     }
-    let _ = cell_retries(); // surface a TINT_CELL_RETRIES warning early
-    let _ = cell_timeout(); // likewise for TINT_CELL_TIMEOUT_S
 
     // Durability and graceful shutdown: arm the journal (TINT_JOURNAL=0
     // disables, TINT_JOURNAL=<dir> relocates), replay prior completed
@@ -404,17 +393,18 @@ fn main() {
     // cooperative drain + journal flush + resume notice.
     install_cancel_handlers();
     journal::configure_default();
+    if let Some(legacy) = journal::legacy_file() {
+        eprintln!(
+            "journal: legacy file {} ignored (v1 journals are no longer read)",
+            legacy.display()
+        );
+    }
     let replay = journal::replay();
     if replay.replayed > 0 || replay.quarantined > 0 || replay.retired_skipped > 0 {
         eprintln!(
-            "journal: replayed {} completed cells from {} shard(s){}{}{}{}",
+            "journal: replayed {} completed cells from {} shard(s){}{}{}",
             replay.replayed,
             replay.shards,
-            if replay.v1_absorbed > 0 {
-                format!(" ({} absorbed from a v1 journal)", replay.v1_absorbed)
-            } else {
-                String::new()
-            },
             if replay.torn_dropped > 0 {
                 " (dropped a torn final write)"
             } else {
@@ -450,18 +440,11 @@ fn main() {
     for cmd in &cmds {
         let cycles_before = simulated_cycles();
         let (hits_before, misses_before) = simcache::stats();
-        profile::reset();
         let start = std::time::Instant::now();
         run_cmd(&mut ctx, cmd);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let (hits_after, misses_after) = simcache::stats();
         let (cache_hits, cache_misses) = (hits_after - hits_before, misses_after - misses_before);
-        let prof = profile::enabled().then(profile::snapshot);
-        if let Some(nanos) = &prof {
-            println!("-- pipeline self-profile ({cmd}) --");
-            print!("{}", ctx.opts.render(&profile_table(nanos, wall_ms)));
-            println!("cell cache: {cache_hits} hits, {cache_misses} misses");
-        }
         records.push(CmdRecord {
             name: cmd.clone(),
             wall_ms,
@@ -470,7 +453,6 @@ fn main() {
             scale: ctx.opts.scale,
             cache_hits,
             cache_misses,
-            profile: prof,
         });
     }
     journal::flush();

@@ -2,9 +2,9 @@
 //!
 //! Regenerates every results figure of the TintMalloc paper (Figures 10–14
 //! plus the latency claims of §V and the ablations listed in DESIGN.md).
-//! The `repro` binary prints each figure's rows; the wall-clock benches
-//! under `benches/` (driven by [`microbench`]) wrap the same experiments
-//! for timing regressions.
+//! The `repro` binary prints each figure's rows. Host-time performance is
+//! measured by the cold benchmark in `coldbench/`, which drives the
+//! simulator crates directly.
 //!
 //! EXPERIMENTS.md records the paper-vs-measured comparison produced by
 //! `cargo run --release -p tint-bench --bin repro -- all`.
@@ -22,7 +22,6 @@ pub mod figures;
 pub mod hostfault;
 pub mod journal;
 pub mod lockfile;
-pub mod microbench;
 pub mod runner;
 pub mod simcache;
 pub mod table;

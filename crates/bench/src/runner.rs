@@ -17,7 +17,7 @@
 //!   and the run completes journal-less with identical figures;
 //! * the **matrix executor** ([`run_cells`]): figures flatten their whole
 //!   (benchmark × config × scheme × rep) cell list into one work queue
-//!   drained by `--jobs`/`TINT_JOBS` host threads. Cells vary ~100× in cost
+//!   drained by `--jobs` host threads. Cells vary ~100× in cost
 //!   (lbm vs blackscholes), so stealing from a single flattened queue is
 //!   what load-balances a sweep; a per-cell ≤ reps-way fan-out cannot.
 //!
@@ -28,7 +28,7 @@
 //!
 //! Each cell attempt runs under `catch_unwind`: a panicking cell (a real
 //! bug, or a scheduled [`crate::hostfault`] injection) is retried up to
-//! `TINT_CELL_RETRIES` times (default 2) — an immediate, backoff-free
+//! [`cell_retries`] times (default 2) — an immediate, backoff-free
 //! requeue on the same worker — and only after every attempt fails is it
 //! recorded as a **poisoned** cell: a zeroed sentinel result with
 //! [`ExpResult::poisoned`] set, rendered as `ERR` in figure tables and
@@ -36,7 +36,7 @@
 //! without aborting the rest of the matrix. Poisoned results are never
 //! cached or journaled; a later run retries them.
 //!
-//! A watchdog thread (armed by `TINT_CELL_TIMEOUT_S`) warns about cells
+//! A watchdog thread (armed by [`set_cell_timeout_ms`]) warns about cells
 //! exceeding the soft deadline; in strict-deadline mode
 //! ([`set_strict_deadline`], the `repro --strict-deadline` flag) an
 //! overdue cell's eventual result is discarded and the cell poisoned, and
@@ -52,8 +52,8 @@ use crate::hostfault;
 use crate::journal;
 use crate::simcache::{self, CellKey};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tint_spmd::{RunMetrics, SimThread};
 use tint_workloads::{PinConfig, Workload};
@@ -248,69 +248,35 @@ pub fn reset_pressure_stats() {
     ALLOC_RETRIES.store(0, Ordering::Relaxed);
 }
 
-/// Sentinel retry override; `usize::MAX` = unset (fall back to env).
-static RETRIES_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Retries per panicking cell when nothing sets them.
+const DEFAULT_CELL_RETRIES: u32 = 2;
 
-/// Programmatic `TINT_CELL_RETRIES` override (tests); `None` restores the
-/// env / default-2 lookup.
+/// Retries per panicking cell (`repro` sets it from `TINT_CELL_RETRIES`).
+static CELL_RETRIES: AtomicU32 = AtomicU32::new(DEFAULT_CELL_RETRIES);
+
+/// Set the retries per panicking cell; `None` restores the default (2).
 pub fn set_cell_retries(retries: Option<u32>) {
-    RETRIES_OVERRIDE.store(
-        retries.map(|r| r as usize).unwrap_or(usize::MAX),
-        Ordering::Relaxed,
-    );
+    CELL_RETRIES.store(retries.unwrap_or(DEFAULT_CELL_RETRIES), Ordering::Relaxed);
 }
 
-/// Retries per panicking cell: the override, else `TINT_CELL_RETRIES`,
-/// else 2. An unparsable env value warns once and falls back.
+/// Retries per panicking cell.
 pub fn cell_retries() -> u32 {
-    let forced = RETRIES_OVERRIDE.load(Ordering::Relaxed);
-    if forced != usize::MAX {
-        return forced as u32;
-    }
-    if let Ok(v) = std::env::var("TINT_CELL_RETRIES") {
-        match v.trim().parse::<u32>() {
-            Ok(n) => return n,
-            Err(_) => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!("warning: ignoring unparsable TINT_CELL_RETRIES={v:?} (want a u32)")
-                });
-            }
-        }
-    }
-    2
+    CELL_RETRIES.load(Ordering::Relaxed)
 }
 
-/// Sentinel timeout override in milliseconds; `u64::MAX` = unset.
-static TIMEOUT_OVERRIDE_MS: AtomicU64 = AtomicU64::new(u64::MAX);
+/// Soft per-cell deadline in milliseconds; `u64::MAX` = unarmed.
+static TIMEOUT_MS: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Programmatic `TINT_CELL_TIMEOUT_S` override (tests); `None` restores
-/// the env lookup.
+/// Arm the soft per-cell deadline (`repro` sets it from
+/// `TINT_CELL_TIMEOUT_S`); `None` disarms it.
 pub fn set_cell_timeout_ms(ms: Option<u64>) {
-    TIMEOUT_OVERRIDE_MS.store(ms.unwrap_or(u64::MAX), Ordering::Relaxed);
+    TIMEOUT_MS.store(ms.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
 
-/// The soft per-cell deadline, if armed: the override, else a positive
-/// `TINT_CELL_TIMEOUT_S` (seconds, fractional ok). Unparsable env values
-/// warn once and disarm.
+/// The soft per-cell deadline, if armed.
 pub fn cell_timeout() -> Option<Duration> {
-    let forced = TIMEOUT_OVERRIDE_MS.load(Ordering::Relaxed);
-    if forced != u64::MAX {
-        return Some(Duration::from_millis(forced));
-    }
-    let v = std::env::var("TINT_CELL_TIMEOUT_S").ok()?;
-    match v.trim().parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => Some(Duration::from_secs_f64(s)),
-        _ => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring unparsable TINT_CELL_TIMEOUT_S={v:?} (want seconds > 0)"
-                )
-            });
-            None
-        }
-    }
+    let ms = TIMEOUT_MS.load(Ordering::Relaxed);
+    (ms != u64::MAX).then(|| Duration::from_millis(ms))
 }
 
 /// Strict-deadline mode: overdue cells are poisoned instead of merely
@@ -572,12 +538,12 @@ pub fn run_reps(
     run_cells(&cells, available_jobs())
 }
 
-/// `--jobs` override set by the `repro` binary; 0 = unset.
+/// Worker-thread count set by the `repro` binary; 0 = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Set the worker-thread count used by [`run_reps`]/figure sweeps (the
-/// `repro --jobs` flag). Passing 0 clears the override, falling back to
-/// `TINT_JOBS` / host parallelism.
+/// Set the worker-thread count used by [`run_reps`]/figure sweeps (`repro`
+/// sets it from `--jobs` or `TINT_JOBS`). Passing 0 clears it, falling back
+/// to host parallelism.
 pub fn set_jobs(jobs: usize) {
     JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
 }
@@ -600,35 +566,12 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
     }
 }
 
-/// Validate the executor-related environment up front (`repro` startup):
-/// a bad `TINT_JOBS` is a hard error there, not a silent fallback.
-pub fn validate_env_jobs() -> Result<(), String> {
-    match std::env::var("TINT_JOBS") {
-        Ok(v) => parse_jobs(&v)
-            .map(|_| ())
-            .map_err(|e| format!("invalid TINT_JOBS: {e}")),
-        Err(_) => Ok(()),
-    }
-}
-
-/// Number of worker threads the matrix executor uses by default: the
-/// `--jobs` flag if given, else a valid `TINT_JOBS` env override, else the
-/// host's available parallelism. Always ≥ 1. (Precedence: the flag wins;
-/// an invalid env value warns once and is ignored here — the `repro`
-/// binary rejects it up front via [`validate_env_jobs`].)
+/// Number of worker threads the matrix executor uses by default: the count
+/// set by [`set_jobs`], else the host's available parallelism. Always ≥ 1.
 pub fn available_jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
-    }
-    if let Ok(v) = std::env::var("TINT_JOBS") {
-        match parse_jobs(&v) {
-            Ok(n) => return n,
-            Err(e) => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| eprintln!("warning: ignoring invalid TINT_JOBS: {e}"));
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -913,9 +856,7 @@ mod tests {
 
     #[test]
     fn jobs_override_and_env_clamp() {
-        // The override wins over everything and 0 clears it. (TINT_JOBS
-        // itself is exercised end-to-end by scripts/ci.sh; mutating the
-        // environment here would race sibling tests.)
+        // The override wins over host parallelism and 0 clears it.
         set_jobs(3);
         assert_eq!(available_jobs(), 3);
         set_jobs(0);

@@ -1,0 +1,65 @@
+//! `repro` usage errors: each bad flag or environment value exits 2 with a
+//! one-line message before any simulation runs (so no `BENCH_repro.json`
+//! is written). The cases run one after another in a private directory.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// Every variable `repro` reads, cleared so the host's own settings cannot
+/// leak into a case.
+const VARS: [&str; 6] = [
+    "TINT_JOBS",
+    "TINT_CELL_RETRIES",
+    "TINT_CELL_TIMEOUT_S",
+    "TINT_HOST_FAULT",
+    "TINT_JOURNAL",
+    "TINT_SIM_CACHE",
+];
+
+fn scratch() -> PathBuf {
+    let d = std::env::temp_dir().join(format!("tint-cli-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+/// Run `repro` with `args` and one optional environment variable; assert
+/// a one-line usage error, exit code 2, and nothing run.
+fn assert_usage_error(dir: &Path, args: &[&str], var: Option<(&str, &str)>) {
+    // A small figure run follows the bad input, so a case that slipped
+    // past startup would simulate and write BENCH_repro.json.
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.current_dir(dir)
+        .args(args)
+        .args(["--reps", "1", "--scale", "0.1", "fig10"]);
+    for v in VARS {
+        cmd.env_remove(v);
+    }
+    cmd.env("TINT_JOURNAL", "0").env("TINT_SIM_CACHE", "0");
+    if let Some((k, v)) = var {
+        cmd.env(k, v);
+    }
+    let out = cmd.output().expect("run repro");
+    let case = format!("{args:?} {var:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{case}: stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "{case}: {stderr:?}");
+    assert!(stderr.starts_with("repro: "), "{case}: {stderr:?}");
+    assert!(out.stdout.is_empty(), "{case}: printed figure output");
+    assert!(
+        !dir.join("BENCH_repro.json").exists(),
+        "{case}: wrote BENCH_repro.json"
+    );
+}
+
+#[test]
+fn usage_errors_exit_2_before_any_simulation() {
+    let dir = scratch();
+    assert_usage_error(&dir, &["--profile"], None);
+    assert_usage_error(&dir, &["--engine", "x"], None);
+    assert_usage_error(&dir, &["--jobs", "0"], None);
+    assert_usage_error(&dir, &[], Some(("TINT_JOBS", "0")));
+    assert_usage_error(&dir, &[], Some(("TINT_CELL_RETRIES", "x")));
+    assert_usage_error(&dir, &[], Some(("TINT_CELL_TIMEOUT_S", "-1")));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,20 +1,19 @@
-//! Cell-farm differential tests: concurrent-writer shards, v1 migration,
-//! io-fault degradation, and generation GC atomicity.
+//! Cell-farm differential tests: concurrent-writer shards, a legacy v1
+//! file left alone, io-fault degradation, and generation GC atomicity.
 //!
 //! The load-bearing invariants:
 //!
 //! 1. **Merge**: writers append to private shards; replay merges every
 //!    shard of the current generation and dedupes by key, so a fleet of
 //!    processes collectively only ever simulates new cells.
-//! 2. **Migration**: a legacy v1 journal is absorbed into the v2 store on
-//!    first replay and then left untouched (marker file), including mixed
-//!    v1+v2 startup with overlapping keys.
+//! 2. **Legacy**: a v1 journal next to the v2 store is never read or
+//!    touched.
 //! 3. **Degradation**: under injected io faults the journal disarms
 //!    itself; the run completes with byte-identical figures and the
 //!    surviving on-disk prefix stays replayable — never quarantined.
 //! 4. **GC atomicity**: `gc` commits a compacted generation with one
 //!    atomic rename; killed at *any* io operation it leaves a store that
-//!    replays the full live set, and the `gc.lock` never lingers.
+//!    replays the full live set, and the `gc.lock` is never left held.
 //!
 //! Journal/cache/fault state is process-global: tests serialize on
 //! [`LOCK`]; "process death" is [`journal::set_dir`] + [`simcache::clear`]
@@ -25,6 +24,7 @@ use std::sync::Mutex;
 use tint_bench::figures::{fig10, FigOpts};
 use tint_bench::hostfault::{self, FaultMode, HostFaultPlan, IO_ABORT_MARKER};
 use tint_bench::journal;
+use tint_bench::lockfile::Lockfile;
 use tint_bench::runner::{reset_fault_counters, set_cell_retries, set_jobs, ExpResult};
 use tint_bench::simcache::{self, CellKey};
 use tint_spmd::RunMetrics;
@@ -175,81 +175,49 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. v1 migration: absorbed once, left untouched
+// 2. A legacy v1 journal is ignored
 // ---------------------------------------------------------------------------
 
 #[test]
-fn v1_journal_is_absorbed_once_and_left_untouched() {
+fn legacy_v1_file_is_left_untouched_and_not_replayed() {
     let _g = LOCK.lock().unwrap();
     let dir = scratch("v1");
     isolated(|| {
-        std::fs::create_dir_all(&dir).unwrap();
-        let cells: Vec<_> = (0..5).map(cell).collect();
-        let v1_path = dir.join(journal::V1_FILE_NAME);
-        journal::write_legacy_v1(&v1_path, &cells).unwrap();
-        let v1_bytes = std::fs::read(&v1_path).unwrap();
-
-        // First v2 replay absorbs the v1 cells into an own shard and
-        // drops the migration marker.
+        // A v2 shard holding keys 0..3 (a prior v2 process).
         journal::set_dir(Some(&dir));
-        let stats = journal::replay();
-        assert_eq!(stats.v1_absorbed, 5);
-        assert_eq!(stats.replayed, 5);
-        assert_eq!(stats.quarantined, 0);
-        assert!(dir.join(journal::V1_MIGRATED_MARKER).exists());
-        assert_eq!(shard_paths(&dir).len(), 1, "absorbed into one shard");
-        assert_eq!(
-            std::fs::read(&v1_path).unwrap(),
-            v1_bytes,
-            "the v1 file itself is left untouched"
-        );
-        for (k, _) in &cells {
-            assert!(simcache::lookup(k).is_some(), "absorbed cell serves");
-        }
-
-        // Second replay: the marker short-circuits the v1 read; the cells
-        // now come from the v2 shard.
-        rebirth(&dir);
-        let again = journal::replay();
-        assert_eq!(again.v1_absorbed, 0, "absorbed exactly once");
-        assert_eq!(again.replayed, 5);
-        assert_eq!(again.shards, 1);
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mixed_v1_and_v2_startup_merges_and_dedupes() {
-    let _g = LOCK.lock().unwrap();
-    let dir = scratch("mixed");
-    isolated(|| {
-        // v2 shard holding keys 0..5 (a prior v2 process).
-        journal::set_dir(Some(&dir));
-        for i in 0..5 {
+        for i in 0..3 {
             let (k, r) = cell(i);
             journal::append(&k, &r);
         }
         journal::flush();
-        // A v1 file holding keys 3..8 — 3 and 4 overlap the shard.
-        let cells: Vec<_> = (3..8).map(cell).collect();
-        journal::write_legacy_v1(&dir.join(journal::V1_FILE_NAME), &cells).unwrap();
+        // A v1 file beside it: the v1 magic, then arbitrary entry bytes.
+        let v1_path = dir.join(journal::V1_FILE_NAME);
+        let mut v1_bytes = b"TINTJNL1".to_vec();
+        v1_bytes.extend((0..200u32).map(|i| (i * 37) as u8));
+        std::fs::write(&v1_path, &v1_bytes).unwrap();
 
         rebirth(&dir);
+        assert_eq!(journal::legacy_file(), Some(v1_path.clone()));
         let stats = journal::replay();
-        assert_eq!(stats.v1_absorbed, 5, "all five v1 records were read");
-        assert_eq!(stats.replayed, 8, "0..8 distinct keys after dedup");
+        assert_eq!(stats.replayed, 3, "only the v2 shard replays");
         assert_eq!(stats.shards, 1);
-        assert!(dir.join(journal::V1_MIGRATED_MARKER).exists());
-        for i in 0..8 {
-            assert!(simcache::lookup(&cell(i).0).is_some(), "key {i} serves");
-        }
-
-        // Third start: both shards (original + rescue), no v1 re-read.
-        rebirth(&dir);
-        let again = journal::replay();
-        assert_eq!(again.v1_absorbed, 0);
-        assert_eq!(again.replayed, 8);
-        assert_eq!(again.shards, 2);
+        assert_eq!(stats.quarantined, 0);
+        journal::gc().expect("gc succeeds");
+        assert_eq!(
+            std::fs::read(&v1_path).unwrap(),
+            v1_bytes,
+            "the v1 file is left byte-identical"
+        );
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names.len(),
+            2,
+            "no marker or quarantine beside it: {names:?}"
+        );
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -419,7 +387,7 @@ fn gc_compacts_duplicates_across_shards_and_preserves_every_cell() {
         // The old generation is gone; one compacted shard remains.
         let root = journal::v2_root(&dir);
         assert!(!root.join("gen-00000001").exists());
-        assert!(!root.join(journal::GC_LOCK).exists(), "lock released");
+        Lockfile::acquire(&root.join(journal::GC_LOCK)).expect("lock released");
         assert_eq!(shard_paths(&dir).len(), 1);
 
         // The compacted store serves everything.
@@ -486,10 +454,9 @@ fn gc_killed_at_every_io_op_leaves_old_or_new_generation_intact() {
                     kill_points += 1;
                 }
             }
-            assert!(
-                !root.join(journal::GC_LOCK).exists(),
-                "kill point {k}: the gc lock must never linger"
-            );
+            if let Err(e) = Lockfile::acquire(&root.join(journal::GC_LOCK)) {
+                panic!("kill point {k}: the gc lock must never linger: {e}");
+            }
             rebirth(&dir);
             let stats = journal::replay();
             assert_eq!(
@@ -537,12 +504,12 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
         journal::flush();
         let lock = journal::v2_root(&dir).join(journal::GC_LOCK);
 
-        // A live holder (our own pid) makes gc fail fast, store untouched.
-        std::fs::write(&lock, format!("{}\n", std::process::id())).unwrap();
+        // A live holder makes gc fail fast, store untouched.
+        let held = Lockfile::acquire(&lock).unwrap();
         let err = journal::gc().expect_err("live lock must refuse");
-        assert!(err.contains("held by live process"), "{err}");
+        assert!(err.contains("is held"), "{err}");
         assert!(journal::v2_root(&dir).join("gen-00000001").exists());
-        std::fs::remove_file(&lock).unwrap();
+        drop(held);
 
         // A stale holder (dead pid) is taken over.
         let dead_pid = std::process::Command::new("true")
@@ -556,7 +523,7 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
         std::fs::write(&lock, format!("{dead_pid}\n")).unwrap();
         let stats = journal::gc().expect("stale lock is taken over");
         assert_eq!(stats.live_cells, 3);
-        assert!(!lock.exists(), "lock released after gc");
+        Lockfile::acquire(&lock).expect("lock released after gc");
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,6 @@ use crate::heap::{Heap, PageSource};
 use std::collections::HashMap;
 use tint_hw::machine::MachineConfig;
 use tint_hw::pci::PciConfigSpace;
-use tint_hw::profile::{self, Component};
 use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, Rw, VirtAddr};
 use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
 use tint_kernel::{
@@ -399,7 +398,6 @@ impl System {
 
         // Any destroyed/changed translation bumps the kernel epoch, which
         // strands every slot filled earlier.
-        let tt = profile::start();
         let epoch = self.kernel.translation_epoch();
         let page = addr.page();
         let slot = Tlb::slot(vm, page.0);
@@ -418,7 +416,6 @@ impl System {
             };
             (tr.phys, tr.fault_cycles)
         };
-        profile::stop(Component::Tlb, tt);
         let detail = self.mem.access(core, phys, rw, now + fault_cycles);
         Ok(MemAccess {
             latency: fault_cycles + detail.latency,

@@ -40,7 +40,6 @@ pub mod decoder;
 pub mod fxhash;
 pub mod machine;
 pub mod pci;
-pub mod profile;
 pub mod rng;
 pub mod topology;
 pub mod types;

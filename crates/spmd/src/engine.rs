@@ -32,7 +32,6 @@
 
 use std::borrow::BorrowMut;
 use std::collections::VecDeque;
-use tint_hw::profile::{self, Component};
 use tint_hw::types::{CoreId, Rw, VirtAddr};
 use tint_kernel::{Errno, Tid};
 use tintmalloc::System;
@@ -325,7 +324,6 @@ fn run_team<W: WorkSource>(
     if n > TREE_LEAVES {
         return Err(Errno::Einval);
     }
-    let t0 = profile::start();
     let check_budget = |ops: u64| {
         assert!(
             ops <= ops_budget,
@@ -376,17 +374,14 @@ fn run_team<W: WorkSource>(
                 Op::Access { addr, rw } => {
                     cur.cur += 1;
                     ops += 1;
-                    let ta = profile::start();
                     let acc = match sys.access(tid, addr, rw, clock) {
                         Ok(a) => a,
                         Err(e) => {
                             threads[i].clock = clock;
                             rewind_fused_tails(threads, &cursors, pack_key(clock, i));
-                            profile::stop(Component::Engine, t0);
                             return Err(e);
                         }
                     };
-                    profile::stop(Component::Access, ta);
                     clock += acc.latency;
                 }
             }
@@ -405,7 +400,6 @@ fn run_team<W: WorkSource>(
     for t in threads.iter_mut() {
         t.clock = barrier;
     }
-    profile::stop(Component::Engine, t0);
     Ok(end)
 }
 

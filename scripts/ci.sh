@@ -10,6 +10,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== no retired perf tooling, no environment reads in libraries =="
+# Host-time performance has one instrument, the cold benchmark in
+# coldbench/; the self-profile and microbench tooling it replaced must not
+# grow back. Library code takes its configuration from its caller: only the
+# binaries read the environment, apart from the allowlisted sites below.
+# (The pathspec needs the trailing `/*`: git matches `crates/*/src` against
+# whole paths, so without it nothing under src/ would be searched.)
+if git grep -nE 'profile::|TINT_BENCH_QUICK|microbench::' -- crates; then
+    echo "FAIL: retired perf tooling is referenced again (matches above)" >&2
+    exit 1
+fi
+env_allowlist='^crates/bench/src/(simcache|journal)\.rs:'
+if git grep -n 'env::var' -- 'crates/*/src/*' ':!crates/bench/src/bin' | grep -vE "$env_allowlist"; then
+    echo "FAIL: library code reads the environment (matches above); parse it in the binary" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
