@@ -178,8 +178,50 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 // 2. A legacy v1 journal is ignored
 // ---------------------------------------------------------------------------
 
+/// A v1 file alone in the journal directory is reported but never read:
+/// replay finds no cells, GC leaves it byte-identical, and no migration
+/// marker or quarantine file appears.
 #[test]
 fn legacy_v1_file_is_left_untouched_and_not_replayed() {
+    let _g = LOCK.lock().unwrap();
+    let dir = scratch("v1-alone");
+    isolated(|| {
+        std::fs::create_dir_all(&dir).unwrap();
+        // The v1 magic, then arbitrary entry bytes.
+        let v1_path = dir.join(journal::V1_FILE_NAME);
+        let mut v1_bytes = b"TINTJNL1".to_vec();
+        v1_bytes.extend((0..200u32).map(|i| (i * 53) as u8));
+        std::fs::write(&v1_path, &v1_bytes).unwrap();
+
+        rebirth(&dir);
+        assert_eq!(journal::legacy_file(), Some(v1_path.clone()));
+        let stats = journal::replay();
+        assert_eq!(stats.replayed, 0, "a v1 file is not replayed");
+        assert_eq!(stats.shards, 0);
+        assert_eq!(stats.quarantined, 0);
+        let (k, _) = cell(0);
+        assert!(simcache::lookup(&k).is_none(), "no cell comes from v1");
+        journal::gc().expect("gc succeeds");
+        assert_eq!(
+            std::fs::read(&v1_path).unwrap(),
+            v1_bytes,
+            "the v1 file is left byte-identical"
+        );
+        for e in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = e.file_name().to_string_lossy().into_owned();
+            assert!(
+                name == journal::V1_FILE_NAME || name == journal::STORE_DIR,
+                "no marker or quarantine beside it: {name}"
+            );
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v1 file beside a v2 store contributes nothing: only the v2 shard
+/// replays, and the v1 file survives replay and GC byte-identical.
+#[test]
+fn v1_beside_a_v2_store_contributes_nothing() {
     let _g = LOCK.lock().unwrap();
     let dir = scratch("v1");
     isolated(|| {
