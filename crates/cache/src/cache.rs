@@ -4,6 +4,7 @@
 //! optionally records an owner tag (the core that filled it) so the shared
 //! LLC can attribute evictions to inter-task interference.
 
+use tint_hw::machine::MAX_ASSOC;
 use tint_hw::types::{CoreId, PhysAddr};
 
 /// Fibonacci multiplicative spread: mixes all input bits into the high
@@ -13,17 +14,16 @@ fn fibonacci_spread(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Bits a line address may occupy in a packed slot word: the low
-/// [`OWNER_BITS`] hold the owning core, the rest the line address (55-bit
-/// physical space / 64 B lines). Checked once per machine by
-/// `CacheHierarchy::new`, and per access in debug builds.
+/// Bits a stored line address may occupy in a slot word: the low
+/// [`OWNER_BITS`] hold the owning core, the rest `line_addr + 1` (the `+ 1`
+/// keeps every stored word nonzero, so an all-zero word is an empty slot).
+/// `CacheHierarchy::new` asserts once per machine that the highest line
+/// fits; debug builds check it per access.
 pub(crate) const ADDR_BITS: u32 = 56;
 /// Low bits of a slot word that hold the owning core.
 pub(crate) const OWNER_BITS: u32 = 8;
 /// Mask of the owner field.
 const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
-/// Mask a line address must fit under.
-const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 
 /// Result of a cache fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,24 +64,51 @@ pub enum IndexMode {
 ///
 /// Storage is one word per line: a flat `slots` array of `sets × assoc`
 /// words (set `i` owns `slots[i*assoc .. (i+1)*assoc]`), each packing
-/// `(line_addr << 8) | owner`, plus a per-set occupancy count — no per-set
-/// allocations, so a lookup, its move-to-MRU and an eviction all touch
-/// exactly one contiguous stride. Each occupied stride is kept in LRU
-/// order (most recent last); with the associativities in play (2–16) a
-/// rotate within the stride beats fancier structures.
+/// `((line_addr + 1) << 8) | owner`. An all-zero word is an empty slot, so
+/// the cache needs no occupancy count and a fresh cache is a zeroed
+/// allocation the OS commits lazily, page by page as sets are touched. A
+/// stride is kept in LRU order, most recent last, with its empty slots at
+/// the LRU end: a miss always shifts the whole stride down one slot and
+/// fills the MRU slot, and the word shifted out is the eviction (none when
+/// it is 0). Lookup, move-to-MRU and eviction are one fixed-width kernel,
+/// instantiated per way count (see `touch`).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Flat `(line_addr << 8) | owner` storage, `set_count * assoc` slots.
+    /// Flat `((line_addr + 1) << 8) | owner` storage, `set_count * assoc`
+    /// slots; 0 is an empty slot.
     slots: Vec<u64>,
-    /// Occupied slots per set (0..=assoc; assoc ≤ 255 asserted).
-    lens: Vec<u8>,
     set_count: usize,
     assoc: usize,
     line_shift: u32,
     set_mask: u64,
+    /// `64 −` the number of hashed index bits: the shift that takes the top
+    /// bits of a [`fibonacci_spread`] (all index bits for `Hash`, the bits
+    /// below the color field for `ColorHash`).
+    spread_shift: u32,
     index_mode: IndexMode,
     hits: u64,
     misses: u64,
+}
+
+/// Look `tag` (a stored `line_addr + 1`) up in one LRU-ordered set and
+/// touch it with `word`: a hit moves the line to the MRU end, a miss shifts
+/// the set down one slot and fills the MRU end. Returns whether it hit and
+/// the word that left the set (on a miss the LRU word, 0 when that slot
+/// was empty). The way count is a compile-time constant, so the scan and
+/// the shift unroll into straight-line code.
+#[inline(always)]
+fn touch<const A: usize>(set: &mut [u64; A], tag: u64, word: u64) -> (bool, u64) {
+    let hit = set.iter().position(|&w| w >> OWNER_BITS == tag);
+    let pos = hit.unwrap_or(0);
+    let out = set[pos];
+    // Shift every slot above `pos` down one, as selects over a fixed width.
+    for k in 0..A - 1 {
+        if k >= pos {
+            set[k] = set[k + 1];
+        }
+    }
+    set[A - 1] = word;
+    (hit.is_some(), out)
 }
 
 impl SetAssocCache {
@@ -92,6 +119,9 @@ impl SetAssocCache {
     }
 
     /// Build a cache with an explicit [`IndexMode`].
+    ///
+    /// Panics unless `sets` is a power of two and `assoc` is in
+    /// `1..=`[`MAX_ASSOC`].
     pub fn with_index_mode(
         sets: usize,
         assoc: usize,
@@ -99,34 +129,39 @@ impl SetAssocCache {
         index_mode: IndexMode,
     ) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(assoc > 0 && assoc <= u8::MAX as usize);
-        match index_mode {
+        assert!(
+            (1..=MAX_ASSOC).contains(&assoc),
+            "associativity {assoc} outside 1..={MAX_ASSOC}"
+        );
+        let idx_bits = sets.trailing_zeros();
+        let hashed_bits = match index_mode {
             IndexMode::ColorHash {
                 color_low,
                 color_bits,
             } => {
-                let idx_bits = sets.trailing_zeros();
                 assert!(
                     color_bits < idx_bits,
                     "color field must leave hash bits in the index"
                 );
                 assert!(color_low >= line_shift, "color field below the line offset");
+                idx_bits - color_bits
             }
             IndexMode::Hash => {
-                // `set_index` shifts by `64 - idx_bits`; a 1-set cache would
+                // The spread shifts by `64 - idx_bits`; a 1-set cache would
                 // shift by 64 (overflow). A 1-set cache is fully associative
                 // anyway — use Modulo for it.
                 assert!(sets >= 2, "hash indexing needs at least 2 sets");
+                idx_bits
             }
-            IndexMode::Modulo => {}
-        }
+            IndexMode::Modulo => 0,
+        };
         Self {
             slots: vec![0; sets * assoc],
-            lens: vec![0; sets],
             set_count: sets,
             assoc,
             line_shift,
             set_mask: (sets - 1) as u64,
+            spread_shift: 64 - hashed_bits,
             index_mode,
             hits: 0,
             misses: 0,
@@ -164,16 +199,14 @@ impl SetAssocCache {
         match self.index_mode {
             IndexMode::Modulo => ((addr.0 >> self.line_shift) & self.set_mask) as usize,
             IndexMode::Hash => {
-                let idx_bits = self.set_mask.count_ones();
                 let v = addr.0 >> self.line_shift;
-                (fibonacci_spread(v) >> (64 - idx_bits)) as usize
+                (fibonacci_spread(v) >> self.spread_shift) as usize
             }
             IndexMode::ColorHash {
                 color_low,
                 color_bits,
             } => {
-                let idx_bits = self.set_mask.count_ones();
-                let non_color = idx_bits - color_bits;
+                let non_color = 64 - self.spread_shift;
                 let color = (addr.0 >> color_low) & ((1u64 << color_bits) - 1);
                 // Every address bit above the line offset except the color
                 // field, concatenated and spread multiplicatively.
@@ -181,25 +214,28 @@ impl SetAssocCache {
                 let low = (addr.0 >> self.line_shift) & ((1u64 << low_bits) - 1);
                 let high = addr.0 >> (color_low + color_bits);
                 let v = (high << low_bits) | low;
-                let spread = fibonacci_spread(v) >> (64 - non_color);
+                let spread = fibonacci_spread(v) >> self.spread_shift;
                 ((color << non_color) | spread) as usize
             }
         }
     }
 
+    /// The stored tag of `addr`'s line: `line_addr + 1`, never 0.
     #[inline]
-    fn line_addr(&self, addr: PhysAddr) -> u64 {
-        let la = addr.0 >> self.line_shift;
-        debug_assert!(la <= ADDR_MASK, "line address must fit the packed field");
-        la
+    fn tag(&self, addr: PhysAddr) -> u64 {
+        let tag = (addr.0 >> self.line_shift) + 1;
+        debug_assert!(
+            tag < 1 << ADDR_BITS,
+            "line address must fit the packed field"
+        );
+        tag
     }
 
-    /// The occupied slots of `addr`'s set, and the set index.
+    /// The slots of `addr`'s set.
     #[inline]
-    fn stride(&self, addr: PhysAddr) -> (usize, std::ops::Range<usize>) {
-        let idx = self.set_index(addr);
-        let base = idx * self.assoc;
-        (idx, base..base + self.lens[idx] as usize)
+    fn stride(&self, addr: PhysAddr) -> std::ops::Range<usize> {
+        let base = self.set_index(addr) * self.assoc;
+        base..base + self.assoc
     }
 
     /// Look up and touch `addr` for `core`. On a hit the line moves to MRU;
@@ -209,53 +245,50 @@ impl SetAssocCache {
     /// Returns `(hit, eviction)`.
     pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (bool, Option<Eviction>) {
         debug_assert!(core.index() < 1 << OWNER_BITS, "owner must fit a byte");
-        let la = self.line_addr(addr);
-        let word = (la << OWNER_BITS) | core.index() as u64;
-        let (idx, range) = self.stride(addr);
-        let len = range.len();
-        let slots = &mut self.slots[range];
-        if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == la) {
-            // Hit: move to MRU (end), refresh owner.
-            slots[pos..].rotate_left(1);
-            slots[len - 1] = word;
+        let tag = self.tag(addr);
+        let word = (tag << OWNER_BITS) | core.index() as u64;
+        let set = self.set_index(addr);
+        // One instantiation of `touch` per way count; `assoc` is fixed per
+        // cache, so the branch is perfectly predicted.
+        macro_rules! dispatch {
+            ($($a:literal)*) => {
+                match self.assoc {
+                    $($a => touch::<$a>(&mut self.slots.as_chunks_mut::<$a>().0[set], tag, word),)*
+                    _ => unreachable!("associativity checked at construction"),
+                }
+            };
+        }
+        const _: () = assert!(MAX_ASSOC == 16, "instantiate `touch` for every way count");
+        let (hit, out) = dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        if hit {
             self.hits += 1;
             return (true, None);
         }
         self.misses += 1;
-        if len == self.assoc {
-            // Evict LRU (front), shift the rest down, fill the MRU slot.
-            let victim = slots[0];
-            slots.rotate_left(1);
-            slots[len - 1] = word;
-            (
-                false,
-                Some(Eviction {
-                    line_addr: victim >> OWNER_BITS,
-                    owner: CoreId((victim & OWNER_MASK) as usize),
-                }),
-            )
-        } else {
-            self.slots[idx * self.assoc + len] = word;
-            self.lens[idx] = (len + 1) as u8;
-            (false, None)
-        }
+        let eviction = (out != 0).then(|| Eviction {
+            line_addr: (out >> OWNER_BITS) - 1,
+            owner: CoreId((out & OWNER_MASK) as usize),
+        });
+        (false, eviction)
     }
 
     /// Non-mutating lookup: does the cache currently hold `addr`?
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let la = self.line_addr(addr);
-        let (_, range) = self.stride(addr);
-        self.slots[range].iter().any(|&w| w >> OWNER_BITS == la)
+        let tag = self.tag(addr);
+        self.slots[self.stride(addr)]
+            .iter()
+            .any(|&w| w >> OWNER_BITS == tag)
     }
 
-    /// Drop a line if present (used for invalidation tests).
+    /// Drop a line if present (used for invalidation tests). The slots on
+    /// its LRU side move up one, keeping the empty slots at the LRU end.
     pub fn invalidate(&mut self, addr: PhysAddr) -> bool {
-        let la = self.line_addr(addr);
-        let (idx, range) = self.stride(addr);
+        let tag = self.tag(addr);
+        let range = self.stride(addr);
         let slots = &mut self.slots[range];
-        if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == la) {
-            slots[pos..].rotate_left(1);
-            self.lens[idx] -= 1;
+        if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == tag) {
+            slots[..=pos].rotate_right(1);
+            slots[0] = 0;
             true
         } else {
             false
@@ -264,16 +297,14 @@ impl SetAssocCache {
 
     /// Number of resident lines (for occupancy assertions).
     pub fn resident_lines(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        self.slots.iter().filter(|&&w| w != 0).count()
     }
 
     /// Number of resident lines owned by `core`.
     pub fn resident_lines_of(&self, core: CoreId) -> usize {
-        self.lens
+        self.slots
             .iter()
-            .enumerate()
-            .flat_map(|(i, &len)| &self.slots[i * self.assoc..i * self.assoc + len as usize])
-            .filter(|&&w| (w & OWNER_MASK) as usize == core.index())
+            .filter(|&&w| w != 0 && (w & OWNER_MASK) as usize == core.index())
             .count()
     }
 
@@ -285,7 +316,7 @@ impl SetAssocCache {
 
     /// Empty the cache and reset stats.
     pub fn flush(&mut self) {
-        self.lens.fill(0);
+        self.slots.fill(0);
         self.reset_stats();
     }
 }

@@ -40,8 +40,8 @@ impl CacheHierarchy {
     /// Build the hierarchy described by `m`.
     ///
     /// Panics if the machine does not fit the packed slot word
-    /// (`(line_addr << 8) | owner`): more than 256 cores, or a highest line
-    /// address wider than 56 bits.
+    /// (`((line_addr + 1) << 8) | owner`): more than 256 cores, or a
+    /// highest line address whose successor needs more than 56 bits.
     pub fn new(m: &MachineConfig) -> Self {
         let line = m.mapping.line_size();
         let shift = m.mapping.line_shift;
@@ -52,7 +52,7 @@ impl CacheHierarchy {
         );
         let top_line = m.mapping.total_bytes().saturating_sub(1) >> shift;
         assert!(
-            top_line < 1 << crate::cache::ADDR_BITS,
+            top_line + 1 < 1 << crate::cache::ADDR_BITS,
             "line address {top_line:#x} does not fit the cache's 56-bit line field"
         );
         // Private levels are hash-indexed so their placement is independent
@@ -296,7 +296,7 @@ mod tests {
             .compose_frame(tint_hw::types::BankColor(0), LlcColor(2), 0);
         let l3_sets = h.l3().set_count();
         let sets_per_color = l3_sets / m.mapping.llc_color_count();
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for off in (0..4096).step_by(64) {
             let a = f.at(off);
             used.insert(h.l3().set_index(a));

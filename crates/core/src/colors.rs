@@ -264,8 +264,8 @@ mod tests {
         (m, cores)
     }
 
-    fn assert_disjoint<T: Eq + std::hash::Hash + Copy>(sets: &[Vec<T>]) {
-        let mut seen = std::collections::HashSet::new();
+    fn assert_disjoint<T: Ord + Copy>(sets: &[Vec<T>]) {
+        let mut seen = std::collections::BTreeSet::new();
         for s in sets {
             for &x in s {
                 assert!(seen.insert(x), "color assigned to two threads");
@@ -341,7 +341,7 @@ mod tests {
         for (i, p) in plan.iter().enumerate() {
             assert_eq!(p.mem.len(), 8);
             // The stride spreads every thread's banks over all 4 nodes.
-            let nodes: std::collections::HashSet<_> = p
+            let nodes: std::collections::BTreeSet<_> = p
                 .mem
                 .iter()
                 .map(|&bc| m.mapping.node_of_bank_color(bc))
@@ -419,7 +419,7 @@ mod tests {
         for p in &plan {
             assert!(p.llc.is_empty(), "PALLOC does not color the LLC");
             assert_eq!(p.mem.len(), 8);
-            let nodes: std::collections::HashSet<_> = p
+            let nodes: std::collections::BTreeSet<_> = p
                 .mem
                 .iter()
                 .map(|&bc| m.mapping.node_of_bank_color(bc))

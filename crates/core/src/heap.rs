@@ -8,7 +8,7 @@
 //! currently restricted to serve only order-zero requests ... which suffices
 //! to handle all ordinary user heap requests".
 
-use std::collections::HashMap;
+use tint_hw::fxhash::FxHashMap;
 use tint_hw::types::{VirtAddr, PAGE_SIZE};
 
 /// Size classes for small allocations (bytes). Larger requests are served
@@ -39,7 +39,7 @@ pub trait PageSource {
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
     free_lists: [Vec<VirtAddr>; SIZE_CLASSES.len()],
-    allocs: HashMap<u64, AllocMeta>,
+    allocs: FxHashMap<u64, AllocMeta>,
     /// Bytes handed out and not yet freed.
     bytes_in_use: u64,
     /// Pages requested from the kernel (slabs + large allocations).

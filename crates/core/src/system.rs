@@ -14,7 +14,6 @@
 
 use crate::colors::ThreadColors;
 use crate::heap::{Heap, PageSource};
-use std::collections::HashMap;
 use tint_hw::machine::MachineConfig;
 use tint_hw::pci::PciConfigSpace;
 use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, Rw, VirtAddr};
@@ -42,7 +41,10 @@ pub struct System {
     machine: MachineConfig,
     kernel: Kernel,
     mem: MemorySystem,
-    heaps: HashMap<Tid, Heap>,
+    /// `tid.0` → the task's heap arena, `None` once it exited (tids are
+    /// small, sequential and never reused, as in [`Tlb::tasks`]). Boxed, so
+    /// a slot costs one word for every tid ever issued, not a whole heap.
+    heaps: Vec<Option<Box<Heap>>>,
     tlb: Tlb,
 }
 
@@ -130,6 +132,14 @@ impl PageSource for KernelPages<'_> {
     }
 }
 
+/// `tid`'s heap arena in [`System::heaps`].
+fn heap_mut(heaps: &mut [Option<Box<Heap>>], tid: Tid) -> Result<&mut Heap, Errno> {
+    match heaps.get_mut(tid.0 as usize) {
+        Some(Some(heap)) => Ok(heap),
+        _ => Err(Errno::Esrch),
+    }
+}
+
 impl System {
     /// Boot the machine: program the PCI configuration space the way the
     /// BIOS would and let the kernel derive the address mapping from it at
@@ -149,7 +159,7 @@ impl System {
             machine,
             kernel,
             mem,
-            heaps: HashMap::new(),
+            heaps: Vec::new(),
             tlb: Tlb::default(),
         }
     }
@@ -178,7 +188,7 @@ impl System {
     /// empty heap (a new process / OpenMP group leader).
     pub fn spawn(&mut self, core: CoreId) -> Tid {
         let tid = self.kernel.create_task(core);
-        self.heaps.insert(tid, Heap::new());
+        self.new_heap(tid);
         tid
     }
 
@@ -188,8 +198,28 @@ impl System {
     /// by owner applies.
     pub fn spawn_thread(&mut self, core: CoreId, leader: Tid) -> Result<Tid, Errno> {
         let tid = self.kernel.create_thread(core, leader)?;
-        self.heaps.insert(tid, Heap::new());
+        self.new_heap(tid);
         Ok(tid)
+    }
+
+    /// Give a fresh task an empty heap arena.
+    fn new_heap(&mut self, tid: Tid) {
+        let ti = tid.0 as usize;
+        if ti >= self.heaps.len() {
+            self.heaps.resize_with(ti + 1, || None);
+        }
+        self.heaps[ti] = Some(Box::default());
+    }
+
+    /// Drop a dead task's heap arena and cached TLB task entry.
+    fn forget(&mut self, tid: Tid) {
+        let ti = tid.0 as usize;
+        if let Some(heap) = self.heaps.get_mut(ti) {
+            *heap = None;
+        }
+        if let Some(task) = self.tlb.tasks.get_mut(ti) {
+            *task = None;
+        }
     }
 
     /// The paper's one-line initialization call for a memory color:
@@ -258,11 +288,7 @@ impl System {
     /// die with it, so a later syscall on the dead tid is a clean `ESRCH`.
     pub fn oom_kill(&mut self, policy: VictimPolicy) -> Result<OomKill, Errno> {
         let kill = self.kernel.oom_kill(policy)?;
-        self.heaps.remove(&kill.victim);
-        let ti = kill.victim.0 as usize;
-        if ti < self.tlb.tasks.len() {
-            self.tlb.tasks[ti] = None;
-        }
+        self.forget(kill.victim);
         Ok(kill)
     }
 
@@ -300,7 +326,7 @@ impl System {
 
     /// Allocate `size` bytes on `tid`'s heap (plain `malloc`).
     pub fn malloc(&mut self, tid: Tid, size: u64) -> Result<VirtAddr, Errno> {
-        let heap = self.heaps.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let heap = heap_mut(&mut self.heaps, tid)?;
         heap.malloc(
             &mut KernelPages {
                 kernel: &mut self.kernel,
@@ -312,7 +338,7 @@ impl System {
 
     /// `calloc(count, size)`.
     pub fn calloc(&mut self, tid: Tid, count: u64, size: u64) -> Result<VirtAddr, Errno> {
-        let heap = self.heaps.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let heap = heap_mut(&mut self.heaps, tid)?;
         heap.calloc(
             &mut KernelPages {
                 kernel: &mut self.kernel,
@@ -325,7 +351,7 @@ impl System {
 
     /// `realloc(addr, new_size)`.
     pub fn realloc(&mut self, tid: Tid, addr: VirtAddr, new_size: u64) -> Result<VirtAddr, Errno> {
-        let heap = self.heaps.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let heap = heap_mut(&mut self.heaps, tid)?;
         heap.realloc(
             &mut KernelPages {
                 kernel: &mut self.kernel,
@@ -338,7 +364,7 @@ impl System {
 
     /// `free(addr)`.
     pub fn free(&mut self, tid: Tid, addr: VirtAddr) -> Result<(), Errno> {
-        let heap = self.heaps.get_mut(&tid).ok_or(Errno::Esrch)?;
+        let heap = heap_mut(&mut self.heaps, tid)?;
         heap.free(
             &mut KernelPages {
                 kernel: &mut self.kernel,
@@ -350,7 +376,10 @@ impl System {
 
     /// The task's heap (stats).
     pub fn heap(&self, tid: Tid) -> Result<&Heap, Errno> {
-        self.heaps.get(&tid).ok_or(Errno::Esrch)
+        match self.heaps.get(tid.0 as usize) {
+            Some(Some(heap)) => Ok(heap),
+            _ => Err(Errno::Esrch),
+        }
     }
 
     /// Exit a task: drop its heap arena and cached TLB task entry, then let
@@ -362,11 +391,7 @@ impl System {
     /// reclaims wholesale.
     pub fn exit(&mut self, tid: Tid) -> Result<(), Errno> {
         self.kernel.sys_exit(tid)?;
-        self.heaps.remove(&tid);
-        let ti = tid.0 as usize;
-        if ti < self.tlb.tasks.len() {
-            self.tlb.tasks[ti] = None;
-        }
+        self.forget(tid);
         Ok(())
     }
 

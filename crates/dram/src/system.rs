@@ -85,6 +85,12 @@ impl DramSystem {
         self.stats = DramStats::new(self.mapping.bank_color_count(), self.mapping.node_count());
     }
 
+    /// Home node of the frame holding `addr`.
+    #[inline]
+    pub fn home_node(&self, addr: PhysAddr) -> NodeId {
+        self.decoder.node_of_frame(addr.frame())
+    }
+
     /// Serve an access to `addr` arriving at the memory system at cycle
     /// `now`. `rw` currently shares timing between reads and writes (the
     /// paper's synthetic benchmark measures write latency; the row-buffer
@@ -99,7 +105,7 @@ impl DramSystem {
         let node = NodeId(d.node as usize);
         let bc = BankColor(d.bank_color);
         let chan = d.global_channel as usize;
-        let row = self.decoder.dram_row(frame);
+        let row = self.decoder.dram_row(frame, d);
 
         // 1. Controller front-end: demultiplexes requests serially (§II.B).
         let ctrl_start = now.max(self.ctrl_free_at[node.index()]);

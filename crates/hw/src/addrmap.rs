@@ -527,7 +527,7 @@ mod tests {
         assert_ne!(d0.bank_color, d1.bank_color, "channel rotates first");
         assert_eq!(d0.llc_color, d1.llc_color);
         // 16 consecutive frames cover 16 distinct bank colors.
-        let colors: std::collections::HashSet<_> = (0..16)
+        let colors: std::collections::BTreeSet<_> = (0..16)
             .map(|f| m.decode_frame(FrameNumber(f)).bank_color)
             .collect();
         assert_eq!(colors.len(), 16);

@@ -94,12 +94,12 @@ impl FrameDecoder {
         NodeId(self.info(frame).node as usize)
     }
 
-    /// The DRAM row id opened by an access to `frame` — matches
-    /// [`AddressMapping::decode`]'s `row` (LLC bits folded into the row id).
+    /// The DRAM row id opened by an access to `frame`, whose fields are
+    /// `info` (from [`Self::info`]) — matches [`AddressMapping::decode`]'s
+    /// `row` (LLC bits folded into the row id).
     #[inline]
-    pub fn dram_row(&self, frame: FrameNumber) -> u64 {
-        let llc = self.info(frame).llc_color as u64;
-        ((frame.0 >> self.low_bits) << self.llc_bits) | llc
+    pub fn dram_row(&self, frame: FrameNumber, info: FrameInfo) -> u64 {
+        ((frame.0 >> self.low_bits) << self.llc_bits) | info.llc_color as u64
     }
 
     /// Drop-in equivalent of [`AddressMapping::decode_frame`].
@@ -213,7 +213,7 @@ mod tests {
                 let slow = m.decode_frame(f);
                 assert_eq!(dec.decode_frame(f), slow);
                 assert_eq!(dec.node_of_frame(f), slow.node);
-                assert_eq!(dec.dram_row(f), m.decode(f.base()).row);
+                assert_eq!(dec.dram_row(f, dec.info(f)), m.decode(f.base()).row);
                 let i = dec.info(f);
                 let (n, c, ..) = m.coords_of_bank_color(slow.bank_color);
                 assert_eq!(i.node as usize, n.index());

@@ -9,12 +9,16 @@
 use crate::addrmap::AddressMapping;
 use crate::topology::Topology;
 
+/// The widest associativity a cache level may have: the cache simulator
+/// keeps one fixed-width set kernel per way count in `1..=MAX_ASSOC`.
+pub const MAX_ASSOC: usize = 16;
+
 /// Geometry and hit latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevelConfig {
     /// Capacity in bytes.
     pub bytes: u64,
-    /// Associativity (ways).
+    /// Associativity (ways), in `1..=`[`MAX_ASSOC`].
     pub assoc: usize,
     /// Hit latency in core cycles.
     pub latency: u64,
@@ -248,6 +252,17 @@ impl MachineConfig {
             self.mapping.node_count(),
             "topology and address mapping disagree on the number of nodes"
         );
+        for (name, lvl) in [
+            ("L1", &self.cache.l1),
+            ("L2", &self.cache.l2),
+            ("L3", &self.cache.l3),
+        ] {
+            assert!(
+                (1..=MAX_ASSOC).contains(&lvl.assoc),
+                "{name} associativity {} outside 1..={MAX_ASSOC}",
+                lvl.assoc
+            );
+        }
         let line = self.mapping.line_size();
         // L3 set-index bits must cover the LLC color bits, otherwise LLC
         // coloring cannot partition the cache (paper §III.A).
@@ -322,6 +337,22 @@ mod tests {
     fn too_small_llc_rejected() {
         let mut m = MachineConfig::tiny();
         m.cache.l3.bytes = 4 << 10; // 32 sets: index top = bit 11 < color top 15
+        m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 associativity 0 outside 1..=16")]
+    fn zero_ways_rejected() {
+        let mut m = MachineConfig::tiny();
+        m.cache.l2.assoc = 0;
+        m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "L3 associativity 17 outside 1..=16")]
+    fn seventeen_ways_rejected() {
+        let mut m = MachineConfig::tiny();
+        m.cache.l3.assoc = 17;
         m.validate();
     }
 

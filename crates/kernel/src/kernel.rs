@@ -1857,7 +1857,7 @@ mod tests {
         let tid = k.create_task(CoreId(0));
         k.sys_mmap(tid, SET_LLC_COLOR | 3, 0, COLOR_ALLOC).unwrap();
         let base = k.sys_mmap(tid, 0, 4096 * 4, 0).unwrap();
-        let mut banks_seen = std::collections::HashSet::new();
+        let mut banks_seen = std::collections::BTreeSet::new();
         for p in 0..4u64 {
             let t = k.translate(tid, base.offset(p * 4096)).unwrap();
             let d = k.mapping().decode_frame(t.phys.frame());
@@ -2181,7 +2181,7 @@ mod tests {
         assert_eq!(out.frame.0 % 8, 0, "aligned buddy block");
         // The block's pages span multiple colors: it did NOT come from the
         // color lists.
-        let colors: std::collections::HashSet<_> = (0..8)
+        let colors: std::collections::BTreeSet<_> = (0..8)
             .map(|i| {
                 k.mapping()
                     .decode_frame(FrameNumber(out.frame.0 + i))

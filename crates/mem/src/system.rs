@@ -3,7 +3,6 @@
 use crate::stats::MemStats;
 use tint_cache::{CacheHierarchy, HitLevel};
 use tint_dram::{DramAccess, DramSystem};
-use tint_hw::decoder::FrameDecoder;
 use tint_hw::machine::MachineConfig;
 use tint_hw::types::{CoreId, NodeId, PhysAddr, Rw};
 
@@ -26,8 +25,6 @@ pub struct AccessResult {
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MachineConfig,
-    /// Precomputed home-node decode for the access inner loop.
-    decoder: FrameDecoder,
     hierarchy: CacheHierarchy,
     dram: DramSystem,
     /// Per-node HT port availability: remote requests into a node serialize
@@ -45,7 +42,6 @@ impl MemorySystem {
         let nodes = config.topology.node_count();
         let cores = config.topology.core_count();
         Self {
-            decoder: FrameDecoder::new(&config.mapping),
             config,
             hierarchy,
             dram,
@@ -64,7 +60,7 @@ impl MemorySystem {
     /// (see DESIGN.md).
     pub fn access(&mut self, core: CoreId, addr: PhysAddr, rw: Rw, now: u64) -> AccessResult {
         let (level, hier_cycles) = self.hierarchy.access(core, addr);
-        let home_node = self.decoder.node_of_frame(addr.frame());
+        let home_node = self.dram.home_node(addr);
 
         let result = if level == HitLevel::Memory {
             let hops = self.config.topology.hops(core, home_node);

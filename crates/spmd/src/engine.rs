@@ -11,7 +11,9 @@
 //!   [`SectionBody::fill`] (one virtual call per [`BATCH_OPS`] ops);
 //! * the scheduler is a 16-leaf winner tree over packed `(clock, index)`
 //!   keys with a *still-minimum* fast path;
-//! * consecutive `Compute` ops are fused into one clock add.
+//! * a thread's step is one access plus the run of `Compute` ops that
+//!   follows it in the current batch, all fused into the clock before the
+//!   thread is re-keyed.
 //!
 //! The result is bit-identical to the one-op-at-a-time min-heap loops
 //! the engine started from; those loops now live in this crate's tests as
@@ -23,12 +25,17 @@
 //! smaller than every other runnable thread's `(clock, index)` key, that
 //! pop returns *i* again — so the engine just keeps draining thread *i*
 //! and only re-picks when its key rises past the runner-up's.
-//! Why compute fusion is safe: `Compute` ops touch nothing but the local
-//! clock, and the memory system observes only `(access order, issue
-//! cycle)` pairs, which depend on clock values alone — summing consecutive
-//! compute increments changes neither. Only when an access fails
-//! mid-section can fusion show: a thread may have run computes the heap
-//! loop had not started yet, and the error path rewinds them.
+//! Why compute fusion is safe, also past the runner-up's key: `Compute`
+//! ops touch nothing but the local clock, and the memory system observes
+//! only `(access order, issue cycle)` pairs. A thread that absorbs the
+//! computes after its access re-enters the tree keyed at its next
+//! access's issue time — the key the heap loop would give that access —
+//! so every access keeps its place in `(clock, index)` order, and other
+//! threads' accesses cannot tell when the computes ran. The run stops at
+//! the batch end: a refill (and a dynamic chunk pull) waits until the
+//! thread is the minimum again, as in the heap loop. Only when an access
+//! fails mid-section can fusion show: a thread may have run computes the
+//! heap loop had not started yet, and the error path rewinds them.
 
 use std::borrow::BorrowMut;
 use std::collections::VecDeque;
@@ -287,8 +294,9 @@ impl WorkSource for Dynamic<'_> {
 /// `failed`. Compute fusion can run past that point only in the fused run
 /// that ended a thread's latest stint as the minimum (every earlier op
 /// started below the runner-up, hence below `failed`). Consecutive
-/// computes in a batch always form one fused run, so that run is the
-/// computes right before the thread's cursor. Replaying it stops each
+/// computes in a batch always form one fused run — whether they open the
+/// batch or follow an access — so that run is the computes right before
+/// the thread's cursor. Replaying it stops each
 /// clock where the one-op-at-a-time loop would; for a finished thread, and
 /// for the failing one (its last op is the access), it changes nothing.
 fn rewind_fused_tails(threads: &mut [SimThread], cursors: &[BodyCursor], failed: u64) {
@@ -353,38 +361,28 @@ fn run_team<W: WorkSource>(
                     break;
                 }
             }
-            let batch = &cur.buf[..cur.len];
-            match batch[cur.cur] {
-                Op::Compute(c) => {
-                    // Fuse the run of consecutive Compute ops: no memory
-                    // side effects, so one clock add covers them all.
-                    cur.cur += 1;
-                    ops += 1;
-                    let mut add = c;
-                    while cur.cur < cur.len {
-                        let Op::Compute(c2) = batch[cur.cur] else {
-                            break;
-                        };
-                        add += c2;
-                        cur.cur += 1;
-                        ops += 1;
+            // One step: at most one access, then the run of computes that
+            // follows it in this batch (or that opens the batch). The run is
+            // never extended by a refill: a refill, and with it a dynamic
+            // chunk pull, happens only while the thread is the minimum.
+            let first = cur.cur;
+            if let Op::Access { addr, rw } = cur.buf[cur.cur] {
+                cur.cur += 1;
+                let acc = match sys.access(tid, addr, rw, clock) {
+                    Ok(a) => a,
+                    Err(e) => {
+                        threads[i].clock = clock;
+                        rewind_fused_tails(threads, &cursors, pack_key(clock, i));
+                        return Err(e);
                     }
-                    clock += add;
-                }
-                Op::Access { addr, rw } => {
-                    cur.cur += 1;
-                    ops += 1;
-                    let acc = match sys.access(tid, addr, rw, clock) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            threads[i].clock = clock;
-                            rewind_fused_tails(threads, &cursors, pack_key(clock, i));
-                            return Err(e);
-                        }
-                    };
-                    clock += acc.latency;
-                }
+                };
+                clock += acc.latency;
             }
+            while let Some(&Op::Compute(c)) = cur.buf[..cur.len].get(cur.cur) {
+                clock += c;
+                cur.cur += 1;
+            }
+            ops += (cur.cur - first) as u64;
             check_budget(ops);
             // Still-minimum fast path: one compare against the runner-up.
             let key = pack_key(clock, i);

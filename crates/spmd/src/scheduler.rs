@@ -40,7 +40,7 @@
 //! outcome: see [`ChurnOutcome`].
 
 use crate::engine::{Op, SectionBody};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use tint_hw::types::CoreId;
 use tint_kernel::{AuditCursor, Errno, MemPressure, Tid, VictimPolicy, MAX_ORDER};
 use tintmalloc::System;
@@ -270,7 +270,7 @@ impl RoundRobin {
         let mut cursor = AuditCursor::default();
         // Tasks destroyed by the OOM killer while parked in a run queue;
         // their stale queue entries are skipped when popped.
-        let mut killed: HashSet<Tid> = HashSet::new();
+        let mut killed: BTreeSet<Tid> = BTreeSet::new();
         let mut cores: Vec<CoreState<'a>> = Vec::new();
         for job in jobs {
             let idx = job.core.0;

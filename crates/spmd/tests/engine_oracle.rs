@@ -483,3 +483,135 @@ fn budgets_count_the_same_operations() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Absorbed compute runs
+// ---------------------------------------------------------------------------
+
+/// One access into `base`'s array.
+fn access(rng: &mut SplitMix64, base: VirtAddr) -> Op {
+    Op::Access {
+        addr: base.offset(rng.gen_range(PAGES * 4096 / 64) * 64),
+        rw: if rng.gen_range(3) == 0 {
+            Rw::Write
+        } else {
+            Rw::Read
+        },
+    }
+}
+
+/// A run of 0–70 computes, a third of them zero-cycle (clock ties).
+fn compute_run(rng: &mut SplitMix64) -> Vec<Op> {
+    let len = rng.gen_range(71);
+    (0..len)
+        .map(|_| Op::Compute(rng.gen_range(3) * rng.gen_range(90)))
+        .collect()
+}
+
+/// At least `len` ops that alternate an access with a run of 0–70
+/// computes: the runs a thread absorbs after its access often straddle
+/// the `BATCH_OPS` boundary and carry its clock past the runner-up's.
+fn alternating_ops(rng: &mut SplitMix64, base: VirtAddr, len: u64) -> Vec<Op> {
+    let mut ops = Vec::new();
+    while (ops.len() as u64) < len {
+        ops.push(access(rng, base));
+        ops.extend(compute_run(rng));
+    }
+    ops
+}
+
+/// Static bodies, dynamic chunks and serial bodies built from alternating
+/// access/compute-run ops; every dynamic chunk ends in a compute run.
+#[test]
+fn absorbed_compute_runs_match_reference() {
+    for n in [1, 2, 3, 5, 8, 16] {
+        for seed in 0..4u64 {
+            let seed = seed ^ ((n as u64) << 8) ^ 0xAB50;
+            let bodies = move |a: &[VirtAddr]| -> Vec<Vec<Op>> {
+                let mut rng = SplitMix64::new(seed);
+                a.iter()
+                    .map(|&base| {
+                        let len = rng.gen_range(400);
+                        alternating_ops(&mut rng, base, len)
+                    })
+                    .collect()
+            };
+            let chunks = move |a: &[VirtAddr]| -> Vec<Vec<Op>> {
+                let mut rng = SplitMix64::new(seed);
+                (0..2 * a.len() + 3)
+                    .map(|k| {
+                        let base = a[k % a.len()];
+                        let len = rng.gen_range(150);
+                        let mut ops = alternating_ops(&mut rng, base, len);
+                        ops.push(Op::Compute(1 + rng.gen_range(50)));
+                        ops
+                    })
+                    .collect()
+            };
+            assert_matches(Kind::Static, n, &bodies);
+            assert_matches(Kind::Dynamic, n, &chunks);
+            assert_matches(Kind::Serial, n, &|a| bodies(&a[..1]));
+        }
+    }
+}
+
+/// Dynamic chunks that end in compute runs of every length around the
+/// batch boundary, including chunks that are exactly one or two batches
+/// long: a thread that absorbs the run to its chunk's end must still pull
+/// its next chunk only once it is the minimum again.
+#[test]
+fn dynamic_chunks_ending_in_computes_match_reference() {
+    for n in [2, 3, 4, 16] {
+        let chunks = |a: &[VirtAddr]| -> Vec<Vec<Op>> {
+            let mut rng = SplitMix64::new(0xC4C ^ a.len() as u64);
+            (0..3 * a.len() + 1)
+                .map(|k| {
+                    let tail = [0, 1, 62, 63, 64, 65, 127, 128][k % 8];
+                    let head = rng.gen_range(3) as usize;
+                    let mut ops: Vec<Op> = (0..head)
+                        .flat_map(|_| [access(&mut rng, a[k % a.len()]), Op::Compute(7)])
+                        .collect();
+                    ops.push(access(&mut rng, a[k % a.len()]));
+                    ops.extend((0..tail).map(|j| Op::Compute(j as u64 % 5)));
+                    ops
+                })
+                .collect()
+        };
+        assert_matches(Kind::Dynamic, n, &chunks);
+    }
+}
+
+/// Thread 0 accesses, then absorbs a run of 70 computes that crosses the
+/// batch boundary; thread 1's access fails at a time inside that run. The
+/// engine must leave thread 0's clock where the oracle's one-op-at-a-time
+/// loop stopped it, whichever compute the failure lands on.
+#[test]
+fn efault_after_an_absorbed_run_matches_reference() {
+    for fail_at in (0..9_000).step_by(373) {
+        let mk = move |a: &[VirtAddr]| -> Vec<Vec<Op>> {
+            let mut first = vec![Op::Access {
+                addr: a[0],
+                rw: Rw::Write,
+            }];
+            first.extend((0..70).map(|j| Op::Compute(60 + j % 90)));
+            first.push(Op::Access {
+                addr: a[0],
+                rw: Rw::Read,
+            });
+            let second = vec![
+                Op::Compute(fail_at),
+                Op::Access {
+                    addr: UNMAPPED,
+                    rw: Rw::Read,
+                },
+            ];
+            vec![first, second]
+        };
+        for kind in [Kind::Static, Kind::Dynamic] {
+            let engine = drive(kind, 2, false, u64::MAX, &mk);
+            assert_eq!(engine.result, Err(Errno::Efault), "{kind:?} at {fail_at}");
+            let oracle = drive(kind, 2, true, u64::MAX, &mk);
+            assert_eq!(engine, oracle, "{kind:?} at {fail_at}");
+        }
+    }
+}

@@ -103,7 +103,7 @@ mod tests {
     fn node_counts_match_on_opteron() {
         let m = MachineConfig::opteron_6128();
         for cfg in PinConfig::ALL {
-            let nodes: std::collections::HashSet<_> = cfg
+            let nodes: std::collections::BTreeSet<_> = cfg
                 .cores()
                 .iter()
                 .map(|&c| m.topology.node_of_core(c))

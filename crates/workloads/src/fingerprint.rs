@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn nearby_integers_spread_apart() {
         // The SplitMix finisher must decorrelate consecutive sizes (the
-        // cache HashMap feeds these through its own hasher, but a degenerate
+        // cell cache's map feeds these through its own hasher, but a degenerate
         // fingerprint would still cluster keys).
         let h: Vec<u64> = (0..16u64)
             .map(|i| Fingerprint::new("x").u64(4096 * i).finish())

@@ -26,6 +26,16 @@ if git grep -n 'env::var' -- 'crates/*/src/*' ':!crates/bench/src/bin' | grep -v
     echo "FAIL: library code reads the environment (matches above); parse it in the binary" >&2
     exit 1
 fi
+# The simulator crates hold no randomly seeded std maps, in tests either:
+# their iteration order changes from process to process, so one loop over
+# them can leak into output. Use `tint_hw::fxhash::FxHashMap` (unseeded;
+# fxhash.rs is where it is built on std's map) or a BTreeMap/BTreeSet.
+sim_src=()
+for c in hw cache core kernel mem dram spmd workloads; do sim_src+=("crates/$c/src/*"); done
+if git grep -nwE 'HashMap|HashSet' -- "${sim_src[@]}" ':!crates/hw/src/fxhash.rs'; then
+    echo "FAIL: a simulator crate uses std HashMap/HashSet (matches above); use FxHashMap or a BTree map" >&2
+    exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check
