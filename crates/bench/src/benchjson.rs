@@ -22,10 +22,11 @@
 //!   renamed to `<path>.corrupt` and treated as absent.
 //!
 //! The `repro` binary supplies the measurements ([`CmdRecord`]) and the
-//! run-wide counters ([`InvocationMeta`]); this module never reads global
+//! run-wide counters ([`InvocationMeta`]); this module reads no other
 //! state, which is what makes interleaved-writer tests possible.
 
 use crate::lockfile::Lockfile;
+use crate::runner::Stats;
 use crate::table::Table;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,25 +49,19 @@ pub struct CmdRecord {
     pub cache_misses: u64,
 }
 
-/// Run-wide counters for the `invocation` block, collected by the caller
-/// (the `repro` binary snapshots its global counters into this).
+/// Run-wide facts for the `invocation` block, collected by the caller
+/// (the `repro` binary snapshots its harness into this).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InvocationMeta {
     pub jobs: usize,
     pub cache_enabled: bool,
     pub journal_enabled: bool,
     pub journal_replayed: u64,
-    pub journal_hits: u64,
-    pub journal_appends: u64,
     /// The journal disarmed itself after persistent io failure
     /// (`TINT_HOST_FAULT=io:...`) — the run still completed correctly.
     pub journal_io_disarmed: bool,
-    pub poisoned_cells: u64,
-    pub host_faults_injected: u64,
-    pub retries_used: u64,
-    pub oom_kills: u64,
-    pub admission_rejects: u64,
-    pub alloc_retries: u64,
+    /// The harness's run counters at the end of the run.
+    pub stats: Stats,
 }
 
 /// Minimal JSON string escaping (command names are ASCII, but be correct).
@@ -325,15 +320,15 @@ pub fn write_bench_json(
         meta.cache_enabled,
         meta.journal_enabled,
         meta.journal_replayed,
-        meta.journal_hits,
-        meta.journal_appends,
+        meta.stats.journal_hits,
+        meta.stats.journal_appends,
         meta.journal_io_disarmed,
-        meta.poisoned_cells,
-        meta.host_faults_injected,
-        meta.retries_used,
-        meta.oom_kills,
-        meta.admission_rejects,
-        meta.alloc_retries,
+        meta.stats.poisoned,
+        meta.stats.faults_injected,
+        meta.stats.retries,
+        meta.stats.oom_kills,
+        meta.stats.admission_rejects,
+        meta.stats.alloc_retries,
     ));
     s.push_str(&format!(
         "  \"total\": {{\"wall_ms\": {total_ms:.3}, \"sim_cycles\": {total_cycles}}}\n"

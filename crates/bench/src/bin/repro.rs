@@ -32,14 +32,16 @@
 //! Every cell runs the exact simulation: each access walks TLB, caches,
 //! interconnect and DRAM (see `tint_spmd::engine`).
 //!
-//! Multiple commands run in sequence within one process. Two layers keep
-//! the sequence from repeating work: the `BenchMatrix` behind fig11/fig12
-//! and the fig13/fig14 sweep are each computed at most once per invocation,
-//! and underneath, every simulation cell flows through the content-addressed
-//! cell cache (`tint_bench::simcache`), so any command whose cells were
-//! already simulated — `fig13 fig14` after the fig11 matrix, `probe:<b>`
-//! after `all` — serves them from memory. `TINT_SIM_CACHE=0` disables the
-//! cache; figure output is byte-identical either way.
+//! Multiple commands run in sequence within one process, through one
+//! `tint_bench::Harness`. Two layers keep the sequence from repeating
+//! work: the `BenchMatrix` behind fig11/fig12 and the fig13/fig14 sweep
+//! are each computed at most once per invocation, and underneath, every
+//! simulation cell flows through the harness's content-addressed cell
+//! cache (`tint_bench::simcache`), so any command whose cells were already
+//! simulated — `fig13 fig14` after the fig11 matrix, `probe:<b>` after
+//! `all` — serves them from memory. `TINT_SIM_CACHE=0` disables the cache
+//! (`1`, the default, keeps it); figure output is byte-identical either
+//! way.
 //!
 //! `--jobs N` sets the simulation worker-thread count for the flattened
 //! cell executor. Precedence: the `--jobs` flag wins over the `TINT_JOBS`
@@ -95,32 +97,40 @@
 //! commands this run executed; the `total` block sums over every merged
 //! record.
 //!
-//! `TINT_JOBS`, `TINT_CELL_RETRIES`, `TINT_CELL_TIMEOUT_S` and
-//! `TINT_HOST_FAULT` are read once, at startup, before any simulation: a
-//! value that does not parse (or a zero `TINT_JOBS`, a non-positive
-//! `TINT_CELL_TIMEOUT_S`) is a usage error — one line on stderr and exit
-//! code 2 — never a warning that is then ignored.
+//! The flags and all six `TINT_*` variables (`TINT_JOBS`,
+//! `TINT_CELL_RETRIES`, `TINT_CELL_TIMEOUT_S`, `TINT_HOST_FAULT`,
+//! `TINT_JOURNAL`, `TINT_SIM_CACHE`) are read once, at startup, into one
+//! `tint_bench::RunConfig`; the library reads no environment. Before any
+//! simulation, a value that does not parse (a zero `TINT_JOBS`, a
+//! non-positive `TINT_CELL_TIMEOUT_S`, a `TINT_SIM_CACHE` other than `0`
+//! or `1`), an unknown command, or a `probe:` of an unknown benchmark is a
+//! usage error — one line on stderr and exit code 2 — never a warning that
+//! is then ignored.
 //!
 //! Host-time performance is measured by the cold benchmark in
 //! `coldbench/`, not by this binary: `wall_ms` in the JSON is a
 //! bookkeeping figure that includes cell-cache and journal hits.
 
+use std::path::PathBuf;
+use std::time::Duration;
 use tint_bench::benchjson::{write_bench_json, CmdRecord, InvocationMeta};
 use tint_bench::figures::{
     ablate_colorlist, ablate_dynamic, ablate_firsttouch, ablate_migrate, ablate_pagepolicy,
     ablate_part, ablate_pressure, bandwidth, churn, fig10, fig13_14, latency, probe, run_matrix,
     soak, BenchMatrix, FigOpts,
 };
-use tint_bench::hostfault::{self, HostFaultPlan};
+use tint_bench::hostfault::HostFaultPlan;
 use tint_bench::journal;
-use tint_bench::runner::{
-    available_jobs, install_cancel_handlers, parse_jobs, poisoned_cells, pressure_stats,
-    retries_used, set_cell_retries, set_cell_timeout_ms, set_jobs, set_strict_deadline,
-    simulated_cycles,
-};
-use tint_bench::simcache;
+use tint_bench::runner::{install_cancel_handlers, parse_jobs};
 use tint_bench::table::Table;
-use tint_workloads::PinConfig;
+use tint_bench::{Harness, RunConfig};
+use tint_workloads::traits::Scale;
+use tint_workloads::{all_benchmarks, PinConfig};
+
+/// Every command besides `probe:<bench>`, space-separated.
+const COMMANDS: &str = "fig10 fig11 fig12 fig13 fig14 latency bandwidth ablate-part \
+    ablate-firsttouch ablate-migrate ablate-dynamic ablate-pagepolicy ablate-colorlist \
+    ablate-pressure churn soak gc-journal all";
 
 /// Exit with a one-line usage/config error (exit code 2: bad invocation).
 fn fail(msg: &str) -> ! {
@@ -144,6 +154,7 @@ fn parse_config(s: &str) -> Option<PinConfig> {
 /// computes it at most once. Each repetition boots a fresh machine, so the
 /// cached result is identical to what a standalone `repro fig12` prints.
 struct Ctx {
+    h: Harness,
     opts: FigOpts,
     configs: Vec<PinConfig>,
     matrix: Option<BenchMatrix>,
@@ -165,14 +176,14 @@ struct Ctx {
 impl Ctx {
     fn matrix(&mut self) -> &BenchMatrix {
         if self.matrix.is_none() {
-            self.matrix = Some(run_matrix(&self.opts, &self.configs));
+            self.matrix = Some(run_matrix(&self.h, &self.opts, &self.configs));
         }
         self.matrix.as_ref().unwrap()
     }
 
     fn fig13_14(&mut self) -> &(Table, Table) {
         if self.fig13_14.is_none() {
-            self.fig13_14 = Some(fig13_14(&self.opts));
+            self.fig13_14 = Some(fig13_14(&self.h, &self.opts));
         }
         self.fig13_14.as_ref().unwrap()
     }
@@ -188,15 +199,13 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     let all = cmd == "all";
     if let Some(bench) = cmd.strip_prefix("probe:") {
         header(&format!("Probe: {bench} at {}", ctx.configs[0]));
-        print!(
-            "{}",
-            ctx.opts.render(&probe(&ctx.opts, bench, ctx.configs[0]))
-        );
+        let t = probe(&ctx.h, &ctx.opts, bench, ctx.configs[0]);
+        print!("{}", ctx.opts.render(&t.expect("validated at startup")));
         return;
     }
     if cmd == "gc-journal" {
         header("Journal GC: compact the cell farm into a fresh generation");
-        match journal::gc() {
+        match ctx.h.journal().gc() {
             Ok(g) => {
                 let mut t = Table::new(vec!["metric", "value"]);
                 let mut row = |name: &str, v: String| t.row(vec![name.to_string(), v]);
@@ -225,7 +234,7 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     }
     if all || cmd == "fig10" {
         header("Figure 10: synthetic benchmark by coloring policy (16 threads, 4 nodes)");
-        print!("{}", ctx.opts.render(&fig10(&ctx.opts)));
+        print!("{}", ctx.opts.render(&fig10(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "fig11" || cmd == "fig12" {
         let opts = ctx.opts;
@@ -263,11 +272,11 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     }
     if all || cmd == "ablate-part" {
         header("Ablation: full vs partial coloring (normalized runtime vs buddy)");
-        print!("{}", ctx.opts.render(&ablate_part(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_part(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-firsttouch" {
         header("Ablation: legacy global buddy vs NUMA buddy vs MEM coloring (synthetic)");
-        print!("{}", ctx.opts.render(&ablate_firsttouch(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_firsttouch(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-migrate" {
         header("Ablation (extension): dynamic recoloring via page migration");
@@ -299,9 +308,54 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     }
     if all || cmd == "soak" {
         header("Extension: sustained-pressure soak (watermarks, backoff, OOM kill, auditing)");
-        let t = soak(&ctx.opts);
+        let t = soak(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
         ctx.soak = Some(t);
+    }
+}
+
+/// Resolve the run's configuration from the `--jobs`/`--strict-deadline`
+/// flags and the `TINT_*` variables; any bad value is a usage error.
+fn run_config(jobs_flag: Option<usize>, strict_deadline: bool) -> RunConfig {
+    let env = |name: &str| std::env::var(name).ok();
+    // The `--jobs` flag wins over TINT_JOBS, but a bad TINT_JOBS is an
+    // error either way.
+    let env_jobs = env("TINT_JOBS")
+        .map(|v| parse_jobs(&v).unwrap_or_else(|e| fail(&format!("invalid TINT_JOBS: {e}"))));
+    let cell_retries = env("TINT_CELL_RETRIES").map_or(RunConfig::default().cell_retries, |v| {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("invalid TINT_CELL_RETRIES={v:?}: want a u32")))
+    });
+    let cell_timeout = env("TINT_CELL_TIMEOUT_S").map(|v| match v.trim().parse::<f64>() {
+        Ok(s) if s > 0.0 && s.is_finite() => Duration::from_millis((s * 1e3).ceil() as u64),
+        _ => fail(&format!(
+            "invalid TINT_CELL_TIMEOUT_S={v:?}: want seconds > 0"
+        )),
+    });
+    let host_fault = env("TINT_HOST_FAULT").map(|v| {
+        HostFaultPlan::parse(&v).unwrap_or_else(|e| fail(&format!("invalid TINT_HOST_FAULT: {e}")))
+    });
+    let cache = match env("TINT_SIM_CACHE").as_deref() {
+        None | Some("1") => true,
+        Some("0") => false,
+        Some(v) => fail(&format!("invalid TINT_SIM_CACHE={v:?}: want 0 or 1")),
+    };
+    // TINT_JOURNAL=0 (or empty) disables the journal, TINT_JOURNAL=<dir>
+    // relocates it, unset means .tint-journal/ in the working directory.
+    let journal = match std::env::var_os("TINT_JOURNAL") {
+        Some(v) if v.is_empty() || v == "0" => None,
+        Some(v) => Some(PathBuf::from(v)),
+        None => Some(PathBuf::from(".tint-journal")),
+    };
+    RunConfig {
+        jobs: jobs_flag.or(env_jobs),
+        cell_retries,
+        cell_timeout,
+        strict_deadline,
+        cache,
+        journal,
+        host_fault,
     }
 }
 
@@ -311,6 +365,7 @@ fn main() {
     let mut configs: Vec<PinConfig> = PinConfig::ALL.to_vec();
     let mut cmds: Vec<String> = Vec::new();
     let mut jobs_flag = None;
+    let mut strict_deadline = false;
     let mut it = args.iter();
     // A missing or malformed flag argument is a usage error with a one-line
     // message and exit code 2 — never a panic.
@@ -331,7 +386,7 @@ fn main() {
                     .unwrap_or_else(|_| fail("--scale wants a number"));
             }
             "--csv" => opts.csv = true,
-            "--strict-deadline" => set_strict_deadline(true),
+            "--strict-deadline" => strict_deadline = true,
             "--jobs" => match parse_jobs(arg(&mut it, "--jobs")) {
                 Ok(n) => jobs_flag = Some(n),
                 Err(e) => fail(&format!("invalid --jobs: {e}")),
@@ -357,49 +412,35 @@ fn main() {
     if opts.scale.is_nan() || opts.scale < 0.0 {
         fail("--scale must be non-negative");
     }
+    let benches = all_benchmarks(Scale::default());
+    for cmd in &cmds {
+        match cmd.strip_prefix("probe:") {
+            Some(b) if !benches.iter().any(|w| w.name() == b) => {
+                fail(&format!("unknown benchmark {b:?} in {cmd:?}"))
+            }
+            None if !COMMANDS.split_whitespace().any(|c| c == cmd) => {
+                fail(&format!("unknown command {cmd:?}"))
+            }
+            _ => {}
+        }
+    }
     // The environment is read here, once: a typo'd variable must stop the
-    // run before 20 minutes of simulation. The `--jobs` flag wins over
-    // TINT_JOBS, but a bad TINT_JOBS is an error either way.
-    let env = |name: &str| std::env::var(name).ok();
-    let env_jobs = env("TINT_JOBS")
-        .map(|v| parse_jobs(&v).unwrap_or_else(|e| fail(&format!("invalid TINT_JOBS: {e}"))));
-    if let Some(n) = jobs_flag.or(env_jobs) {
-        set_jobs(n);
-    }
-    if let Some(v) = env("TINT_CELL_RETRIES") {
-        match v.trim().parse::<u32>() {
-            Ok(n) => set_cell_retries(Some(n)),
-            Err(_) => fail(&format!("invalid TINT_CELL_RETRIES={v:?}: want a u32")),
-        }
-    }
-    if let Some(v) = env("TINT_CELL_TIMEOUT_S") {
-        match v.trim().parse::<f64>() {
-            Ok(s) if s > 0.0 && s.is_finite() => set_cell_timeout_ms(Some((s * 1e3).ceil() as u64)),
-            _ => fail(&format!(
-                "invalid TINT_CELL_TIMEOUT_S={v:?}: want seconds > 0"
-            )),
-        }
-    }
-    if let Some(v) = env("TINT_HOST_FAULT") {
-        match HostFaultPlan::parse(&v) {
-            Ok(plan) => hostfault::set_plan(Some(plan)),
-            Err(e) => fail(&format!("invalid TINT_HOST_FAULT: {e}")),
-        }
-    }
+    // run before 20 minutes of simulation.
+    let config = run_config(jobs_flag, strict_deadline);
 
-    // Durability and graceful shutdown: arm the journal (TINT_JOURNAL=0
-    // disables, TINT_JOURNAL=<dir> relocates), replay prior completed
-    // cells into the cell cache, and convert SIGINT/SIGTERM into a
-    // cooperative drain + journal flush + resume notice.
+    // Durability and graceful shutdown: building the harness arms the
+    // journal and replays prior completed cells into the cell cache;
+    // SIGINT/SIGTERM become a cooperative drain + journal flush + resume
+    // notice.
     install_cancel_handlers();
-    journal::configure_default();
-    if let Some(legacy) = journal::legacy_file() {
+    if let Some(legacy) = config.journal.as_deref().and_then(journal::legacy_file) {
         eprintln!(
             "journal: legacy file {} ignored (v1 journals are no longer read)",
             legacy.display()
         );
     }
-    let replay = journal::replay();
+    let h = Harness::new(config);
+    let replay = h.journal().replay_stats();
     if replay.replayed > 0 || replay.quarantined > 0 || replay.retired_skipped > 0 {
         eprintln!(
             "journal: replayed {} completed cells from {} shard(s){}{}{}",
@@ -427,6 +468,7 @@ fn main() {
     }
 
     let mut ctx = Ctx {
+        h,
         opts,
         configs,
         matrix: None,
@@ -438,40 +480,31 @@ fn main() {
     };
     let mut records = Vec::with_capacity(cmds.len());
     for cmd in &cmds {
-        let cycles_before = simulated_cycles();
-        let (hits_before, misses_before) = simcache::stats();
+        let before = ctx.h.stats();
         let start = std::time::Instant::now();
         run_cmd(&mut ctx, cmd);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (hits_after, misses_after) = simcache::stats();
-        let (cache_hits, cache_misses) = (hits_after - hits_before, misses_after - misses_before);
+        let after = ctx.h.stats();
         records.push(CmdRecord {
             name: cmd.clone(),
             wall_ms,
-            sim_cycles: simulated_cycles() - cycles_before,
+            sim_cycles: after.sim_cycles - before.sim_cycles,
             reps: ctx.opts.reps,
             scale: ctx.opts.scale,
-            cache_hits,
-            cache_misses,
+            cache_hits: after.cache_hits - before.cache_hits,
+            cache_misses: after.cache_misses - before.cache_misses,
         });
     }
-    journal::flush();
-    let (journal_hits, journal_appends, journal_replayed) = journal::counters();
-    let (oom_kills, admission_rejects, alloc_retries) = pressure_stats();
+    let journal = ctx.h.journal();
+    journal.flush();
+    let stats = ctx.h.stats();
     let meta = InvocationMeta {
-        jobs: available_jobs(),
-        cache_enabled: simcache::enabled(),
-        journal_enabled: journal::enabled(),
-        journal_replayed,
-        journal_hits,
-        journal_appends,
-        journal_io_disarmed: journal::io_disarmed(),
-        poisoned_cells: poisoned_cells(),
-        host_faults_injected: hostfault::injected(),
-        retries_used: retries_used(),
-        oom_kills,
-        admission_rejects,
-        alloc_retries,
+        jobs: ctx.h.jobs(),
+        cache_enabled: ctx.h.cache().is_some(),
+        journal_enabled: journal.dir().is_some(),
+        journal_replayed: replay.replayed,
+        journal_io_disarmed: journal.io_disarmed(),
+        stats,
     };
     let config_names: Vec<String> = ctx.configs.iter().map(|c| c.to_string()).collect();
     if let Err(e) = write_bench_json(
@@ -491,14 +524,14 @@ fn main() {
     if ctx.gc_failed {
         std::process::exit(1);
     }
-    if poisoned_cells() > 0 {
+    if stats.poisoned > 0 {
         eprintln!(
             "error: {} cell(s) failed after {} retr{} and render as ERR above \
              ({} host fault(s) injected); rerun to retry them",
-            poisoned_cells(),
-            retries_used(),
-            if retries_used() == 1 { "y" } else { "ies" },
-            hostfault::injected(),
+            stats.poisoned,
+            stats.retries,
+            if stats.retries == 1 { "y" } else { "ies" },
+            stats.faults_injected,
         );
         std::process::exit(1);
     }

@@ -1,11 +1,11 @@
 //! Figure regeneration: one function per results figure of the paper.
+//!
+//! Figures that simulate cells take the run's [`Harness`]; the rest build
+//! their own machines and need only the options.
 
-use crate::runner::{
-    any_poisoned, available_jobs, run_cells, run_cells_with_progress, run_once, run_reps, CellSpec,
-    ExpResult, Summary,
-};
+use crate::runner::{any_poisoned, cells_for, CellSpec, ExpResult, Harness, Summary};
 use crate::table::{norm, norm_err, Table};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tint_kernel::VictimPolicy;
 use tint_spmd::{ChurnOutcome, PressureWindow, RoundRobin, SimThread};
 use tint_workloads::traits::Scale;
@@ -64,28 +64,8 @@ const OTHER_SCHEMES: [ColorScheme; 4] = [
     ColorScheme::LlcMemPart,
 ];
 
-/// Flatten `schemes × seeds 1..=reps` on one workload into a cell list.
-fn cells_for<'a>(
-    workload: &'a dyn Workload,
-    schemes: &[ColorScheme],
-    pin: PinConfig,
-    reps: u32,
-) -> Vec<CellSpec<'a>> {
-    schemes
-        .iter()
-        .flat_map(|&scheme| {
-            (1..=reps as u64).map(move |seed| CellSpec {
-                workload,
-                scheme,
-                pin,
-                seed,
-            })
-        })
-        .collect()
-}
-
 /// **Figure 10** — synthetic benchmark execution time per coloring policy.
-pub fn fig10(opts: &FigOpts) -> Table {
+pub fn fig10(h: &Harness, opts: &FigOpts) -> Table {
     let w = Synthetic::new(opts.scale_());
     let pin = PinConfig::T16N4;
     let mut t = Table::new(vec![
@@ -96,8 +76,7 @@ pub fn fig10(opts: &FigOpts) -> Table {
         "row_hit_rate",
     ]);
     // One flattened batch over all four schemes' repetitions.
-    let cells = cells_for(&w, &FIG10_SCHEMES, pin, opts.reps);
-    let results = run_cells(&cells, available_jobs());
+    let results = h.run_cells(&cells_for(&w, &FIG10_SCHEMES, pin, opts.reps));
     let per_scheme: Vec<&[ExpResult]> = results.chunks(opts.reps as usize).collect();
     let base_bad = any_poisoned(per_scheme[0]);
     let base = Summary::runtime(per_scheme[0]).mean;
@@ -129,7 +108,7 @@ type Cell = (&'static str, PinConfig, ColorScheme);
 /// The full benchmark sweep shared by Figures 11 and 12.
 pub struct BenchMatrix {
     /// Repetition results per (benchmark, config, scheme).
-    pub cells: HashMap<Cell, Vec<ExpResult>>,
+    pub cells: BTreeMap<Cell, Vec<ExpResult>>,
     /// Benchmark names in figure order.
     pub benchmarks: Vec<&'static str>,
     /// Configs included.
@@ -149,30 +128,21 @@ fn matrix_schemes() -> Vec<ColorScheme> {
 /// queue — not a per-cell reps-way fan-out — is what load-balances the
 /// sweep; the canonical-order merge keeps the assembled matrix independent
 /// of job count.
-pub fn run_matrix(opts: &FigOpts, configs: &[PinConfig]) -> BenchMatrix {
+pub fn run_matrix(h: &Harness, opts: &FigOpts, configs: &[PinConfig]) -> BenchMatrix {
     let benches = all_benchmarks(opts.scale_());
     let schemes = matrix_schemes();
     let mut specs: Vec<CellSpec> = Vec::new();
     for w in &benches {
         for &pin in configs {
-            for &scheme in &schemes {
-                for seed in 1..=opts.reps as u64 {
-                    specs.push(CellSpec {
-                        workload: w.as_ref(),
-                        scheme,
-                        pin,
-                        seed,
-                    });
-                }
-            }
+            specs.extend(cells_for(w.as_ref(), &schemes, pin, opts.reps));
         }
     }
     let listed = specs.len();
-    let results = run_cells_with_progress(&specs, available_jobs(), &move |done, total| {
+    let results = h.run_cells_with_progress(&specs, &move |done, total| {
         eprint!("\r[matrix] simulated {done}/{total} cells ({listed} listed)          ");
     });
     eprintln!();
-    let mut cells = HashMap::new();
+    let mut cells = BTreeMap::new();
     let mut it = results.into_iter();
     for w in &benches {
         for &pin in configs {
@@ -282,7 +252,7 @@ const FIG13_SCHEMES: [ColorScheme; 3] = [ColorScheme::Buddy, ColorScheme::Bpm, C
 /// every cell is a strict subset of the fig11 matrix, so in an invocation
 /// that already ran the matrix this function performs zero new simulations
 /// (asserted by scripts/ci.sh against the cache counters).
-pub fn fig13_14(opts: &FigOpts) -> (Table, Table) {
+pub fn fig13_14(h: &Harness, opts: &FigOpts) -> (Table, Table) {
     let pin = PinConfig::T16N4;
     let benches = all_benchmarks(opts.scale_());
     let mut summary = Table::new(vec![
@@ -304,13 +274,12 @@ pub fn fig13_14(opts: &FigOpts) -> (Table, Table) {
     for w in &benches {
         specs.extend(cells_for(w.as_ref(), &FIG13_SCHEMES, pin, opts.reps));
     }
-    let results = run_cells(&specs, available_jobs());
+    let results = h.run_cells(&specs);
     let mut chunks = results.chunks(opts.reps as usize);
     for w in &benches {
         // Per-benchmark chunk layout follows FIG13_SCHEMES order; the
         // MemLlc chunk's first repetition (seed 1) doubles as the lbm
-        // per-thread detail column, the same cell `run_once(.., 1)` used
-        // to re-simulate.
+        // per-thread detail column.
         let mut lbm_memllc_first: Option<&ExpResult> = None;
         let mut lbm_buddy_first: Option<&ExpResult> = None;
         for scheme in FIG13_SCHEMES {
@@ -477,12 +446,10 @@ pub fn latency(_opts: &FigOpts) -> Table {
 
 /// Diagnostic: one benchmark at one config, every scheme, with the latency /
 /// locality / fault breakdown. Not a paper figure — a calibration tool.
-pub fn probe(opts: &FigOpts, bench_name: &str, pin: PinConfig) -> Table {
+/// `None` when no benchmark is called `bench_name`.
+pub fn probe(h: &Harness, opts: &FigOpts, bench_name: &str, pin: PinConfig) -> Option<Table> {
     let benches = all_benchmarks(opts.scale_());
-    let w = benches
-        .iter()
-        .find(|w| w.name() == bench_name)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench_name}"));
+    let w = benches.iter().find(|w| w.name() == bench_name)?;
     let mut t = Table::new(vec![
         "scheme",
         "runtime",
@@ -495,8 +462,9 @@ pub fn probe(opts: &FigOpts, bench_name: &str, pin: PinConfig) -> Table {
         "fault_cyc",
         "moves",
     ]);
-    for &scheme in &matrix_schemes() {
-        let r = run_once(w.as_ref(), scheme, pin, 1);
+    let schemes = matrix_schemes();
+    let results = h.run_cells(&cells_for(w.as_ref(), &schemes, pin, 1));
+    for (scheme, r) in schemes.iter().zip(&results) {
         let val = |v: String| if r.poisoned { "ERR".to_string() } else { v };
         t.row(vec![
             scheme.label().to_string(),
@@ -511,12 +479,12 @@ pub fn probe(opts: &FigOpts, bench_name: &str, pin: PinConfig) -> Table {
             val(format!("{}", r.color_list_moves)),
         ]);
     }
-    t
+    Some(t)
 }
 
 /// Ablation: full vs partial coloring as LLC pressure grows (the freqmine
 /// exception, §V.B).
-pub fn ablate_part(opts: &FigOpts) -> Table {
+pub fn ablate_part(h: &Harness, opts: &FigOpts) -> Table {
     let pin = PinConfig::T16N4;
     let benches = all_benchmarks(opts.scale_());
     let mut t = Table::new(vec![
@@ -537,7 +505,7 @@ pub fn ablate_part(opts: &FigOpts) -> Table {
     for w in &benches {
         specs.extend(cells_for(w.as_ref(), &schemes, pin, opts.reps));
     }
-    let results = run_cells(&specs, available_jobs());
+    let results = h.run_cells(&specs);
     let mut chunks = results.chunks(opts.reps as usize);
     for w in &benches {
         let base_rs = chunks.next().expect("buddy chunk");
@@ -563,26 +531,33 @@ pub fn ablate_part(opts: &FigOpts) -> Table {
     t
 }
 
-/// Ablation: legacy global buddy vs NUMA first-touch vs MEM coloring.
-pub fn ablate_firsttouch(opts: &FigOpts) -> Table {
-    let pin = PinConfig::T16N4;
+/// Ablation: legacy global buddy vs NUMA first-touch vs MEM coloring,
+/// normalized to buddy.
+pub fn ablate_firsttouch(h: &Harness, opts: &FigOpts) -> Table {
     let w = Synthetic::new(opts.scale_());
     let mut t = Table::new(vec!["policy", "runtime_norm", "remote_frac"]);
-    let base = Summary::runtime(&run_reps(&w, ColorScheme::Buddy, pin, opts.reps)).mean;
-    for scheme in [
+    let schemes = [
         ColorScheme::LegacyGlobal,
         ColorScheme::Buddy,
         ColorScheme::MemOnly,
         ColorScheme::MemLlc,
-    ] {
-        let rs = run_reps(&w, scheme, pin, opts.reps);
-        let bad = any_poisoned(&rs);
-        let s = Summary::runtime(&rs);
-        let remote = Summary::of(&rs, |r| r.remote_fraction).mean;
+    ];
+    let results = h.run_cells(&cells_for(&w, &schemes, PinConfig::T16N4, opts.reps));
+    let per_scheme: Vec<&[ExpResult]> = results.chunks(opts.reps as usize).collect();
+    let base_bad = any_poisoned(per_scheme[1]);
+    let base = Summary::runtime(per_scheme[1]).mean;
+    for (scheme, rs) in schemes.iter().zip(per_scheme) {
+        let bad = any_poisoned(rs);
+        let s = Summary::runtime(rs);
+        let remote = Summary::of(rs, |r| r.remote_fraction).mean;
         let val = |v: String| if bad { "ERR".to_string() } else { v };
         t.row(vec![
             scheme.label().to_string(),
-            val(norm(s.mean / base)),
+            if bad || base_bad {
+                "ERR".to_string()
+            } else {
+                norm(s.mean / base)
+            },
             val(format!("{remote:.3}")),
         ]);
     }
@@ -1208,7 +1183,7 @@ fn run_soak_cell(label: &'static str, guarded: bool, arrivals: u64) -> SoakCell 
 /// incremental auditor has swept. Cells run on separate host threads when
 /// `--jobs` allows; each simulation is single-threaded and deterministic,
 /// so the table is byte-identical at any job count.
-pub fn soak(opts: &FigOpts) -> Table {
+pub fn soak(h: &Harness, opts: &FigOpts) -> Table {
     let mut t = Table::new(vec![
         "cell",
         "window",
@@ -1226,7 +1201,7 @@ pub fn soak(opts: &FigOpts) -> Table {
     ]);
     let arrivals = ((5_000.0 * opts.scale).ceil() as u64).max(40);
     let specs: [(&'static str, bool); 2] = [("guarded", true), ("unguarded", false)];
-    let cells: Vec<SoakCell> = if available_jobs() > 1 {
+    let cells: Vec<SoakCell> = if h.jobs() > 1 {
         std::thread::scope(|s| {
             let handles: Vec<_> = specs
                 .iter()
@@ -1256,11 +1231,7 @@ pub fn soak(opts: &FigOpts) -> Table {
         assert!(g.alloc_retries >= 1, "guarded soak never retried: {g:?}");
     }
     for cell in &cells {
-        crate::runner::note_pressure_stats(
-            cell.oom_kills,
-            cell.admission_rejects,
-            cell.alloc_retries,
-        );
+        h.note_pressure(cell.oom_kills, cell.admission_rejects, cell.alloc_retries);
         for (wi, w) in cell.windows.iter().enumerate() {
             let off_total = w.off_color_allocs + w.colored_allocs;
             t.row(vec![
@@ -1290,6 +1261,8 @@ pub fn soak(opts: &FigOpts) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostfault::{FaultMode, HostFaultPlan};
+    use crate::RunConfig;
 
     fn quick() -> FigOpts {
         FigOpts {
@@ -1299,10 +1272,43 @@ mod tests {
         }
     }
 
+    fn harness(jobs: usize) -> Harness {
+        Harness::new(RunConfig {
+            jobs: Some(jobs),
+            ..RunConfig::default()
+        })
+    }
+
     #[test]
     fn fig10_has_four_policies() {
-        let t = fig10(&quick());
+        let t = fig10(&harness(2), &quick());
         assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn firsttouch_renders_err_when_the_buddy_base_is_poisoned() {
+        // A `panic:` schedule that poisons the buddy base — the second cell
+        // at one worker with no retries — but not the legacy row before it.
+        let plan = (0..)
+            .map(|seed| HostFaultPlan {
+                mode: FaultMode::Panic,
+                per_mille: 400,
+                seed,
+            })
+            .find(|p| !p.panics(0) && p.panics(1))
+            .unwrap();
+        let h = Harness::new(RunConfig {
+            jobs: Some(1),
+            cell_retries: 0,
+            host_fault: Some(plan),
+            ..RunConfig::default()
+        });
+        let t = ablate_firsttouch(&h, &quick());
+        let legacy = &t.rows()[0];
+        assert_ne!(legacy[2], "ERR", "the legacy row itself ran");
+        for row in t.rows() {
+            assert_eq!(row[1], "ERR", "a poisoned base normalizes to ERR, not inf");
+        }
     }
 
     #[test]
@@ -1336,17 +1342,13 @@ mod tests {
 
     #[test]
     fn soak_figure_is_identical_at_any_job_count() {
-        // One test covers both properties (set_jobs is process-global): the
-        // quick-scale soak emits window rows for both cells, and the table
-        // — backoff and OOM schedules included — is byte-identical whether
-        // the cells share one host thread or fan out across four.
-        crate::runner::set_jobs(1);
-        let serial = soak(&quick());
-        crate::runner::set_jobs(4);
-        let parallel = soak(&quick());
-        crate::runner::set_jobs(0);
+        // The quick-scale soak emits window rows for both cells, and the
+        // table — backoff and OOM schedules included — is byte-identical
+        // whether the cells share one host thread or fan out across four.
+        let serial = soak(&harness(1), &quick());
+        let parallel = soak(&harness(4), &quick());
         assert_eq!(serial.rows(), parallel.rows());
-        let cells: std::collections::HashSet<_> =
+        let cells: std::collections::BTreeSet<_> =
             serial.rows().iter().map(|r| r[0].clone()).collect();
         assert_eq!(cells.len(), 2, "guarded and unguarded cells present");
         for row in serial.rows() {

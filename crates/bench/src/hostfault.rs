@@ -1,48 +1,42 @@
-//! Deterministic *host*-fault harness.
+//! Deterministic *host*-fault schedules.
 //!
-//! PR 2 gave the simulated kernel a seeded `FaultPlan`; this is the same
-//! idea one layer up: make the *harness's own* failure paths fire on a
+//! The simulated kernel has a seeded `FaultPlan`; this is the same idea one
+//! layer up: make the *harness's own* failure paths fire on a
 //! deterministic schedule so every recovery path is exercised by ordinary
-//! tests instead of waiting for a real crash. Two fault modes exist:
+//! tests instead of waiting for a real crash. A [`HostFaultPlan`] is a pure
+//! value — index `n` faults iff `SplitMix64(seed ⊕ mix(n))` lands below
+//! `permille`/1000 — and whoever owns an index counter consults it. Two
+//! modes exist:
 //!
-//! * **`panic:<permille>:<seed>`** — worker threads panic at the top of a
-//!   cell attempt, exercising the [`crate::runner`] recovery paths
-//!   (catch_unwind isolation, seeded requeue, poisoned-cell accounting).
-//!   Each cell *attempt* draws from a global attempt counter: attempt `n`
-//!   panics iff `SplitMix64(seed ⊕ mix(n))` lands below `permille`/1000.
-//!   Retries are new attempts with fresh draws, so at moderate rates a
-//!   retried cell almost always succeeds, while `permille=1000` defeats
-//!   every retry and forces the poisoned-cell path.
+//! * **`panic:<permille>:<seed>`** — the [`crate::runner::Harness`] counts
+//!   cell attempts and panics at the top of attempt `n` when
+//!   [`HostFaultPlan::panics`] says so, exercising catch_unwind isolation,
+//!   requeue and poisoned-cell accounting. Retries are new attempts with
+//!   fresh draws, so at moderate rates a retried cell almost always
+//!   succeeds, while `permille=1000` defeats every retry.
 //!
-//! * **`io:<permille>:<seed>`** — the [`crate::journal`]'s filesystem
-//!   operations (create, append, truncate, sync, rename) fail on a seeded
-//!   schedule with ENOSPC/EIO-shaped errors and *short writes* (the entry
-//!   prefix lands on disk, then the write "fails"), exercising the
-//!   journal's degradation contract: repair the entry boundary when
-//!   possible, and on persistent failure warn once, disarm, and finish the
-//!   run journal-less. Worker threads never panic in this mode. The io
-//!   schedule draws from its own global operation counter, so with
-//!   `--jobs 1` (one appender) it is fully deterministic.
+//! * **`io:<permille>:<seed>`** — the [`crate::journal`]'s io shim counts
+//!   its filesystem operations (create, append, truncate, sync, rename)
+//!   and fails operation `n` with the [`HostFaultPlan::io_fault`] it draws:
+//!   ENOSPC/EIO-shaped errors and *short writes* (the entry prefix lands
+//!   on disk, then the write "fails"), exercising the journal's
+//!   degradation contract. Worker threads never panic in this mode. With
+//!   `--jobs 1` (one appender) the schedule is fully deterministic.
 //!
-//! Armed via `TINT_HOST_FAULT=<mode>:<permille>:<seed>` (the `repro`
-//! binary validates and applies it at startup) or programmatically with
-//! [`set_plan`].
-//!
-//! For crash-atomicity fuzzing there is additionally a kill-point hook,
-//! [`set_io_abort_at`]: the `n`-th journal io operation panics with
-//! [`IO_ABORT_MARKER`], simulating SIGKILL at that exact filesystem step —
-//! the GC atomicity test sweeps `n` over every operation of a compaction.
+//! A plan is part of a run's configuration (`TINT_HOST_FAULT`, parsed by
+//! the `repro` binary), so each harness carries its own schedule and
+//! counters. The journal additionally has a kill-point hook for
+//! crash-atomicity fuzzing (`Journal::set_io_abort_at`): its `n`-th io
+//! operation panics with [`IO_ABORT_MARKER`], simulating SIGKILL at that
+//! exact filesystem step.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use tint_hw::rng::SplitMix64;
 
-/// Marker embedded in injected panic payloads; the quiet panic hook and
-/// tests key off it to distinguish injected faults from real bugs.
+/// Marker embedded in injected panic payloads, to tell injected faults
+/// from real bugs.
 pub const PANIC_MARKER: &str = "injected host fault";
 
-/// Marker embedded in the panic simulating a kill at an io operation
-/// (see [`set_io_abort_at`]).
+/// Marker embedded in the panic simulating a kill at an io operation.
 pub const IO_ABORT_MARKER: &str = "injected io kill point";
 
 /// Which harness layer a fault plan targets.
@@ -102,57 +96,32 @@ impl HostFaultPlan {
             seed,
         })
     }
-}
 
-static PLAN: Mutex<Option<HostFaultPlan>> = Mutex::new(None);
-static ATTEMPT: AtomicU64 = AtomicU64::new(0);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-static IO_OPS: AtomicU64 = AtomicU64::new(0);
-static IO_INJECTED: AtomicU64 = AtomicU64::new(0);
-/// Kill-point hook: the io operation with this 1-based ordinal panics.
-/// `u64::MAX` = unarmed.
-static IO_ABORT_AT: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Arm (or with `None` disarm) the plan; resets the attempt/op counters so
-/// a given `(plan, jobs=1)` run always sees the same schedule.
-pub fn set_plan(plan: Option<HostFaultPlan>) {
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-    ATTEMPT.store(0, Ordering::Relaxed);
-    INJECTED.store(0, Ordering::Relaxed);
-    IO_OPS.store(0, Ordering::Relaxed);
-    IO_INJECTED.store(0, Ordering::Relaxed);
-}
-
-/// The armed plan, if any.
-pub fn plan() -> Option<HostFaultPlan> {
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Worker panics injected so far this process.
-pub fn injected() -> u64 {
-    INJECTED.load(Ordering::Relaxed)
-}
-
-/// Journal io faults injected so far this process.
-pub fn io_injected() -> u64 {
-    IO_INJECTED.load(Ordering::Relaxed)
-}
-
-/// Called by the runner at the top of every cell attempt: panics when a
-/// `panic:` schedule says this attempt fails. An `io:` plan never panics
-/// workers. No-op when disarmed.
-pub fn maybe_inject() {
-    let Some(p) = plan() else { return };
-    if p.mode != FaultMode::Panic || p.per_mille == 0 {
-        return;
+    /// The draw for attempt/operation `n`: the generator, positioned after
+    /// the firing draw, when `n` faults. Consecutive indices are
+    /// decorrelated by mixing `n` into the seed with the SplitMix64
+    /// increment.
+    fn draw(&self, n: u64) -> Option<SplitMix64> {
+        let mut rng = SplitMix64::new(self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        (rng.gen_range(1000) < self.per_mille as u64).then_some(rng)
     }
-    let n = ATTEMPT.fetch_add(1, Ordering::Relaxed);
-    // Decorrelate consecutive attempts: mix the attempt index into the
-    // seed with the SplitMix64 increment, then draw once.
-    let mut rng = SplitMix64::new(p.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if rng.gen_range(1000) < p.per_mille as u64 {
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-        panic!("{PANIC_MARKER} (attempt {n})");
+
+    /// Does cell attempt `n` panic? Never under an `io:` plan.
+    pub fn panics(&self, n: u64) -> bool {
+        self.mode == FaultMode::Panic && self.draw(n).is_some()
+    }
+
+    /// The fault scheduled for journal io operation `n`, if any. Never
+    /// under a `panic:` plan.
+    pub fn io_fault(&self, n: u64) -> Option<IoFault> {
+        if self.mode != FaultMode::Io {
+            return None;
+        }
+        Some(match self.draw(n)?.gen_range(3) {
+            0 => IoFault::ShortWrite,
+            1 => IoFault::NoSpace,
+            _ => IoFault::Io,
+        })
     }
 }
 
@@ -178,43 +147,6 @@ impl IoFault {
             IoFault::Io => std::io::Error::from_raw_os_error(5),
         }
     }
-}
-
-/// Arm (or with `None` disarm) the io kill-point hook: the `n`-th
-/// (1-based) subsequent journal io operation panics with
-/// [`IO_ABORT_MARKER`], simulating a SIGKILL at that exact filesystem
-/// step. Resets the io operation counter so `n` is relative to now.
-/// Crash-atomicity tests run the operation under `catch_unwind` and then
-/// assert the on-disk state is still consistent.
-pub fn set_io_abort_at(n: Option<u64>) {
-    IO_OPS.store(0, Ordering::Relaxed);
-    IO_ABORT_AT.store(n.unwrap_or(u64::MAX), Ordering::Relaxed);
-}
-
-/// Called by the journal before every filesystem operation on its write
-/// path. Counts the operation, honors the kill-point hook, and — when an
-/// `io:` plan is armed — returns the fault scheduled for this operation,
-/// if any. The draw is indexed by a global operation counter, so a
-/// single-appender run (`--jobs 1`) sees a fully deterministic schedule.
-pub fn io_fault() -> Option<IoFault> {
-    let n = IO_OPS.fetch_add(1, Ordering::Relaxed);
-    if n + 1 == IO_ABORT_AT.load(Ordering::Relaxed) {
-        panic!("{IO_ABORT_MARKER} (io op {n})");
-    }
-    let p = plan()?;
-    if p.mode != FaultMode::Io || p.per_mille == 0 {
-        return None;
-    }
-    let mut rng = SplitMix64::new(p.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if rng.gen_range(1000) >= p.per_mille as u64 {
-        return None;
-    }
-    IO_INJECTED.fetch_add(1, Ordering::Relaxed);
-    Some(match rng.gen_range(3) {
-        0 => IoFault::ShortWrite,
-        1 => IoFault::NoSpace,
-        _ => IoFault::Io,
-    })
 }
 
 #[cfg(test)]
@@ -286,32 +218,26 @@ mod tests {
 
     #[test]
     fn io_schedule_is_deterministic_and_mode_scoped() {
-        // Two identical passes over the op counter draw identical faults.
+        // Two identical passes over the op indices draw identical faults.
         let plan = HostFaultPlan {
             mode: FaultMode::Io,
             per_mille: 500,
             seed: 99,
         };
-        set_plan(Some(plan));
-        let a: Vec<Option<IoFault>> = (0..64).map(|_| io_fault()).collect();
-        set_plan(Some(plan));
-        let b: Vec<Option<IoFault>> = (0..64).map(|_| io_fault()).collect();
+        let a: Vec<Option<IoFault>> = (0..64).map(|n| plan.io_fault(n)).collect();
+        let b: Vec<Option<IoFault>> = (0..64).map(|n| plan.io_fault(n)).collect();
         assert_eq!(a, b, "the io schedule must be seed-deterministic");
         assert!(a.iter().any(|f| f.is_some()), "permille=500 must fire");
         assert!(a.iter().any(|f| f.is_none()), "permille=500 must also pass");
 
         // An io plan never panics workers, and a panic plan never faults io.
-        set_plan(Some(plan));
-        for _ in 0..64 {
-            maybe_inject(); // must not panic
-        }
-        assert_eq!(injected(), 0);
-        set_plan(Some(HostFaultPlan {
+        assert!((0..64).all(|n| !plan.panics(n)));
+        let panic_plan = HostFaultPlan {
             mode: FaultMode::Panic,
             per_mille: 1000,
             seed: 1,
-        }));
-        assert_eq!(io_fault(), None, "a panic plan must not inject io faults");
-        set_plan(None);
+        };
+        assert!((0..64).all(|n| panic_plan.panics(n)));
+        assert!((0..64).all(|n| panic_plan.io_fault(n).is_none()));
     }
 }

@@ -1,16 +1,16 @@
 //! Persistent, crash-safe, multi-process **cell farm**.
 //!
-//! The simcache ([`crate::simcache`]) makes cells free to reuse *within* a
-//! process; this module makes completed cells survive the process — and,
-//! since v2, survive *concurrent* processes. Every simulated cell is
-//! appended to an on-disk journal as a self-delimiting, CRC-protected
-//! record of its content key ([`CellKey`]) plus the full [`ExpResult`]. On
-//! startup the store is replayed into the simcache, so a killed `repro`
-//! run resumes by simulating only the cells it never finished, and a fleet
-//! of `repro` processes sharing one journal directory collectively only
-//! ever simulates new cells — cells are bit-deterministic per content key,
-//! which is what makes serving a journaled result indistinguishable from
-//! re-simulating.
+//! The cell cache ([`crate::simcache`]) makes cells free to reuse
+//! *within* a run; this module makes completed cells survive the process —
+//! and survive *concurrent* processes. Every simulated cell is appended to
+//! an on-disk journal as a self-delimiting, CRC-protected record of its
+//! content key ([`CellKey`]) plus the full [`ExpResult`]. Opening a
+//! [`Journal`] replays the store into the harness's cell cache, so a killed
+//! `repro` run resumes by simulating only the cells it never finished, and
+//! a fleet of `repro` processes sharing one journal directory collectively
+//! only ever simulates new cells — cells are bit-deterministic per content
+//! key, which is what makes serving a journaled result indistinguishable
+//! from re-simulating.
 //!
 //! ## On-disk layout (version 2)
 //!
@@ -62,7 +62,7 @@
 //! ## Generations and GC
 //!
 //! Appends accumulate dead weight: superseded duplicates, dead torn
-//! tails, shards of exited writers. [`gc`] (the `repro gc-journal`
+//! tails, shards of exited writers. [`Journal::gc`] (the `repro gc-journal`
 //! command) compacts the store: it merges the current generation exactly
 //! like replay, writes the live deduped cells into one fresh shard inside
 //! a `gen-<N+1>.tmp.<pid>` build directory, fsyncs, and commits with a
@@ -74,8 +74,9 @@
 //!
 //! ## Fault tolerance (degradation contract)
 //!
-//! All journal write-path filesystem operations run under the seeded
-//! [`crate::hostfault`] io shim (`TINT_HOST_FAULT=io:<permille>:<seed>`).
+//! All journal write-path filesystem operations run under an io shim that
+//! fails them on the run's seeded [`crate::hostfault`] schedule
+//! (`TINT_HOST_FAULT=io:<permille>:<seed>`).
 //! The journal **degrades gracefully**: a failed append repairs the entry
 //! boundary (truncating its *own* shard back to the last good entry);
 //! persistent failure (or an unusable journal directory) warns **once**,
@@ -85,27 +86,27 @@
 //!
 //! ## Activation
 //!
-//! The journal is inert until armed. The `repro` binary arms it at startup
-//! ([`configure_default`]): `TINT_JOURNAL=0` (or empty) disables it,
-//! `TINT_JOURNAL=<dir>` overrides the location, unset means
-//! `.tint-journal/` in the working directory. Library tests arm a private
-//! directory with [`set_dir`]. Replay requires the simcache (that is the
-//! serving path): with `TINT_SIM_CACHE=0` the journal still records
-//! completed cells but cannot serve them.
+//! A [`Journal`] is a value owned by one [`crate::runner::Harness`], armed
+//! at the directory of the run's configuration. The `repro` binary resolves
+//! it from `TINT_JOURNAL` (`0` or empty disables it, `<dir>` relocates it,
+//! unset means `.tint-journal/` in the working directory); library callers
+//! never get a journal they did not ask for. Replay serves through the cell
+//! cache: with the cache off (`TINT_SIM_CACHE=0`) the journal still
+//! records completed cells but cannot serve them.
 //!
 //! Poisoned cells (worker panics, deadline kills — see
 //! [`crate::runner`]) are never journaled: a resume retries them.
 
-use crate::hostfault::{self, IoFault};
+use crate::hostfault::{HostFaultPlan, IoFault, IO_ABORT_MARKER};
 use crate::lockfile::Lockfile;
 use crate::runner::ExpResult;
-use crate::simcache::{self, CellKey};
-use std::collections::{HashMap, HashSet};
+use crate::simcache::CellKey;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use tint_hw::rng::SplitMix64;
 use tint_spmd::RunMetrics;
 use tint_workloads::PinConfig;
@@ -386,57 +387,83 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 //
 // Every state-changing filesystem operation the journal performs goes
-// through one of these, which first consults the host-fault io schedule
-// ([`hostfault::io_fault`]). Read-side operations are deliberately
-// unshimmed: the degradation contract is about never *writing* badly.
+// through [`Fio`], which first consults the run's host-fault io schedule.
+// Read-side operations are deliberately unshimmed: the degradation
+// contract is about never *writing* badly.
 
-fn fio_gate() -> std::io::Result<()> {
-    match hostfault::io_fault() {
-        Some(f) => Err(f.as_error()),
-        None => Ok(()),
-    }
+/// The io shim: counts write-path operations, honours the kill point, and
+/// fails an operation when the run's `io:` plan schedules it. With one
+/// appender (`--jobs 1`) the schedule is fully deterministic.
+#[derive(Default)]
+struct Fio {
+    /// The run's host-fault plan; only an `io:` plan fires here.
+    plan: Option<HostFaultPlan>,
+    /// Operations so far: the schedule's index.
+    ops: u64,
+    /// Kill point: the operation with this 1-based ordinal panics.
+    abort_at: Option<u64>,
+    /// Faults injected so far.
+    injected: u64,
 }
 
-fn fio_create_dir_all(p: &Path) -> std::io::Result<()> {
-    fio_gate()?;
-    std::fs::create_dir_all(p)
-}
-
-fn fio_open_excl(p: &Path) -> std::io::Result<File> {
-    fio_gate()?;
-    std::fs::OpenOptions::new()
-        .create_new(true)
-        .write(true)
-        .open(p)
-}
-
-/// Shimmed `write_all`. An injected [`IoFault::ShortWrite`] writes the
-/// first half of `buf` for real and then reports failure — the torn-entry
-/// shape a crash mid-`write` leaves behind.
-fn fio_write_all(f: &mut File, buf: &[u8]) -> std::io::Result<()> {
-    match hostfault::io_fault() {
-        Some(IoFault::ShortWrite) => {
-            let _ = f.write_all(&buf[..buf.len() / 2]);
-            Err(IoFault::ShortWrite.as_error())
+impl Fio {
+    /// Count one operation; panic at the kill point; return its fault.
+    fn fault(&mut self) -> Option<IoFault> {
+        let n = self.ops;
+        self.ops += 1;
+        if self.abort_at == Some(n + 1) {
+            panic!("{IO_ABORT_MARKER} (io op {n})");
         }
-        Some(fault) => Err(fault.as_error()),
-        None => f.write_all(buf),
+        let fault = self.plan?.io_fault(n);
+        self.injected += fault.is_some() as u64;
+        fault
     }
-}
 
-fn fio_set_len(f: &File, len: u64) -> std::io::Result<()> {
-    fio_gate()?;
-    f.set_len(len)
-}
+    fn gate(&mut self) -> std::io::Result<()> {
+        self.fault().map_or(Ok(()), |f| Err(f.as_error()))
+    }
 
-fn fio_sync(f: &File) -> std::io::Result<()> {
-    fio_gate()?;
-    f.sync_data()
-}
+    fn create_dir_all(&mut self, p: &Path) -> std::io::Result<()> {
+        self.gate()?;
+        std::fs::create_dir_all(p)
+    }
 
-fn fio_rename(from: &Path, to: &Path) -> std::io::Result<()> {
-    fio_gate()?;
-    std::fs::rename(from, to)
+    fn open_excl(&mut self, p: &Path) -> std::io::Result<File> {
+        self.gate()?;
+        std::fs::OpenOptions::new()
+            .create_new(true)
+            .write(true)
+            .open(p)
+    }
+
+    /// Shimmed `write_all`. An injected [`IoFault::ShortWrite`] writes the
+    /// first half of `buf` for real and then reports failure — the
+    /// torn-entry shape a crash mid-`write` leaves behind.
+    fn write_all(&mut self, f: &mut File, buf: &[u8]) -> std::io::Result<()> {
+        match self.fault() {
+            Some(IoFault::ShortWrite) => {
+                let _ = f.write_all(&buf[..buf.len() / 2]);
+                Err(IoFault::ShortWrite.as_error())
+            }
+            Some(fault) => Err(fault.as_error()),
+            None => f.write_all(buf),
+        }
+    }
+
+    fn set_len(&mut self, f: &File, len: u64) -> std::io::Result<()> {
+        self.gate()?;
+        f.set_len(len)
+    }
+
+    fn sync(&mut self, f: &File) -> std::io::Result<()> {
+        self.gate()?;
+        f.sync_data()
+    }
+
+    fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.gate()?;
+        std::fs::rename(from, to)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -503,7 +530,7 @@ fn unique_corrupt_path(root: &Path, original: &Path) -> PathBuf {
 /// What replay found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Distinct cell records replayed into the simcache.
+    /// Distinct cell records replayed.
     pub replayed: u64,
     /// Trailing bytes dropped (in memory) as torn final writes.
     pub torn_dropped: u64,
@@ -533,131 +560,141 @@ pub struct GcStats {
 }
 
 struct State {
-    /// `None` = disabled/unarmed; `Some(dir)` = armed.
+    /// `None` = disabled, or disarmed because the store root could not be
+    /// created; `Some(dir)` = armed.
     dir: Option<PathBuf>,
     /// This process's own append shard, positioned at `shard_len`.
     shard: Option<File>,
     /// Validated length of the own shard (the repair boundary).
     shard_len: u64,
-    /// Keys loaded from disk this process — the set behind the
-    /// journal-hit counter that proves a resume reused prior work.
-    replayed: HashSet<CellKey>,
-    /// Replay already ran for the current `dir`.
-    replay_done: bool,
     /// The journal disarmed itself after persistent io failure.
     io_disarmed: bool,
     /// Consecutive failed appends (reset by any success).
     io_fail_streak: u8,
-    stats: ReplayStats,
+    /// What the replay at [`Journal::open`] found.
+    replay: ReplayStats,
+    /// New cells appended (rescued cells are not new work).
+    appends: u64,
+    fio: Fio,
 }
 
-static STATE: Mutex<Option<State>> = Mutex::new(None);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static APPENDS: AtomicU64 = AtomicU64::new(0);
-/// Mirror of `State::io_disarmed` readable without the lock (repro's
-/// invocation JSON reads it after the run).
-static IO_DISARMED: AtomicBool = AtomicBool::new(false);
+/// One run's handle on the cell farm. Opening it replays the store, as a
+/// fresh process does; opening a second one on the same directory is
+/// exactly a process restart (it appends to a *new* own shard).
+pub struct Journal(Mutex<State>);
+
 /// Per-process shard-name nonce counter (mixed with pid + clock).
 static NONCE: AtomicU64 = AtomicU64::new(0);
 
-fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let state = guard.get_or_insert_with(|| State {
-        dir: None,
-        shard: None,
-        shard_len: 0,
-        replayed: HashSet::new(),
-        replay_done: false,
-        io_disarmed: false,
-        io_fail_streak: 0,
-        stats: ReplayStats::default(),
-    });
-    f(state)
-}
-
-/// Arm the journal the way the `repro` binary does: `TINT_JOURNAL=0`/empty
-/// disables it, `TINT_JOURNAL=<dir>` relocates it, unset means
-/// `.tint-journal/` in the working directory. Library code (tests) never
-/// arms the journal implicitly — use [`set_dir`].
-pub fn configure_default() {
-    match std::env::var_os("TINT_JOURNAL") {
-        Some(v) if v.is_empty() || v == *"0" => set_dir(None),
-        Some(v) => set_dir(Some(Path::new(&v))),
-        None => set_dir(Some(Path::new(".tint-journal"))),
+impl Journal {
+    /// Arm the journal at `dir` (`None`: disabled) and replay its store.
+    /// Returns the journal and the live cells the store holds. `faults` is
+    /// the run's host-fault plan; only an `io:` plan fails operations.
+    pub fn open(
+        dir: Option<&Path>,
+        faults: Option<HostFaultPlan>,
+    ) -> (Self, BTreeMap<CellKey, ExpResult>) {
+        let mut s = State {
+            dir: dir.map(Path::to_path_buf),
+            shard: None,
+            shard_len: 0,
+            io_disarmed: false,
+            io_fail_streak: 0,
+            replay: ReplayStats::default(),
+            appends: 0,
+            fio: Fio {
+                plan: faults,
+                ..Fio::default()
+            },
+        };
+        let cells = replay(&mut s);
+        (Self(Mutex::new(s)), cells)
     }
-}
 
-/// Arm the journal at `dir` (or disarm with `None`), resetting all journal
-/// state: the open shard, the replayed-key set, the disarm latch, and the
-/// counters. Tests use this to simulate process death — `set_dir` to the
-/// same directory again behaves exactly like a fresh process finding the
-/// store on disk (including opening a *new* own shard, as a fresh process
-/// would).
-pub fn set_dir(dir: Option<&Path>) {
-    with_state(|s| {
-        s.dir = dir.map(Path::to_path_buf);
-        s.shard = None;
-        s.shard_len = 0;
-        s.replayed.clear();
-        s.replay_done = false;
-        s.io_disarmed = false;
-        s.io_fail_streak = 0;
-        s.stats = ReplayStats::default();
-    });
-    HITS.store(0, Ordering::Relaxed);
-    APPENDS.store(0, Ordering::Relaxed);
-    IO_DISARMED.store(false, Ordering::Relaxed);
-}
-
-/// Is the journal armed (a directory configured)?
-pub fn enabled() -> bool {
-    with_state(|s| s.dir.is_some())
-}
-
-/// The legacy v1 journal file in the armed directory, if one is there.
-/// v1 stores are no longer imported, so the file is never read.
-pub fn legacy_file() -> Option<PathBuf> {
-    with_state(|s| s.dir.as_ref().map(|d| d.join(V1_FILE_NAME))).filter(|p| p.exists())
-}
-
-/// Did the journal disarm itself after persistent io failure? (The run
-/// still completes correctly; its new cells just aren't persisted.)
-pub fn io_disarmed() -> bool {
-    IO_DISARMED.load(Ordering::Relaxed)
-}
-
-/// `(journal hits, cells appended, cells replayed)` so far. A *journal
-/// hit* is a cell served from the simcache whose value was loaded from
-/// disk — the counter a resumed run uses to prove the completed prefix was
-/// not re-simulated.
-pub fn counters() -> (u64, u64, u64) {
-    (
-        HITS.load(Ordering::Relaxed),
-        APPENDS.load(Ordering::Relaxed),
-        with_state(|s| s.stats.replayed),
-    )
-}
-
-/// Count a simcache hit as a journal hit when the key came from disk.
-/// Called by the runner on every cache hit; cheap no-op when unarmed.
-pub fn note_replayed_hit(key: &CellKey) {
-    let replayed = with_state(|s| s.replay_done && s.replayed.contains(key));
-    if replayed {
-        HITS.fetch_add(1, Ordering::Relaxed);
+    // The lock absorbs poisoning: a kill-point panic mid-operation leaves
+    // the on-disk store consistent by design, and the state with it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// Replay the store into the simcache (idempotent; also called lazily by
-/// [`append`]). Returns what was found. Disabled/unarmed → all-zero stats.
-pub fn replay() -> ReplayStats {
-    with_state(|s| {
-        if s.replay_done || s.dir.is_none() {
-            return s.stats;
+    /// The armed directory; `None` when disabled or disarmed at open.
+    pub fn dir(&self) -> Option<PathBuf> {
+        self.lock().dir.clone()
+    }
+
+    /// What the replay at open found.
+    pub fn replay_stats(&self) -> ReplayStats {
+        self.lock().replay
+    }
+
+    /// Did the journal disarm itself after persistent io failure? (The run
+    /// still completes correctly; its new cells just aren't persisted.)
+    pub fn io_disarmed(&self) -> bool {
+        self.lock().io_disarmed
+    }
+
+    /// New cells appended so far.
+    pub(crate) fn appends(&self) -> u64 {
+        self.lock().appends
+    }
+
+    /// Io faults the run's `io:` plan injected so far.
+    pub fn io_faults_injected(&self) -> u64 {
+        self.lock().fio.injected
+    }
+
+    /// Arm (or with `None` disarm) the kill point: the `n`-th (1-based)
+    /// subsequent io operation panics with [`IO_ABORT_MARKER`], simulating
+    /// a SIGKILL at that exact filesystem step. Crash-atomicity tests run
+    /// the operation under `catch_unwind` and then assert the on-disk
+    /// state is still consistent.
+    pub fn set_io_abort_at(&self, n: Option<u64>) {
+        let mut s = self.lock();
+        s.fio.ops = 0;
+        s.fio.abort_at = n;
+    }
+
+    /// Append one completed cell. Poisoned results must not reach the
+    /// journal — the runner filters them; this is a debug-build backstop.
+    pub fn append(&self, key: &CellKey, r: &ExpResult) {
+        debug_assert!(!r.poisoned, "poisoned cells are never journaled");
+        append_locked(&mut self.lock(), key, r, true);
+    }
+
+    /// Flush shard appends to the OS (graceful-shutdown path). Appends are
+    /// unbuffered single `write_all`s, so this is a best-effort
+    /// `sync_data` for the power-loss case; a SIGKILL already cannot tear
+    /// more than the final entry.
+    pub fn flush(&self) {
+        let s = &mut *self.lock();
+        if s.io_disarmed {
+            return;
         }
-        s.replay_done = true;
-        s.stats = replay_locked(s);
-        s.stats
-    })
+        if let Some(f) = s.shard.take() {
+            match s.fio.sync(&f) {
+                Ok(()) => s.shard = Some(f),
+                Err(e) => disarm_io(s, "sync", &e),
+            }
+        }
+    }
+
+    /// Compact the store: merge the current generation exactly like
+    /// replay, write the live deduped cells into one fresh shard in a new
+    /// generation, and commit it with a single atomic rename. Guarded by
+    /// an exclusive OS lock on `gc.lock`; a second live GC fails fast. A
+    /// crash at *any* point leaves either the old or the new generation
+    /// fully intact (the commit is one rename), and concurrent readers of
+    /// the old generation are unaffected. Old generations and stray GC
+    /// build directories are removed only after the commit.
+    pub fn gc(&self) -> Result<GcStats, String> {
+        gc_locked(&mut self.lock())
+    }
+}
+
+/// The legacy v1 journal file in `dir`, if one is there. v1 stores are no
+/// longer imported, so the file is never read.
+pub fn legacy_file(dir: &Path) -> Option<PathBuf> {
+    Some(dir.join(V1_FILE_NAME)).filter(|p| p.exists())
 }
 
 /// One scanned shard.
@@ -731,11 +768,12 @@ fn scan_bytes(bytes: &[u8]) -> Scan {
 }
 
 /// The merged content of one generation directory.
+#[derive(Default)]
 struct GenScan {
     /// Deduped live cells across all shards (healthy + salvaged).
-    merged: HashMap<CellKey, ExpResult>,
+    merged: BTreeMap<CellKey, ExpResult>,
     /// Keys durably held by a *healthy* shard (no need to re-persist).
-    healthy_keys: HashSet<CellKey>,
+    healthy_keys: BTreeSet<CellKey>,
     shards: u64,
     torn: u64,
     retired: u64,
@@ -750,16 +788,8 @@ struct GenScan {
 /// prefixes land in `merged` but not `healthy_keys` — the caller rescues
 /// them into durable storage. Foreign torn tails are dropped in memory
 /// only (they may be a live sibling's in-flight append).
-fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
-    let mut g = GenScan {
-        merged: HashMap::new(),
-        healthy_keys: HashSet::new(),
-        shards: 0,
-        torn: 0,
-        retired: 0,
-        quarantined: 0,
-        bytes: 0,
-    };
+fn scan_generation(fio: &mut Fio, root: &Path, gen_dir: &Path) -> GenScan {
+    let mut g = GenScan::default();
     let mut shard_paths: Vec<PathBuf> = match std::fs::read_dir(gen_dir) {
         Ok(rd) => rd
             .flatten()
@@ -778,7 +808,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
         if scan.corrupt {
             g.quarantined += 1;
             let q = unique_corrupt_path(root, &path);
-            match fio_rename(&path, &q) {
+            match fio.rename(&path, &q) {
                 Ok(()) => eprintln!(
                     "journal: shard {} is corrupt mid-stream; quarantined to {} \
                      ({} good cells rescued)",
@@ -793,69 +823,55 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
                     scan.cells.len()
                 ),
             }
-            for (k, v) in scan.cells {
-                g.merged.insert(k, v);
-            }
         } else {
             g.shards += 1;
-            for (k, v) in scan.cells {
-                g.healthy_keys.insert(k);
-                g.merged.insert(k, v);
-            }
+            g.healthy_keys.extend(scan.cells.iter().map(|(k, _)| *k));
         }
+        g.merged.extend(scan.cells);
     }
     g
 }
 
-/// The replay body; `s.dir` is `Some`. Merges the current generation's
-/// shards into the simcache and rescues the good prefix of corrupt shards
-/// into this process's own shard.
-fn replay_locked(s: &mut State) -> ReplayStats {
-    let dir = s.dir.clone().expect("replay_locked requires an armed dir");
-    let mut stats = ReplayStats::default();
+/// Merge the current generation's shards and rescue the good prefix of
+/// corrupt shards into this process's own shard (in key order). Returns
+/// the merged live cells; a disabled journal has none.
+fn replay(s: &mut State) -> BTreeMap<CellKey, ExpResult> {
+    let Some(dir) = s.dir.clone() else {
+        return BTreeMap::new();
+    };
     let root = v2_root(&dir);
-    if let Err(e) = fio_create_dir_all(&root) {
+    if let Err(e) = s.fio.create_dir_all(&root) {
         eprintln!(
             "journal: cannot create {} ({e}); journaling disabled for this run",
             root.display()
         );
         s.dir = None;
         s.io_disarmed = true; // the single warning for this run
-        IO_DISARMED.store(true, Ordering::Relaxed);
-        return stats;
+        return BTreeMap::new();
     }
-
-    let gen = current_generation(&dir).map(|(_, p)| scan_generation(&root, &p));
-
-    let mut merged: HashMap<CellKey, ExpResult> = HashMap::new();
-    let mut healthy_keys: HashSet<CellKey> = HashSet::new();
-    if let Some(g) = gen {
-        stats.shards = g.shards;
-        stats.torn_dropped += g.torn;
-        stats.retired_skipped += g.retired;
-        stats.quarantined += g.quarantined;
-        merged.extend(g.merged);
-        healthy_keys.extend(g.healthy_keys);
-    }
-
-    stats.replayed = merged.len() as u64;
-    if simcache::enabled() {
-        simcache::insert_many(merged.iter().map(|(k, v)| (*k, v)));
-    }
-    s.replayed.extend(merged.keys().copied());
-
+    let Some((_, gen_dir)) = current_generation(&dir) else {
+        return BTreeMap::new();
+    };
+    let g = scan_generation(&mut s.fio, &root, &gen_dir);
+    s.replay = ReplayStats {
+        replayed: g.merged.len() as u64,
+        torn_dropped: g.torn,
+        quarantined: g.quarantined,
+        retired_skipped: g.retired,
+        shards: g.shards,
+    };
     // Rescue cells that no healthy shard holds (corrupt-shard salvage)
     // into our own shard so they stay durable. These are not *new* work,
     // so they do not count toward the append counter.
-    for (k, v) in merged.iter().filter(|(k, _)| !healthy_keys.contains(k)) {
+    for (k, v) in g.merged.iter().filter(|(k, _)| !g.healthy_keys.contains(k)) {
         append_locked(s, k, v, false);
     }
-    stats
+    g.merged
 }
 
 /// A fresh shard file name: `<pid>-<nonce>.jnl`. The nonce mixes a
 /// process-local counter, the pid, and the clock through SplitMix64, so
-/// concurrent writers (and successive `set_dir` "processes" in one test
+/// concurrent writers (and successive journals opened in one test
 /// binary) get distinct names; `O_EXCL` turns any residual collision into
 /// a retry instead of silent sharing.
 fn shard_file_name() -> String {
@@ -880,7 +896,7 @@ fn open_own_shard(s: &mut State) -> bool {
         Some((_, p)) => p,
         None => {
             let p = v2_root(&dir).join(gen_name(1));
-            if let Err(e) = fio_create_dir_all(&p) {
+            if let Err(e) = s.fio.create_dir_all(&p) {
                 disarm_io(s, "create generation", &e);
                 return false;
             }
@@ -889,9 +905,9 @@ fn open_own_shard(s: &mut State) -> bool {
     };
     for _ in 0..16 {
         let path = gen_dir.join(shard_file_name());
-        match fio_open_excl(&path) {
+        match s.fio.open_excl(&path) {
             Ok(mut f) => {
-                if let Err(e) = fio_write_all(&mut f, SHARD_MAGIC) {
+                if let Err(e) = s.fio.write_all(&mut f, SHARD_MAGIC) {
                     // A magic-less fragment replays as a torn first write;
                     // harmless, and GC compacts it away.
                     disarm_io(s, "initialize shard", &e);
@@ -926,7 +942,6 @@ fn disarm_io(s: &mut State, ctx: &str, e: &std::io::Error) {
              (figures are unaffected; unjournaled cells will be re-simulated next time)"
         );
         s.io_disarmed = true;
-        IO_DISARMED.store(true, Ordering::Relaxed);
     }
 }
 
@@ -944,17 +959,15 @@ fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) {
     let entry = frame(&encode(key, r));
     let pre = s.shard_len;
     let f = s.shard.as_mut().expect("own shard is open");
-    match fio_write_all(f, &entry) {
+    match s.fio.write_all(f, &entry) {
         Ok(()) => {
             s.shard_len = pre + entry.len() as u64;
             s.io_fail_streak = 0;
-            if count {
-                APPENDS.fetch_add(1, Ordering::Relaxed);
-            }
+            s.appends += count as u64;
         }
         Err(e) => {
             s.io_fail_streak = s.io_fail_streak.saturating_add(1);
-            let repaired = fio_set_len(f, pre).is_ok();
+            let repaired = s.fio.set_len(f, pre).is_ok();
             if !repaired || s.io_fail_streak >= MAX_IO_FAILURES {
                 // Unrepairable boundary (the shard now ends in a torn
                 // fragment — which replay tolerates) or a persistent
@@ -963,49 +976,6 @@ fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) {
             }
         }
     }
-}
-
-/// Append one completed cell. Lazily replays first (so tests that only
-/// append still find prior runs' cells). Poisoned results must not reach
-/// the journal — the runner filters them; this is a debug-build backstop.
-pub fn append(key: &CellKey, r: &ExpResult) {
-    debug_assert!(!r.poisoned, "poisoned cells are never journaled");
-    if !enabled() {
-        return;
-    }
-    replay();
-    with_state(|s| append_locked(s, key, r, true));
-}
-
-/// Flush shard appends to the OS (graceful-shutdown path). Appends are
-/// unbuffered single `write_all`s, so this is a best-effort `sync_data`
-/// for the power-loss case; a SIGKILL already cannot tear more than the
-/// final entry.
-pub fn flush() {
-    with_state(|s| {
-        if s.io_disarmed {
-            return;
-        }
-        if let Some(f) = s.shard.take() {
-            if let Err(e) = fio_sync(&f) {
-                disarm_io(s, "sync", &e);
-            } else {
-                s.shard = Some(f);
-            }
-        }
-    });
-}
-
-/// Compact the store: merge the current generation exactly like replay,
-/// write the live deduped cells into one fresh shard in a new generation,
-/// and commit it with a single atomic rename. Guarded by an exclusive OS
-/// lock on `gc.lock`; a second live GC fails fast. A crash at *any* point
-/// leaves either the old or the new generation fully intact (the commit is
-/// one rename), and concurrent readers of the old generation are
-/// unaffected. Old generations and stray GC build directories are removed
-/// only after the commit.
-pub fn gc() -> Result<GcStats, String> {
-    with_state(gc_locked)
 }
 
 fn gc_locked(s: &mut State) -> Result<GcStats, String> {
@@ -1017,33 +987,25 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
         return Err("journal is disarmed after io failures; not compacting".to_string());
     }
     let root = v2_root(&dir);
-    fio_create_dir_all(&root).map_err(|e| format!("cannot create {}: {e}", root.display()))?;
+    s.fio
+        .create_dir_all(&root)
+        .map_err(|e| format!("cannot create {}: {e}", root.display()))?;
     let _lock = Lockfile::acquire(&root.join(GC_LOCK))
         .map_err(|e| format!("gc lock: {e} (is another gc-journal running?)"))?;
 
     let old = current_generation(&dir);
     let old_n = old.as_ref().map(|(n, _)| *n).unwrap_or(0);
-    let mut stats = GcStats::default();
-    let mut merged: HashMap<CellKey, ExpResult> = HashMap::new();
-    if let Some((_, gen_dir)) = &old {
-        let g = scan_generation(&root, gen_dir);
-        stats.shards_merged = g.shards;
-        stats.quarantined += g.quarantined;
-        stats.bytes_before += g.bytes;
-        merged.extend(g.merged);
-    }
-    stats.live_cells = merged.len() as u64;
-
-    // Deterministic shard content: sort by encoded key fields.
-    let mut cells: Vec<(&CellKey, &ExpResult)> = merged.iter().collect();
-    cells.sort_by_key(|(k, _)| {
-        (
-            k.fingerprint,
-            scheme_code(k.scheme),
-            pin_code(k.pin),
-            k.seed,
-        )
-    });
+    let g = match &old {
+        Some((_, gen_dir)) => scan_generation(&mut s.fio, &root, gen_dir),
+        None => GenScan::default(),
+    };
+    let mut stats = GcStats {
+        live_cells: g.merged.len() as u64,
+        shards_merged: g.shards,
+        quarantined: g.quarantined,
+        bytes_before: g.bytes,
+        ..GcStats::default()
+    };
 
     let new_n = old_n + 1;
     let tmp = root.join(format!("{}.tmp.{}", gen_name(new_n), std::process::id()));
@@ -1052,18 +1014,19 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
     // pid is possible across boots); a stale partial shard must not ride
     // into the committed generation.
     let _ = std::fs::remove_dir_all(&tmp);
-    let build = |tmp: &Path| -> std::io::Result<u64> {
-        fio_create_dir_all(tmp)?;
-        let mut f = fio_open_excl(&tmp.join(shard_file_name()))?;
-        fio_write_all(&mut f, SHARD_MAGIC)?;
+    // Cells go out in key order: deterministic shard content.
+    let mut build = |tmp: &Path| -> std::io::Result<u64> {
+        s.fio.create_dir_all(tmp)?;
+        let mut f = s.fio.open_excl(&tmp.join(shard_file_name()))?;
+        s.fio.write_all(&mut f, SHARD_MAGIC)?;
         let mut bytes = SHARD_MAGIC.len() as u64;
-        for (k, v) in &cells {
+        for (k, v) in &g.merged {
             let entry = frame(&encode(k, v));
-            fio_write_all(&mut f, &entry)?;
+            s.fio.write_all(&mut f, &entry)?;
             bytes += entry.len() as u64;
         }
-        fio_sync(&f)?;
-        fio_rename(tmp, &committed)?; // the commit point: one atomic rename
+        s.fio.sync(&f)?;
+        s.fio.rename(tmp, &committed)?; // the commit point: one atomic rename
         Ok(bytes)
     };
     match build(&tmp) {

@@ -1,23 +1,30 @@
 //! Run (workload, scheme, pinning, seed) experiment cells on fresh machines.
 //!
+//! A [`Harness`] is one run's context. It is built from a [`RunConfig`] —
+//! the `repro` binary parses its flags and `TINT_*` variables into one,
+//! once — and owns everything the run keeps: the cell cache, the journal,
+//! the host-fault schedule and the run counters ([`Stats`]). Figures take
+//! `&Harness`, so two harnesses with conflicting configurations run side by
+//! side in one process without seeing each other.
+//!
 //! Three layers sit between a figure and the simulator:
 //!
 //! * the **cell cache** ([`crate::simcache`]): every cell is deterministic,
-//!   so results are memoized by content — figures within one invocation
+//!   so results are memoized by content — figures run through one harness
 //!   share cells (fig13/fig14 are a strict subset of the fig11 matrix)
 //!   without knowing about each other;
 //! * the **cell farm** ([`crate::journal`]): completed cells are also
-//!   appended to a crash-safe on-disk store (when armed), replayed into
-//!   the cache at startup, so a killed run resumes without re-simulating
-//!   its completed prefix. The store is sharded per writer process
-//!   (`O_EXCL`-created append shards inside a generation directory), so
-//!   any number of concurrent `repro` processes can share one journal
-//!   directory lock-free and collectively only ever simulate new cells;
-//!   on persistent io failure the journal disarms itself (one warning)
-//!   and the run completes journal-less with identical figures;
-//! * the **matrix executor** ([`run_cells`]): figures flatten their whole
-//!   (benchmark × config × scheme × rep) cell list into one work queue
-//!   drained by `--jobs` host threads. Cells vary ~100× in cost
+//!   appended to a crash-safe on-disk store (when configured), replayed
+//!   into the cache when the harness is built, so a killed run resumes
+//!   without re-simulating its completed prefix. The store is sharded per
+//!   writer process (`O_EXCL`-created append shards inside a generation
+//!   directory), so any number of concurrent `repro` processes can share
+//!   one journal directory lock-free and collectively only ever simulate
+//!   new cells; on persistent io failure the journal disarms itself (one
+//!   warning) and the run completes journal-less with identical figures;
+//! * the **matrix executor** ([`Harness::run_cells`]): figures flatten
+//!   their whole (benchmark × config × scheme × rep) cell list into one
+//!   work queue drained by `--jobs` host threads. Cells vary ~100× in cost
 //!   (lbm vs blackscholes), so stealing from a single flattened queue is
 //!   what load-balances a sweep; a per-cell ≤ reps-way fan-out cannot.
 //!
@@ -28,49 +35,41 @@
 //!
 //! Each cell attempt runs under `catch_unwind`: a panicking cell (a real
 //! bug, or a scheduled [`crate::hostfault`] injection) is retried up to
-//! [`cell_retries`] times (default 2) — an immediate, backoff-free
-//! requeue on the same worker — and only after every attempt fails is it
-//! recorded as a **poisoned** cell: a zeroed sentinel result with
-//! [`ExpResult::poisoned`] set, rendered as `ERR` in figure tables and
-//! counted by [`poisoned_cells`] so the `repro` binary can exit nonzero
+//! [`RunConfig::cell_retries`] times (default 2) — an immediate,
+//! backoff-free requeue on the same worker — and only after every attempt
+//! fails is it recorded as a **poisoned** cell: a zeroed sentinel result
+//! with [`ExpResult::poisoned`] set, rendered as `ERR` in figure tables and
+//! counted in [`Stats::poisoned`] so the `repro` binary can exit nonzero
 //! without aborting the rest of the matrix. Poisoned results are never
 //! cached or journaled; a later run retries them.
 //!
-//! A watchdog thread (armed by [`set_cell_timeout_ms`]) warns about cells
-//! exceeding the soft deadline; in strict-deadline mode
-//! ([`set_strict_deadline`], the `repro --strict-deadline` flag) an
+//! A watchdog thread (armed by [`RunConfig::cell_timeout`]) warns about
+//! cells exceeding the soft deadline; in strict-deadline mode
+//! ([`RunConfig::strict_deadline`], the `repro --strict-deadline` flag) an
 //! overdue cell's eventual result is discarded and the cell poisoned, and
 //! a cell stuck past 20× the deadline aborts the whole process (exit 124,
 //! journal flushed — a resume skips everything that completed) so a
 //! livelocked simulation cannot hang CI forever.
 //!
 //! SIGINT/SIGTERM (when the binary armed [`install_cancel_handlers`]) flip
-//! a cooperative cancel flag: workers drain at the next cell boundary, the
+//! a cooperative cancel flag — process-wide, since a signal handler can
+//! only reach a static: workers drain at the next cell boundary, the
 //! journal is flushed, and the process exits 130 with a resume notice.
 
-use crate::hostfault;
-use crate::journal;
-use crate::simcache::{self, CellKey};
+use crate::hostfault::{HostFaultPlan, PANIC_MARKER};
+use crate::journal::Journal;
+use crate::simcache::{CellCache, CellKey};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use tint_hw::fxhash::FxHashMap;
 use tint_spmd::{RunMetrics, SimThread};
 use tint_workloads::{PinConfig, Workload};
 use tintmalloc::prelude::*;
-
-/// Simulated cycles completed by every actual simulation in this process —
-/// the benchmark-side progress counter `repro` snapshots around each
-/// figure to report simulated work next to wall-clock time. Cache hits do
-/// not add to it: it counts *new* simulation work, which is how
-/// `BENCH_repro.json` proves a command was served from the cache.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Total simulated cycles (sum of per-run `metrics.runtime`) executed so
-/// far in this process.
-pub fn simulated_cycles() -> u64 {
-    SIM_CYCLES.load(Ordering::Relaxed)
-}
 
 /// Everything one run produces.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,6 +128,27 @@ impl CellSpec<'_> {
     }
 }
 
+/// `schemes × seeds 1..=reps` of one workload at one pinning, scheme-major:
+/// the cell list of a figure row group.
+pub fn cells_for<'a>(
+    workload: &'a dyn Workload,
+    schemes: &[ColorScheme],
+    pin: PinConfig,
+    reps: u32,
+) -> Vec<CellSpec<'a>> {
+    schemes
+        .iter()
+        .flat_map(|&scheme| {
+            (1..=reps as u64).map(move |seed| CellSpec {
+                workload,
+                scheme,
+                pin,
+                seed,
+            })
+        })
+        .collect()
+}
+
 /// Actually simulate one cell on a fresh machine (no cache involvement).
 /// The seed drives boot noise (physical-layout jitter across the paper's
 /// repetitions) and the workloads' random streams.
@@ -166,7 +186,6 @@ fn simulate_cell(
     let (acc, lat) = mem.cores.iter().fold((0u64, 0u64), |(a, l), c| {
         (a + c.accesses, l + c.total_latency)
     });
-    SIM_CYCLES.fetch_add(metrics.runtime, Ordering::Relaxed);
     ExpResult {
         metrics,
         remote_fraction: mem.remote_fraction(),
@@ -191,107 +210,8 @@ fn simulate_cell(
 }
 
 // ---------------------------------------------------------------------------
-// Worker isolation: retries, poisoned cells, deadlines, cancellation
+// Worker isolation: poisoned cells, deadlines, cancellation
 // ---------------------------------------------------------------------------
-
-/// Cells that exhausted every attempt this process (each is an `ERR` row
-/// driver and a reason for `repro` to exit nonzero).
-static POISONED: AtomicU64 = AtomicU64::new(0);
-
-/// Panicked attempts that were requeued (retry accounting for tests/JSON).
-static RETRIES_USED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of cells poisoned so far this process.
-pub fn poisoned_cells() -> u64 {
-    POISONED.load(Ordering::Relaxed)
-}
-
-/// Number of panicked attempts that were retried so far this process.
-pub fn retries_used() -> u64 {
-    RETRIES_USED.load(Ordering::Relaxed)
-}
-
-/// Zero the poisoned/retry counters (tests).
-pub fn reset_fault_counters() {
-    POISONED.store(0, Ordering::Relaxed);
-    RETRIES_USED.store(0, Ordering::Relaxed);
-}
-
-/// Memory-pressure events observed by figures this process: OOM victim
-/// kills, watermark admission rejections, and `EAGAIN` allocation retries
-/// (fed by the `soak` figure; reported in `BENCH_repro.json`).
-static OOM_KILLS: AtomicU64 = AtomicU64::new(0);
-static ADMISSION_REJECTS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Accumulate one simulated system's pressure counters into the
-/// process-wide totals.
-pub fn note_pressure_stats(oom_kills: u64, admission_rejects: u64, alloc_retries: u64) {
-    OOM_KILLS.fetch_add(oom_kills, Ordering::Relaxed);
-    ADMISSION_REJECTS.fetch_add(admission_rejects, Ordering::Relaxed);
-    ALLOC_RETRIES.fetch_add(alloc_retries, Ordering::Relaxed);
-}
-
-/// `(oom_kills, admission_rejects, alloc_retries)` accumulated so far.
-pub fn pressure_stats() -> (u64, u64, u64) {
-    (
-        OOM_KILLS.load(Ordering::Relaxed),
-        ADMISSION_REJECTS.load(Ordering::Relaxed),
-        ALLOC_RETRIES.load(Ordering::Relaxed),
-    )
-}
-
-/// Zero the pressure counters (tests).
-pub fn reset_pressure_stats() {
-    OOM_KILLS.store(0, Ordering::Relaxed);
-    ADMISSION_REJECTS.store(0, Ordering::Relaxed);
-    ALLOC_RETRIES.store(0, Ordering::Relaxed);
-}
-
-/// Retries per panicking cell when nothing sets them.
-const DEFAULT_CELL_RETRIES: u32 = 2;
-
-/// Retries per panicking cell (`repro` sets it from `TINT_CELL_RETRIES`).
-static CELL_RETRIES: AtomicU32 = AtomicU32::new(DEFAULT_CELL_RETRIES);
-
-/// Set the retries per panicking cell; `None` restores the default (2).
-pub fn set_cell_retries(retries: Option<u32>) {
-    CELL_RETRIES.store(retries.unwrap_or(DEFAULT_CELL_RETRIES), Ordering::Relaxed);
-}
-
-/// Retries per panicking cell.
-pub fn cell_retries() -> u32 {
-    CELL_RETRIES.load(Ordering::Relaxed)
-}
-
-/// Soft per-cell deadline in milliseconds; `u64::MAX` = unarmed.
-static TIMEOUT_MS: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Arm the soft per-cell deadline (`repro` sets it from
-/// `TINT_CELL_TIMEOUT_S`); `None` disarms it.
-pub fn set_cell_timeout_ms(ms: Option<u64>) {
-    TIMEOUT_MS.store(ms.unwrap_or(u64::MAX), Ordering::Relaxed);
-}
-
-/// The soft per-cell deadline, if armed.
-pub fn cell_timeout() -> Option<Duration> {
-    let ms = TIMEOUT_MS.load(Ordering::Relaxed);
-    (ms != u64::MAX).then(|| Duration::from_millis(ms))
-}
-
-/// Strict-deadline mode: overdue cells are poisoned instead of merely
-/// warned about (the `repro --strict-deadline` flag).
-static STRICT_DEADLINE: AtomicBool = AtomicBool::new(false);
-
-/// Enable/disable strict-deadline mode.
-pub fn set_strict_deadline(on: bool) {
-    STRICT_DEADLINE.store(on, Ordering::Relaxed);
-}
-
-/// Is strict-deadline mode on?
-pub fn strict_deadline() -> bool {
-    STRICT_DEADLINE.load(Ordering::Relaxed)
-}
 
 /// Cooperative cancellation flag, flipped by SIGINT/SIGTERM once the
 /// binary has armed the handlers.
@@ -352,59 +272,28 @@ pub fn any_poisoned(rs: &[ExpResult]) -> bool {
     rs.iter().any(|r| r.poisoned)
 }
 
-/// Run one cell attempt-isolated: `catch_unwind` around the simulation
-/// (plus the host-fault injection point), immediate requeue up to
-/// [`cell_retries`] times, then a poisoned sentinel. Simulation is
-/// deterministic, so a successful retry returns exactly what an
-/// undisturbed run would have.
-fn run_cell_guarded(c: &CellSpec<'_>) -> ExpResult {
-    let attempts = 1 + cell_retries() as u64;
-    for attempt in 1..=attempts {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            hostfault::maybe_inject();
-            simulate_cell(c.workload, c.scheme, c.pin, c.seed)
-        }));
-        match outcome {
-            Ok(r) => return r,
-            Err(_) if attempt < attempts => {
-                RETRIES_USED.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "worker: cell [{}] panicked (attempt {attempt}/{attempts}); requeueing",
-                    c.describe()
-                );
-            }
-            Err(_) => {
-                POISONED.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "worker: cell [{}] poisoned after {attempts} attempts — \
-                     it will render as ERR and the run will exit nonzero",
-                    c.describe()
-                );
-            }
-        }
-    }
-    poisoned_sentinel(c)
-}
-
 /// Shared worker↔watchdog state for one `run_cells` batch.
 struct Watch {
     /// Per-worker: `(cell index, start)` while a cell is being simulated.
     active: Mutex<Vec<Option<(usize, Instant)>>>,
     /// Cells flagged overdue by the watchdog (strict mode: reject result).
-    flagged: Mutex<std::collections::HashSet<usize>>,
+    flagged: Mutex<BTreeSet<usize>>,
     /// Cells already warned about (warn once each).
-    warned: Mutex<std::collections::HashSet<usize>>,
+    warned: Mutex<BTreeSet<usize>>,
     /// Workers still draining the queue; the watchdog exits at zero.
     workers_alive: AtomicUsize,
+    /// Strict-deadline mode: flagged cells' results are discarded.
+    strict: bool,
 }
 
 impl Watch {
-    fn new(workers: usize) -> Self {
+    fn new(workers: usize, strict: bool) -> Self {
         Self {
             active: Mutex::new(vec![None; workers]),
-            flagged: Mutex::new(std::collections::HashSet::new()),
-            warned: Mutex::new(std::collections::HashSet::new()),
+            flagged: Mutex::default(),
+            warned: Mutex::default(),
             workers_alive: AtomicUsize::new(workers),
+            strict,
         }
     }
 
@@ -417,7 +306,7 @@ impl Watch {
     /// flagged this cell while it ran (its result must be discarded).
     fn end(&self, worker: usize, cell: usize) -> bool {
         self.active.lock().unwrap_or_else(|e| e.into_inner())[worker] = None;
-        strict_deadline()
+        self.strict
             && self
                 .flagged
                 .lock()
@@ -430,123 +319,9 @@ impl Watch {
     }
 }
 
-/// Watchdog body: wake a few times per deadline, warn about overdue cells
-/// (once each), flag them in strict mode, and — strict mode, armed binary
-/// only — abort the process if a cell is stuck past 20× the deadline (the
-/// journal holds everything completed, so an abort is resumable).
-fn watchdog_loop(watch: &Watch, cells: &[CellSpec<'_>], timeout: Duration) {
-    let tick = (timeout / 4)
-        .min(Duration::from_millis(200))
-        .max(Duration::from_millis(10));
-    let hard_kill = timeout.saturating_mul(20);
-    while watch.workers_alive.load(Ordering::Acquire) > 0 {
-        std::thread::sleep(tick);
-        let overdue: Vec<(usize, Duration)> = {
-            let active = watch.active.lock().unwrap_or_else(|e| e.into_inner());
-            active
-                .iter()
-                .flatten()
-                .filter(|(_, start)| start.elapsed() > timeout)
-                .map(|&(i, start)| (i, start.elapsed()))
-                .collect()
-        };
-        for (i, elapsed) in overdue {
-            let first = watch
-                .warned
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(i);
-            if first {
-                eprintln!(
-                    "watchdog: cell [{}] running {:.1}s, past the {:.1}s deadline{}",
-                    cells[i].describe(),
-                    elapsed.as_secs_f64(),
-                    timeout.as_secs_f64(),
-                    if strict_deadline() {
-                        " — its result will be discarded (strict-deadline)"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            if strict_deadline() {
-                watch
-                    .flagged
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(i);
-                if elapsed > hard_kill && CANCEL_ARMED.load(Ordering::SeqCst) {
-                    journal::flush();
-                    eprintln!(
-                        "watchdog: cell [{}] stuck for {:.1}s (20x the deadline); \
-                         aborting — completed cells are journaled, resume with the same command",
-                        cells[i].describe(),
-                        elapsed.as_secs_f64()
-                    );
-                    std::process::exit(124);
-                }
-            }
-        }
-    }
-}
-
-/// Run one experiment cell, through the cell cache and journal, isolated
-/// like any executor cell (a panic poisons the result, never the process).
-pub fn run_once(
-    workload: &dyn Workload,
-    scheme: ColorScheme,
-    pin: PinConfig,
-    seed: u64,
-) -> ExpResult {
-    let key = CellKey::of(workload, scheme, pin, seed);
-    if let Some(r) = simcache::lookup(&key) {
-        simcache::note_hits(1);
-        journal::note_replayed_hit(&key);
-        return r;
-    }
-    simcache::note_misses(1);
-    let spec = CellSpec {
-        workload,
-        scheme,
-        pin,
-        seed,
-    };
-    let r = run_cell_guarded(&spec);
-    if !r.poisoned {
-        simcache::insert(key, &r);
-        journal::append(&key, &r);
-    }
-    r
-}
-
-/// Run `reps` seeded repetitions (the paper repeats everything 10×) as one
-/// flattened cell batch.
-pub fn run_reps(
-    workload: &dyn Workload,
-    scheme: ColorScheme,
-    pin: PinConfig,
-    reps: u32,
-) -> Vec<ExpResult> {
-    let cells: Vec<CellSpec> = (1..=reps as u64)
-        .map(|seed| CellSpec {
-            workload,
-            scheme,
-            pin,
-            seed,
-        })
-        .collect();
-    run_cells(&cells, available_jobs())
-}
-
-/// Worker-thread count set by the `repro` binary; 0 = unset.
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker-thread count used by [`run_reps`]/figure sweeps (`repro`
-/// sets it from `--jobs` or `TINT_JOBS`). Passing 0 clears it, falling back
-/// to host parallelism.
-pub fn set_jobs(jobs: usize) {
-    JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
-}
+// ---------------------------------------------------------------------------
+// The run context: configuration, cache, journal, counters
+// ---------------------------------------------------------------------------
 
 /// Parse a worker count: a positive decimal integer. `0`, signs, hex
 /// (`0x4`), empty, and non-numeric strings are rejected — silent clamping
@@ -566,173 +341,419 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
     }
 }
 
-/// Number of worker threads the matrix executor uses by default: the count
-/// set by [`set_jobs`], else the host's available parallelism. Always ≥ 1.
-pub fn available_jobs() -> usize {
-    let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// A run's settings: what `repro` takes from its flags and `TINT_*`
+/// variables for the harness. [`Default`] is a library run: host
+/// parallelism, 2 retries, no deadline, cache on, no journal, no faults.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Worker threads per cell batch; `None` = host parallelism.
+    pub jobs: Option<usize>,
+    /// Retries per panicking cell before it is poisoned.
+    pub cell_retries: u32,
+    /// Soft per-cell deadline the watchdog enforces; `None` = unarmed.
+    pub cell_timeout: Option<Duration>,
+    /// Poison overdue cells instead of only warning about them.
+    pub strict_deadline: bool,
+    /// Memoize cells in a content-addressed cell cache.
+    pub cache: bool,
+    /// Journal directory; `None` = no journal.
+    pub journal: Option<PathBuf>,
+    /// Host-fault schedule: a `panic:` plan reaches the executor, an `io:`
+    /// plan the journal.
+    pub host_fault: Option<HostFaultPlan>,
 }
 
-/// Run a batch of cells across `jobs` host threads with a shared work
-/// queue, returning results in input order. See [`run_cells_with_progress`].
-pub fn run_cells(cells: &[CellSpec<'_>], jobs: usize) -> Vec<ExpResult> {
-    run_cells_with_progress(cells, jobs, &|_, _| {})
+impl Default for RunConfig {
+    fn default() -> Self {
+        Self {
+            jobs: None,
+            cell_retries: 2,
+            cell_timeout: None,
+            strict_deadline: false,
+            cache: true,
+            journal: None,
+            host_fault: None,
+        }
+    }
 }
 
-/// [`run_cells`] with a progress callback, invoked after each *simulated*
-/// cell as `progress(done, to_simulate)` (cache hits are served instantly
-/// and not reported; the callback may be called from worker threads).
-///
-/// Execution model: cached cells are filled first; the remaining misses
-/// form a single flat queue drained by `min(jobs, misses)` scoped threads
-/// via an atomic cursor — a cheap work-stealing scheme that load-balances
-/// cells of wildly different cost. Each repetition is an independent
-/// deterministic simulation, so the fan-out changes only wall-clock time,
-/// never results: the canonical-order merge makes the output independent
-/// of `jobs` (asserted by tests below and `tests/cell_cache.rs`).
-///
-/// Every simulated cell runs panic-isolated (see the module docs); each
-/// completed cell is appended to the journal at the moment it finishes, so
-/// a crash loses at most in-flight cells. On cooperative cancellation
-/// (SIGINT/SIGTERM in the `repro` binary) workers stop picking up new
-/// cells, the journal is flushed, and the process exits 130.
-///
-/// In-batch duplicates (same content key appearing twice) are simulated
-/// once and counted as cache hits when the cache is enabled; with the
-/// cache disabled every occurrence is simulated, exactly as the pre-cache
-/// harness did.
-pub fn run_cells_with_progress(
-    cells: &[CellSpec<'_>],
-    jobs: usize,
-    progress: &(dyn Fn(usize, usize) + Sync),
-) -> Vec<ExpResult> {
-    let jobs = jobs.max(1);
-    let caching = simcache::enabled();
-    let keys: Vec<CellKey> = cells
-        .iter()
-        .map(|c| CellKey::of(c.workload, c.scheme, c.pin, c.seed))
-        .collect();
-    let mut slots: Vec<Option<ExpResult>> = Vec::with_capacity(cells.len());
-    let mut to_run: Vec<usize> = Vec::new();
-    let mut pending: std::collections::HashMap<CellKey, usize> = std::collections::HashMap::new();
-    let mut dups: Vec<(usize, usize)> = Vec::new();
-    let mut hits = 0u64;
-    for (i, key) in keys.iter().enumerate() {
-        if let Some(r) = simcache::lookup(key) {
-            slots.push(Some(r));
-            hits += 1;
-            journal::note_replayed_hit(key);
-            continue;
-        }
-        slots.push(None);
-        if caching {
-            if let Some(&src) = pending.get(key) {
-                dups.push((i, src));
-                hits += 1;
-                continue;
-            }
-            pending.insert(*key, i);
-        }
-        to_run.push(i);
-    }
-    simcache::note_hits(hits);
-    simcache::note_misses(to_run.len() as u64);
+/// A harness's run counters (a snapshot: [`Harness::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stats {
+    /// Simulated cycles (sum of `metrics.runtime`) of every actual
+    /// simulation. Cache hits do not add to it: it counts *new* work,
+    /// which is how `BENCH_repro.json` proves a command was served from
+    /// the cache.
+    pub sim_cycles: u64,
+    /// Cells that exhausted every attempt.
+    pub poisoned: u64,
+    /// Panicked attempts that were requeued.
+    pub retries: u64,
+    /// Worker panics the `panic:` plan injected.
+    pub faults_injected: u64,
+    /// Cells served without simulation (cache or in-batch dedup).
+    pub cache_hits: u64,
+    /// Cells that had to be simulated.
+    pub cache_misses: u64,
+    /// Cache hits whose value was loaded from the journal: the counter a
+    /// resumed run uses to prove it reused prior work.
+    pub journal_hits: u64,
+    /// New cells appended to the journal.
+    pub journal_appends: u64,
+    /// OOM victim kills the soak figure observed.
+    pub oom_kills: u64,
+    /// Watermark admission rejections the soak figure observed.
+    pub admission_rejects: u64,
+    /// `EAGAIN` allocation retries the soak figure observed.
+    pub alloc_retries: u64,
+}
 
-    let total = to_run.len();
-    if total > 0 {
-        let workers = jobs.min(total);
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, ExpResult)>> = Mutex::new(Vec::with_capacity(total));
-        let watch = Watch::new(workers);
-        let timeout = cell_timeout();
-        std::thread::scope(|s| {
-            if let Some(t) = timeout {
-                let watch = &watch;
-                s.spawn(move || watchdog_loop(watch, cells, t));
+/// One run's context: its configuration, cell cache, journal, host-fault
+/// schedule and counters. See the module docs.
+pub struct Harness {
+    config: RunConfig,
+    /// `None` when the configuration turns the cache off.
+    cache: Option<CellCache>,
+    journal: Journal,
+    /// Cell attempts so far: the host-fault schedule's index (only a
+    /// `panic:` plan fires on it).
+    attempts: AtomicU64,
+    stats: Mutex<Stats>,
+}
+
+impl Harness {
+    /// Build a run's harness. Opening the configured journal replays its
+    /// store into the new cell cache, as a fresh process does: a second
+    /// harness on the same journal directory is a process restart.
+    pub fn new(config: RunConfig) -> Self {
+        let (journal, replayed) = Journal::open(config.journal.as_deref(), config.host_fault);
+        let cache = config.cache.then(|| {
+            let cache = CellCache::default();
+            for (key, r) in replayed {
+                cache.insert(key, r, true);
             }
-            for w in 0..workers {
-                let (watch, next, done, results) = (&watch, &next, &done, &results);
-                let (to_run, keys) = (&to_run, &keys);
-                s.spawn(move || {
-                    loop {
-                        if cancel_requested() {
-                            break;
-                        }
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= total {
-                            break;
-                        }
-                        let i = to_run[k];
-                        let c = &cells[i];
-                        watch.begin(w, i);
-                        let mut r = run_cell_guarded(c);
-                        if watch.end(w, i) && !r.poisoned {
-                            // Strict deadline: the cell finished, but too
-                            // late — treat like a failed cell.
-                            POISONED.fetch_add(1, Ordering::Relaxed);
-                            eprintln!(
-                                "worker: cell [{}] exceeded the strict deadline; \
-                                 result discarded (ERR)",
-                                c.describe()
-                            );
-                            r = poisoned_sentinel(c);
-                        }
-                        if !r.poisoned {
-                            journal::append(&keys[i], &r);
-                        }
-                        results
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push((i, r));
-                        progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
-                    watch.worker_done();
-                });
-            }
+            cache
         });
-        for (i, r) in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            slots[i] = Some(r);
+        Self {
+            config,
+            cache,
+            journal,
+            attempts: AtomicU64::new(0),
+            stats: Mutex::default(),
         }
-        if caching {
-            for &i in &to_run {
-                match slots[i].as_ref() {
-                    Some(r) if !r.poisoned => simcache::insert(keys[i], r),
-                    _ => {}
+    }
+
+    /// Worker threads per cell batch: the configured count, else the host's
+    /// available parallelism. Always ≥ 1.
+    pub fn jobs(&self) -> usize {
+        self.config
+            .jobs
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .max(1)
+    }
+
+    /// The cell cache, if the configuration keeps one.
+    pub fn cache(&self) -> Option<&CellCache> {
+        self.cache.as_ref()
+    }
+
+    /// The run's journal (inert when none is configured).
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// The run counters so far.
+    pub fn stats(&self) -> Stats {
+        let s = *self.stats.lock().unwrap_or_else(|e| e.into_inner());
+        Stats {
+            journal_appends: self.journal.appends(),
+            ..s
+        }
+    }
+
+    fn note(&self, f: impl FnOnce(&mut Stats)) {
+        f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()));
+    }
+
+    /// Accumulate one simulated system's memory-pressure counters.
+    pub fn note_pressure(&self, oom_kills: u64, admission_rejects: u64, alloc_retries: u64) {
+        self.note(|s| {
+            s.oom_kills += oom_kills;
+            s.admission_rejects += admission_rejects;
+            s.alloc_retries += alloc_retries;
+        });
+    }
+
+    /// Run one cell attempt-isolated: `catch_unwind` around the simulation
+    /// (plus the host-fault injection point), immediate requeue up to
+    /// [`RunConfig::cell_retries`] times, then a poisoned sentinel.
+    /// Simulation is deterministic, so a successful retry returns exactly
+    /// what an undisturbed run would have.
+    fn run_cell_guarded(&self, c: &CellSpec<'_>) -> ExpResult {
+        let attempts = 1 + self.config.cell_retries as u64;
+        for attempt in 1..=attempts {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(plan) = self.config.host_fault {
+                    let n = self.attempts.fetch_add(1, Ordering::Relaxed);
+                    if plan.panics(n) {
+                        self.note(|s| s.faults_injected += 1);
+                        panic!("{PANIC_MARKER} (attempt {n})");
+                    }
+                }
+                simulate_cell(c.workload, c.scheme, c.pin, c.seed)
+            }));
+            match outcome {
+                Ok(r) => {
+                    self.note(|s| s.sim_cycles += r.metrics.runtime);
+                    return r;
+                }
+                Err(_) if attempt < attempts => {
+                    self.note(|s| s.retries += 1);
+                    eprintln!(
+                        "worker: cell [{}] panicked (attempt {attempt}/{attempts}); requeueing",
+                        c.describe()
+                    );
+                }
+                Err(_) => {
+                    self.note(|s| s.poisoned += 1);
+                    eprintln!(
+                        "worker: cell [{}] poisoned after {attempts} attempts — \
+                         it will render as ERR and the run will exit nonzero",
+                        c.describe()
+                    );
+                }
+            }
+        }
+        poisoned_sentinel(c)
+    }
+
+    /// Watchdog body: wake a few times per deadline, warn about overdue
+    /// cells (once each), flag them in strict mode, and — strict mode,
+    /// armed binary only — abort the process if a cell is stuck past 20×
+    /// the deadline (the journal holds everything completed, so an abort
+    /// is resumable).
+    fn watchdog_loop(&self, watch: &Watch, cells: &[CellSpec<'_>], timeout: Duration) {
+        let strict = self.config.strict_deadline;
+        let tick = (timeout / 4)
+            .min(Duration::from_millis(200))
+            .max(Duration::from_millis(10));
+        let hard_kill = timeout.saturating_mul(20);
+        while watch.workers_alive.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(tick);
+            let overdue: Vec<(usize, Duration)> = {
+                let active = watch.active.lock().unwrap_or_else(|e| e.into_inner());
+                active
+                    .iter()
+                    .flatten()
+                    .filter(|(_, start)| start.elapsed() > timeout)
+                    .map(|&(i, start)| (i, start.elapsed()))
+                    .collect()
+            };
+            for (i, elapsed) in overdue {
+                let first = watch
+                    .warned
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(i);
+                if first {
+                    eprintln!(
+                        "watchdog: cell [{}] running {:.1}s, past the {:.1}s deadline{}",
+                        cells[i].describe(),
+                        elapsed.as_secs_f64(),
+                        timeout.as_secs_f64(),
+                        if strict {
+                            " — its result will be discarded (strict-deadline)"
+                        } else {
+                            ""
+                        }
+                    );
+                }
+                if strict {
+                    watch
+                        .flagged
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(i);
+                    if elapsed > hard_kill && CANCEL_ARMED.load(Ordering::SeqCst) {
+                        self.journal.flush();
+                        eprintln!(
+                            "watchdog: cell [{}] stuck for {:.1}s (20x the deadline); \
+                             aborting — completed cells are journaled, resume with the same command",
+                            cells[i].describe(),
+                            elapsed.as_secs_f64()
+                        );
+                        std::process::exit(124);
+                    }
                 }
             }
         }
     }
-    // Graceful shutdown: everything completed so far is journaled; tell
-    // the user how to pick the run back up and stop here.
-    if CANCEL_ARMED.load(Ordering::SeqCst) && cancel_requested() {
-        journal::flush();
-        eprintln!(
-            "\nrepro: interrupted — completed cells are journaled; \
-             resume by re-running the same command"
-        );
-        std::process::exit(130);
+
+    /// Run a batch of cells across [`Self::jobs`] host threads with a
+    /// shared work queue, returning results in input order. See
+    /// [`Self::run_cells_with_progress`].
+    pub fn run_cells(&self, cells: &[CellSpec<'_>]) -> Vec<ExpResult> {
+        self.run_cells_with_progress(cells, &|_, _| {})
     }
-    // A cancelled batch without armed handlers (library use) can leave
-    // unfilled slots; that never happens in practice because only the
-    // binary arms cancellation, but fail soft rather than panicking.
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if slot.is_none() && !dups.iter().any(|&(d, _)| d == i) {
-            *slot = Some(poisoned_sentinel(&cells[i]));
+
+    /// [`Self::run_cells`] with a progress callback, invoked after each
+    /// *simulated* cell as `progress(done, to_simulate)` (cache hits are
+    /// served instantly and not reported; the callback may be called from
+    /// worker threads).
+    ///
+    /// Execution model: cached cells are filled first; the remaining misses
+    /// form a single flat queue drained by `min(jobs, misses)` scoped
+    /// threads via an atomic cursor — a cheap work-stealing scheme that
+    /// load-balances cells of wildly different cost. Each repetition is an
+    /// independent deterministic simulation, so the fan-out changes only
+    /// wall-clock time, never results: the canonical-order merge makes the
+    /// output independent of `jobs` (asserted by tests below and
+    /// `tests/cell_cache.rs`).
+    ///
+    /// Every simulated cell runs panic-isolated (see the module docs); each
+    /// completed cell is appended to the journal at the moment it finishes,
+    /// so a crash loses at most in-flight cells. On cooperative
+    /// cancellation (SIGINT/SIGTERM in the `repro` binary) workers stop
+    /// picking up new cells, the journal is flushed, and the process exits
+    /// 130.
+    ///
+    /// In-batch duplicates (same content key appearing twice) are simulated
+    /// once and counted as cache hits when the cache is on; with the cache
+    /// off every occurrence is simulated.
+    pub fn run_cells_with_progress(
+        &self,
+        cells: &[CellSpec<'_>],
+        progress: &(dyn Fn(usize, usize) + Sync),
+    ) -> Vec<ExpResult> {
+        let keys: Vec<CellKey> = cells
+            .iter()
+            .map(|c| CellKey::of(c.workload, c.scheme, c.pin, c.seed))
+            .collect();
+        let mut slots: Vec<Option<ExpResult>> = Vec::with_capacity(cells.len());
+        let mut to_run: Vec<usize> = Vec::new();
+        let mut pending: FxHashMap<CellKey, usize> = FxHashMap::default();
+        let mut dups: Vec<(usize, usize)> = Vec::new();
+        let (mut hits, mut journal_hits) = (0u64, 0u64);
+        for (i, key) in keys.iter().enumerate() {
+            let Some(cache) = &self.cache else {
+                slots.push(None);
+                to_run.push(i);
+                continue;
+            };
+            if let Some((r, from_journal)) = cache.get(key) {
+                slots.push(Some(r));
+                hits += 1;
+                journal_hits += from_journal as u64;
+                continue;
+            }
+            slots.push(None);
+            match pending.entry(*key) {
+                Entry::Occupied(src) => {
+                    dups.push((i, *src.get()));
+                    hits += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    to_run.push(i);
+                }
+            }
         }
+        self.note(|s| {
+            s.cache_hits += hits;
+            s.cache_misses += to_run.len() as u64;
+            s.journal_hits += journal_hits;
+        });
+
+        let total = to_run.len();
+        if total > 0 {
+            let workers = self.jobs().min(total);
+            let next = AtomicUsize::new(0);
+            let done = AtomicUsize::new(0);
+            let results: Mutex<Vec<(usize, ExpResult)>> = Mutex::new(Vec::with_capacity(total));
+            let watch = Watch::new(workers, self.config.strict_deadline);
+            std::thread::scope(|s| {
+                if let Some(t) = self.config.cell_timeout {
+                    let watch = &watch;
+                    s.spawn(move || self.watchdog_loop(watch, cells, t));
+                }
+                for w in 0..workers {
+                    let (watch, next, done, results) = (&watch, &next, &done, &results);
+                    let (to_run, keys) = (&to_run, &keys);
+                    s.spawn(move || {
+                        loop {
+                            if cancel_requested() {
+                                break;
+                            }
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            if k >= total {
+                                break;
+                            }
+                            let i = to_run[k];
+                            let c = &cells[i];
+                            watch.begin(w, i);
+                            let mut r = self.run_cell_guarded(c);
+                            if watch.end(w, i) && !r.poisoned {
+                                // Strict deadline: the cell finished, but
+                                // too late — treat like a failed cell.
+                                self.note(|s| s.poisoned += 1);
+                                eprintln!(
+                                    "worker: cell [{}] exceeded the strict deadline; \
+                                     result discarded (ERR)",
+                                    c.describe()
+                                );
+                                r = poisoned_sentinel(c);
+                            }
+                            if !r.poisoned {
+                                self.journal.append(&keys[i], &r);
+                            }
+                            results
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .push((i, r));
+                            progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
+                        }
+                        watch.worker_done();
+                    });
+                }
+            });
+            for (i, r) in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
+                slots[i] = Some(r);
+            }
+            if let Some(cache) = &self.cache {
+                for &i in &to_run {
+                    match &slots[i] {
+                        Some(r) if !r.poisoned => cache.insert(keys[i], r.clone(), false),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // Graceful shutdown: everything completed so far is journaled;
+        // tell the user how to pick the run back up and stop here.
+        if CANCEL_ARMED.load(Ordering::SeqCst) && cancel_requested() {
+            self.journal.flush();
+            eprintln!(
+                "\nrepro: interrupted — completed cells are journaled; \
+                 resume by re-running the same command"
+            );
+            std::process::exit(130);
+        }
+        // A cancelled batch without armed handlers (library use) can leave
+        // unfilled slots; that never happens in practice because only the
+        // binary arms cancellation, but fail soft rather than panicking.
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.is_none() && !dups.iter().any(|&(d, _)| d == i) {
+                *slot = Some(poisoned_sentinel(&cells[i]));
+            }
+        }
+        for (i, src) in dups {
+            slots[i] = slots[src].clone();
+        }
+        slots
+            .into_iter()
+            .map(|o| o.expect("every cell filled"))
+            .collect()
     }
-    for (i, src) in dups {
-        slots[i] = slots[src].clone();
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every cell filled"))
-        .collect()
 }
 
 /// Mean/min/max over repetitions of a scalar metric.
@@ -762,11 +783,6 @@ impl Summary {
     pub fn runtime(results: &[ExpResult]) -> Self {
         Self::of(results, |r| r.metrics.runtime as f64)
     }
-
-    /// Total idle summary.
-    pub fn idle(results: &[ExpResult]) -> Self {
-        Self::of(results, |r| r.metrics.total_idle() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -781,8 +797,15 @@ mod tests {
         }
     }
 
+    fn harness(jobs: usize) -> Harness {
+        Harness::new(RunConfig {
+            jobs: Some(jobs),
+            ..RunConfig::default()
+        })
+    }
+
     #[test]
-    fn run_once_is_deterministic_per_seed() {
+    fn simulate_cell_is_deterministic_per_seed() {
         // Bypass the cache on purpose: a==b must hold because the simulator
         // is deterministic, not because a memo served the second call.
         let w = tiny_synth();
@@ -801,7 +824,7 @@ mod tests {
     #[test]
     fn summary_math() {
         let w = tiny_synth();
-        let rs = run_reps(&w, ColorScheme::MemLlc, PinConfig::T4N4, 3);
+        let rs = harness(2).run_cells(&cells_for(&w, &[ColorScheme::MemLlc], PinConfig::T4N4, 3));
         assert_eq!(rs.len(), 3);
         let s = Summary::runtime(&rs);
         assert!(s.min <= s.mean && s.mean <= s.max);
@@ -811,22 +834,10 @@ mod tests {
     fn flattened_executor_matches_serial_at_any_job_count() {
         // Mixed-cost cell list (two schemes × reps) through the flat queue.
         let w = tiny_synth();
-        let cells: Vec<CellSpec> = [ColorScheme::MemLlc, ColorScheme::Buddy]
-            .iter()
-            .flat_map(|&scheme| {
-                (1..=3u64)
-                    .map(move |seed| (scheme, seed))
-                    .collect::<Vec<_>>()
-            })
-            .map(|(scheme, seed)| CellSpec {
-                workload: &w,
-                scheme,
-                pin: PinConfig::T4N4,
-                seed,
-            })
-            .collect();
-        let serial = run_cells(&cells, 1);
-        let parallel = run_cells(&cells, 4);
+        let schemes = [ColorScheme::MemLlc, ColorScheme::Buddy];
+        let cells = cells_for(&w, &schemes, PinConfig::T4N4, 3);
+        let serial = harness(1).run_cells(&cells);
+        let parallel = harness(4).run_cells(&cells);
         assert_eq!(serial.len(), cells.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.metrics, b.metrics, "fan-out must not change results");
@@ -834,20 +845,25 @@ mod tests {
     }
 
     #[test]
-    fn run_once_and_run_reps_share_cells() {
-        // Seed 2 of run_reps is the same content cell as run_once(seed=2);
-        // whether it came from cache or a fresh simulation, the values are
-        // identical — the invariant byte-identical figures rest on.
+    fn single_cell_and_rep_batch_share_cells() {
+        // Seed 2 of a rep batch is the same content cell as a one-cell batch
+        // at seed 2: the second batch is served it from the cache, and the
+        // values are identical — the invariant byte-identical figures rest
+        // on.
         let w = tiny_synth();
-        let one = run_once(&w, ColorScheme::MemOnly, PinConfig::T4N4, 2);
-        let reps = run_reps(&w, ColorScheme::MemOnly, PinConfig::T4N4, 2);
-        assert_eq!(one.metrics, reps[1].metrics);
+        let h = harness(1);
+        let cells = cells_for(&w, &[ColorScheme::MemOnly], PinConfig::T4N4, 2);
+        let one = h.run_cells(&cells[1..]);
+        let reps = h.run_cells(&cells);
+        assert_eq!(one[0].metrics, reps[1].metrics);
+        assert_eq!((h.stats().cache_hits, h.stats().cache_misses), (1, 2));
     }
 
     #[test]
     fn colored_run_moves_pages() {
         let w = tiny_synth();
-        let r = run_once(&w, ColorScheme::MemLlc, PinConfig::T4N4, 1);
+        let cell = cells_for(&w, &[ColorScheme::MemLlc], PinConfig::T4N4, 1);
+        let r = &harness(1).run_cells(&cell)[0];
         assert!(r.pages_moved > 0);
         assert!(r.page_faults > 0);
         // MEM+LLC keeps everything local.
@@ -856,11 +872,10 @@ mod tests {
 
     #[test]
     fn jobs_override_and_env_clamp() {
-        // The override wins over host parallelism and 0 clears it.
-        set_jobs(3);
-        assert_eq!(available_jobs(), 3);
-        set_jobs(0);
-        assert!(available_jobs() >= 1);
+        // A configured count wins over host parallelism; unset falls back
+        // to it.
+        assert_eq!(harness(3).jobs(), 3);
+        assert!(Harness::new(RunConfig::default()).jobs() >= 1);
     }
 
     #[test]

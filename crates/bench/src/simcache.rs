@@ -4,8 +4,8 @@
 //! *cells*: one `(workload, scheme, pinning, seed)` simulation on a fresh
 //! machine. The same cells recur across figures — the fig13/fig14 sweep is
 //! a strict subset of the fig11 matrix, `probe` re-runs matrix cells,
-//! `repro fig13 fig14` used to run the whole sweep twice — so the runner
-//! memoizes [`ExpResult`]s here, keyed by the *content* of the cell:
+//! `repro fig13 fig14` would otherwise run the whole sweep twice — so the
+//! runner memoizes [`ExpResult`]s here, keyed by the *content* of the cell:
 //!
 //! * the workload's parameter fingerprint
 //!   ([`tint_workloads::Workload::fingerprint`]), which covers the
@@ -21,20 +21,22 @@
 //! result is indistinguishable from re-simulating. Figure output is
 //! byte-identical with the cache on or off.
 //!
-//! The cache is process-global (figures within one `repro` invocation share
-//! it; nothing persists across processes) and thread-safe (the matrix
-//! executor fills it from worker threads). `TINT_SIM_CACHE=0` disables it;
-//! tests can flip it programmatically via [`set_enabled`].
+//! A [`CellCache`] is a value owned by one [`crate::runner::Harness`]
+//! (figures run through the same harness share it; nothing persists
+//! across processes except through the journal). A disabled cache
+//! (`TINT_SIM_CACHE=0`) is a harness without one. It is thread-safe: the
+//! matrix executor fills it after its worker threads finish.
 
 use crate::runner::ExpResult;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
+use tint_hw::fxhash::FxHashMap;
 use tint_workloads::{PinConfig, Workload};
 use tintmalloc::colors::ColorScheme;
 
-/// Content-address of one simulation cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Content-address of one simulation cell. The derived order (fingerprint,
+/// scheme, pin, seed) is the order a compacted journal shard stores cells
+/// in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey {
     /// Workload parameter fingerprint (benchmark identity + all sizes).
     pub fingerprint: u64,
@@ -58,103 +60,36 @@ impl CellKey {
     }
 }
 
-static CACHE: OnceLock<Mutex<HashMap<CellKey, ExpResult>>> = OnceLock::new();
-static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Completed cells by content key. The flag marks a cell loaded from the
+/// journal: serving it is a *journal hit*, the counter a resumed run uses
+/// to prove it did not re-simulate its completed prefix.
+#[derive(Default)]
+pub struct CellCache(Mutex<FxHashMap<CellKey, (ExpResult, bool)>>);
 
-// Every lock below absorbs poisoning: a worker panic caught by the
-// executor's `catch_unwind` while this mutex is held must not cascade
-// panics into the surviving workers — the map holds plain completed
-// results, valid regardless of where the panicking worker stopped.
-fn cache() -> &'static Mutex<HashMap<CellKey, ExpResult>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn enabled_flag() -> &'static AtomicBool {
-    ENABLED.get_or_init(|| {
-        let off = std::env::var_os("TINT_SIM_CACHE").is_some_and(|v| v == "0");
-        AtomicBool::new(!off)
-    })
-}
-
-/// Is the cell cache on? Defaults to on; `TINT_SIM_CACHE=0` (read once, at
-/// first use) or [`set_enabled`] turn it off.
-pub fn enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
-}
-
-/// Programmatically enable/disable the cache (tests; overrides the env).
-pub fn set_enabled(on: bool) {
-    enabled_flag().store(on, Ordering::Relaxed);
-}
-
-/// Look up a cell. `None` when the cache is disabled or the cell has not
-/// been simulated yet. Does **not** touch the hit/miss counters — the
-/// executor accounts for served-vs-simulated cells itself (an in-batch
-/// duplicate is a hit even though this probe missed).
-pub fn lookup(key: &CellKey) -> Option<ExpResult> {
-    if !enabled() {
-        return None;
+impl CellCache {
+    // The lock absorbs poisoning: the map holds plain completed results,
+    // valid regardless of where a panicking holder stopped.
+    fn map(&self) -> MutexGuard<'_, FxHashMap<CellKey, (ExpResult, bool)>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(key)
-        .cloned()
-}
 
-/// Store a freshly simulated cell (no-op when disabled).
-pub fn insert(key: CellKey, result: &ExpResult) {
-    if enabled() {
-        cache()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, result.clone());
+    /// The cached result for `key` and whether it came from the journal.
+    pub fn get(&self, key: &CellKey) -> Option<(ExpResult, bool)> {
+        self.map().get(key).cloned()
     }
-}
 
-/// Store a batch of cells under one lock acquisition (no-op when
-/// disabled). The journal replay path uses this: a farm replay can carry
-/// thousands of cells, and taking the cache lock per cell would contend
-/// with worker threads already simulating.
-pub fn insert_many<'a, I>(items: I)
-where
-    I: IntoIterator<Item = (CellKey, &'a ExpResult)>,
-{
-    if !enabled() {
-        return;
+    /// Store a completed cell (`from_journal`: loaded by journal replay).
+    pub fn insert(&self, key: CellKey, result: ExpResult, from_journal: bool) {
+        self.map().insert(key, (result, from_journal));
     }
-    let mut map = cache().lock().unwrap_or_else(|e| e.into_inner());
-    for (k, v) in items {
-        map.insert(k, v.clone());
+
+    /// Number of cached cells.
+    pub fn len(&self) -> usize {
+        self.map().len()
     }
-}
 
-/// Count `n` cells served without simulation (cache or in-batch dedup).
-pub fn note_hits(n: u64) {
-    HITS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Count `n` cells that had to be simulated.
-pub fn note_misses(n: u64) {
-    MISSES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Process-lifetime `(hits, misses)` counters. `repro` snapshots these
-/// around each command to report per-command cache traffic.
-pub fn stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
-}
-
-/// Number of cached cells (tests/diagnostics).
-pub fn len() -> usize {
-    cache().lock().unwrap_or_else(|e| e.into_inner()).len()
-}
-
-/// Drop every cached cell and zero the counters (tests).
-pub fn clear() {
-    cache().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    /// True when no cell is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }

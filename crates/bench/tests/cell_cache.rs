@@ -7,20 +7,18 @@
 //! result must be indistinguishable from re-simulating it — these tests
 //! render whole figure tables both ways and compare the strings.
 //!
-//! The cache and its hit/miss counters are process-global, and Rust runs
-//! the `#[test]`s of one binary concurrently, so every test serializes on
-//! [`LOCK`] and restores the cache state it found.
+//! Every test builds its own [`Harness`], so the tests run in parallel
+//! under cargo's test runner; `conflicting_harnesses_run_concurrently`
+//! asserts that two harnesses with opposite configurations share nothing.
 
-use std::sync::Mutex;
 use tint_bench::figures::{fig10, fig13_14, run_matrix, FigOpts};
-use tint_bench::runner::{run_cells, set_jobs, CellSpec};
-use tint_bench::simcache::{self, CellKey};
+use tint_bench::hostfault::HostFaultPlan;
+use tint_bench::runner::CellSpec;
+use tint_bench::simcache::CellKey;
+use tint_bench::{Harness, RunConfig};
 use tint_workloads::traits::Scale;
 use tint_workloads::{all_benchmarks, PinConfig, Synthetic, Workload};
 use tintmalloc::colors::ColorScheme;
-
-/// Serializes tests that touch the process-global cache/counters/jobs.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Small-but-nontrivial options: 2 seeds so rep merging is exercised, a
 /// scale large enough that workloads don't degenerate to empty loops.
@@ -32,16 +30,13 @@ fn quick() -> FigOpts {
     }
 }
 
-/// Run `f` with the cache forced to `on`, starting from an empty cache,
-/// restoring the previous enabled state afterwards.
-fn with_cache<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let was = simcache::enabled();
-    simcache::clear();
-    simcache::set_enabled(on);
-    let out = f();
-    simcache::set_enabled(was);
-    simcache::clear();
-    out
+/// A harness with the cache `cache` and `jobs` worker threads.
+fn harness(cache: bool, jobs: usize) -> Harness {
+    Harness::new(RunConfig {
+        jobs: Some(jobs),
+        cache,
+        ..RunConfig::default()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -50,22 +45,21 @@ fn with_cache<T>(on: bool, f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn figures_byte_identical_cache_on_vs_off() {
-    let _g = LOCK.lock().unwrap();
     let opts = quick();
-    let render = || {
+    let render = |h: &Harness| {
         let mut s = String::new();
-        s.push_str(&opts.render(&fig10(&opts)));
-        let m = run_matrix(&opts, &[PinConfig::T16N4, PinConfig::T4N4]);
+        s.push_str(&opts.render(&fig10(h, &opts)));
+        let m = run_matrix(h, &opts, &[PinConfig::T16N4, PinConfig::T4N4]);
         for t in m.fig11().iter().chain(m.fig12().iter()) {
             s.push_str(&opts.render(t));
         }
-        let (summary, lbm) = fig13_14(&opts);
+        let (summary, lbm) = fig13_14(h, &opts);
         s.push_str(&opts.render(&summary));
         s.push_str(&opts.render(&lbm));
         s
     };
-    let cached = with_cache(true, render);
-    let uncached = with_cache(false, render);
+    let cached = render(&harness(true, 2));
+    let uncached = render(&harness(false, 2));
     assert_eq!(
         cached, uncached,
         "rendered figures must be byte-identical with the cell cache on and off"
@@ -78,29 +72,77 @@ fn figures_byte_identical_cache_on_vs_off() {
 
 #[test]
 fn figures_byte_identical_jobs_1_vs_4() {
-    let _g = LOCK.lock().unwrap();
     let opts = quick();
     // Cache off so both runs actually execute every cell through the
     // executor rather than the second run being served from memory.
     let render = |jobs: usize| {
-        set_jobs(jobs);
+        let h = harness(false, jobs);
         let mut s = String::new();
-        s.push_str(&opts.render(&fig10(&opts)));
-        let (summary, lbm) = fig13_14(&opts);
+        s.push_str(&opts.render(&fig10(&h, &opts)));
+        let (summary, lbm) = fig13_14(&h, &opts);
         s.push_str(&opts.render(&summary));
         s.push_str(&opts.render(&lbm));
         s
     };
-    let (serial, fanned) = with_cache(false, || {
-        let serial = render(1);
-        let fanned = render(4);
-        (serial, fanned)
-    });
-    set_jobs(0);
     assert_eq!(
-        serial, fanned,
+        render(1),
+        render(4),
         "rendered figures must be byte-identical at --jobs 1 and --jobs 4"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Isolation: two conflicting harnesses in one process
+// ---------------------------------------------------------------------------
+
+#[test]
+fn conflicting_harnesses_run_concurrently() {
+    let opts = quick();
+    let dir = std::env::temp_dir().join(format!("tint-cache-test-{}-conflict", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let solo = Harness::new(RunConfig::default());
+    let expected = opts.render(&fig10(&solo, &opts));
+    let cells = solo.stats().cache_misses;
+
+    // A: cache on, a private journal, one worker, injected worker panics.
+    let a = Harness::new(RunConfig {
+        jobs: Some(1),
+        journal: Some(dir.clone()),
+        host_fault: Some(HostFaultPlan::parse("panic:50:7").unwrap()),
+        ..RunConfig::default()
+    });
+    // B: cache off, no journal, four workers, no faults.
+    let b = harness(false, 4);
+    let (out_a, out_b) = std::thread::scope(|s| {
+        let ta = s.spawn(|| opts.render(&fig10(&a, &opts)));
+        let tb = s.spawn(|| opts.render(&fig10(&b, &opts)));
+        (ta.join().unwrap(), tb.join().unwrap())
+    });
+    assert_eq!(out_a, expected, "harness A prints the solo default run");
+    assert_eq!(out_b, expected, "harness B prints the solo default run");
+
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!(a.journal().dir(), Some(dir.clone()));
+    assert_eq!(sa.journal_appends, cells, "A journals each of its cells");
+    assert!(sa.faults_injected > 0, "A's panic plan fired: {sa:?}");
+    assert_eq!(sa.retries, sa.faults_injected, "A retried every fault");
+    assert_eq!(sa.poisoned, 0);
+    assert_eq!(a.cache().map(|c| c.len()), Some(cells as usize));
+    assert_eq!(b.journal().dir(), None);
+    assert!(b.cache().is_none());
+    assert_eq!(
+        (sb.journal_appends, sb.faults_injected, sb.retries),
+        (0, 0, 0),
+        "B saw none of A's journal or faults: {sb:?}"
+    );
+    for st in [sa, sb] {
+        assert_eq!(
+            st.cache_misses, cells,
+            "each harness simulated its own cells"
+        );
+        assert_eq!(st.sim_cycles, solo.stats().sim_cycles);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,21 +204,22 @@ fn seed_is_part_of_the_cell_key() {
 
 #[test]
 fn fig13_14_after_matrix_is_all_cache_hits() {
-    let _g = LOCK.lock().unwrap();
     let opts = quick();
-    with_cache(true, || {
-        run_matrix(&opts, &[PinConfig::T16N4]);
-        let (_, misses_before) = simcache::stats();
-        fig13_14(&opts);
-        let (hits, misses_after) = simcache::stats();
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "every fig13/fig14 cell is in the fig11 matrix, so the sweep \
-             must simulate nothing new"
-        );
-        assert!(hits > 0, "the sweep must have been served from the cache");
-    });
+    let h = harness(true, 2);
+    run_matrix(&h, &opts, &[PinConfig::T16N4]);
+    let before = h.stats();
+    fig13_14(&h, &opts);
+    let after = h.stats();
+    assert_eq!(
+        after.cache_misses - before.cache_misses,
+        0,
+        "every fig13/fig14 cell is in the fig11 matrix, so the sweep \
+         must simulate nothing new"
+    );
+    assert!(
+        after.cache_hits > before.cache_hits,
+        "the sweep must have been served from the cache"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +228,6 @@ fn fig13_14_after_matrix_is_all_cache_hits() {
 
 #[test]
 fn duplicate_cells_in_one_batch_simulate_once() {
-    let _g = LOCK.lock().unwrap();
     let w = Synthetic::new(Scale(0.05));
     let spec = CellSpec {
         workload: &w,
@@ -193,13 +235,18 @@ fn duplicate_cells_in_one_batch_simulate_once() {
         pin: PinConfig::T16N4,
         seed: 1,
     };
-    with_cache(true, || {
-        let results = run_cells(&[spec, spec, spec], 1);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-        let (hits, misses) = simcache::stats();
-        assert_eq!(misses, 1, "one unique cell content, one simulation");
-        assert_eq!(hits, 2, "the two duplicates are served, not re-run");
-    });
+    let h = harness(true, 1);
+    let results = h.run_cells(&[spec, spec, spec]);
+    assert_eq!(results.len(), 3);
+    assert_eq!(results[0], results[1]);
+    assert_eq!(results[1], results[2]);
+    let st = h.stats();
+    assert_eq!(
+        st.cache_misses, 1,
+        "one unique cell content, one simulation"
+    );
+    assert_eq!(
+        st.cache_hits, 2,
+        "the two duplicates are served, not re-run"
+    );
 }

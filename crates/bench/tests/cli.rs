@@ -1,6 +1,6 @@
-//! `repro` usage errors: each bad flag or environment value exits 2 with a
-//! one-line message before any simulation runs (so no `BENCH_repro.json`
-//! is written). The cases run one after another in a private directory.
+//! `repro` usage errors: each bad flag, environment value or command exits
+//! 2 with a one-line message before any simulation runs (so no
+//! `BENCH_repro.json` is written). The cases run one after another in a private directory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,5 +61,8 @@ fn usage_errors_exit_2_before_any_simulation() {
     assert_usage_error(&dir, &[], Some(("TINT_JOBS", "0")));
     assert_usage_error(&dir, &[], Some(("TINT_CELL_RETRIES", "x")));
     assert_usage_error(&dir, &[], Some(("TINT_CELL_TIMEOUT_S", "-1")));
+    assert_usage_error(&dir, &[], Some(("TINT_SIM_CACHE", "off")));
+    assert_usage_error(&dir, &["fig99"], None);
+    assert_usage_error(&dir, &["probe:nosuch"], None);
     let _ = std::fs::remove_dir_all(&dir);
 }

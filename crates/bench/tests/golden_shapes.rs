@@ -6,7 +6,8 @@
 //! Runs use `reps = 3` (not the paper's 10) to keep the suite fast; the
 //! asserted bands are wide enough to be stable across rep counts.
 
-use tint_bench::runner::{run_reps, Summary};
+use tint_bench::runner::{cells_for, Summary};
+use tint_bench::{Harness, RunConfig};
 use tint_workloads::lbm::Lbm;
 use tint_workloads::traits::Scale;
 use tint_workloads::{PinConfig, Synthetic};
@@ -15,7 +16,9 @@ use tintmalloc::colors::ColorScheme;
 const REPS: u32 = 3;
 
 fn mean_runtime(w: &dyn tint_workloads::Workload, scheme: ColorScheme) -> f64 {
-    Summary::runtime(&run_reps(w, scheme, PinConfig::T16N4, REPS)).mean
+    let h = Harness::new(RunConfig::default());
+    let rs = h.run_cells(&cells_for(w, &[scheme], PinConfig::T16N4, REPS));
+    Summary::runtime(&rs).mean
 }
 
 /// Figure 10's synthetic-benchmark ordering, plus the paper's headline

@@ -15,24 +15,23 @@
 //!    atomic rename; killed at *any* io operation it leaves a store that
 //!    replays the full live set, and the `gc.lock` is never left held.
 //!
-//! Journal/cache/fault state is process-global: tests serialize on
-//! [`LOCK`]; "process death" is [`journal::set_dir`] + [`simcache::clear`]
-//! (a re-armed journal opens a fresh shard, exactly like a new process).
+//! Each test builds its own [`Harness`]es, so the tests run in parallel.
+//! "Process death" is a fresh harness on the same journal directory: it
+//! replays the store and opens a fresh shard, exactly like a new process.
 
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use tint_bench::figures::{fig10, FigOpts};
-use tint_bench::hostfault::{self, FaultMode, HostFaultPlan, IO_ABORT_MARKER};
+use tint_bench::hostfault::{FaultMode, HostFaultPlan, IO_ABORT_MARKER};
 use tint_bench::journal;
 use tint_bench::lockfile::Lockfile;
-use tint_bench::runner::{reset_fault_counters, set_cell_retries, set_jobs, ExpResult};
-use tint_bench::simcache::{self, CellKey};
+use tint_bench::runner::ExpResult;
+use tint_bench::simcache::CellKey;
+use tint_bench::{Harness, RunConfig};
 use tint_spmd::RunMetrics;
 use tint_workloads::PinConfig;
 use tintmalloc::colors::ColorScheme;
-
-/// Serializes tests that touch the process-global journal/cache/counters.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn quick(scale: f64) -> FigOpts {
     FigOpts {
@@ -48,26 +47,27 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
-fn isolated<T>(f: impl FnOnce() -> T) -> T {
-    let cache_was = simcache::enabled();
-    simcache::clear();
-    simcache::set_enabled(true);
-    journal::set_dir(None);
-    hostfault::set_plan(None);
-    hostfault::set_io_abort_at(None);
-    reset_fault_counters();
-    set_cell_retries(None);
-    set_jobs(1);
-    let out = f();
-    set_jobs(0);
-    set_cell_retries(None);
-    hostfault::set_plan(None);
-    hostfault::set_io_abort_at(None);
-    reset_fault_counters();
-    journal::set_dir(None);
-    simcache::set_enabled(cache_was);
-    simcache::clear();
-    out
+/// One worker, the cache on, journaling to `dir`.
+fn config(dir: &Path) -> RunConfig {
+    RunConfig {
+        jobs: Some(1),
+        journal: Some(dir.to_path_buf()),
+        ..RunConfig::default()
+    }
+}
+
+/// A fresh "process" on the journal at `dir`.
+fn process(dir: &Path) -> Harness {
+    Harness::new(config(dir))
+}
+
+/// An `io:<per_mille>:<seed>` plan.
+fn io_faults(per_mille: u16, seed: u64) -> Option<HostFaultPlan> {
+    Some(HostFaultPlan {
+        mode: FaultMode::Io,
+        per_mille,
+        seed,
+    })
 }
 
 /// A synthetic, decodable cell for direct-append tests.
@@ -116,10 +116,15 @@ fn shard_paths(dir: &Path) -> Vec<PathBuf> {
     v
 }
 
-/// "Process death" + fresh arm at `dir`.
-fn rebirth(dir: &Path) {
-    journal::set_dir(Some(dir));
-    simcache::clear();
+/// A writer "process" that appends the synthetic cells `ids` directly
+/// (modelling a writer that simulated them) and exits.
+fn write_cells(dir: &Path, ids: Range<u64>) {
+    let h = process(dir);
+    for i in ids {
+        let (k, r) = cell(i);
+        h.journal().append(&k, &r);
+    }
+    h.journal().flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -128,49 +133,42 @@ fn rebirth(dir: &Path) {
 
 #[test]
 fn two_writers_merge_and_a_third_run_simulates_nothing() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("merge");
-    isolated(|| {
-        // Writer A: fig10 at scale 0.02.
-        let opts_a = quick(0.02);
-        journal::set_dir(Some(&dir));
-        journal::replay();
-        let out_a = opts_a.render(&fig10(&opts_a));
-        journal::flush();
-        let (_, appended_a, _) = journal::counters();
-        assert!(appended_a > 0);
+    // Writer A: fig10 at scale 0.02.
+    let opts_a = quick(0.02);
+    let a = process(&dir);
+    let out_a = opts_a.render(&fig10(&a, &opts_a));
+    a.journal().flush();
+    let appended_a = a.stats().journal_appends;
+    assert!(appended_a > 0);
 
-        // Writer B: a different cell population (scale 0.03) lands in its
-        // own shard — B never rewrites A's shard.
-        let opts_b = quick(0.03);
-        rebirth(&dir);
-        journal::replay();
-        let out_b = opts_b.render(&fig10(&opts_b));
-        journal::flush();
-        let (_, appended_b, _) = journal::counters();
-        assert!(appended_b > 0, "scale 0.03 cells are new");
-        assert_eq!(shard_paths(&dir).len(), 2, "two writers, two shards");
+    // Writer B: a different cell population (scale 0.03) lands in its own
+    // shard — B never rewrites A's shard.
+    let opts_b = quick(0.03);
+    let b = process(&dir);
+    let out_b = opts_b.render(&fig10(&b, &opts_b));
+    b.journal().flush();
+    let appended_b = b.stats().journal_appends;
+    assert!(appended_b > 0, "scale 0.03 cells are new");
+    assert_eq!(shard_paths(&dir).len(), 2, "two writers, two shards");
 
-        // "Third process": the merged farm serves every cell of both
-        // writers; nothing is re-simulated.
-        rebirth(&dir);
-        let stats = journal::replay();
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.replayed, appended_a + appended_b);
-        assert_eq!(stats.quarantined, 0);
-        let misses_before = simcache::stats().1;
-        let again_a = opts_a.render(&fig10(&opts_a));
-        let again_b = opts_b.render(&fig10(&opts_b));
-        assert_eq!(
-            simcache::stats().1 - misses_before,
-            0,
-            "the merged farm must serve every cell"
-        );
-        assert_eq!(again_a, out_a, "byte-identical across the farm");
-        assert_eq!(again_b, out_b, "byte-identical across the farm");
-        let (_, appended_c, _) = journal::counters();
-        assert_eq!(appended_c, 0, "nothing new to journal");
-    });
+    // "Third process": the merged farm serves every cell of both writers;
+    // nothing is re-simulated.
+    let c = process(&dir);
+    let stats = c.journal().replay_stats();
+    assert_eq!(stats.shards, 2);
+    assert_eq!(stats.replayed, appended_a + appended_b);
+    assert_eq!(stats.quarantined, 0);
+    let again_a = opts_a.render(&fig10(&c, &opts_a));
+    let again_b = opts_b.render(&fig10(&c, &opts_b));
+    assert_eq!(
+        c.stats().cache_misses,
+        0,
+        "the merged farm must serve every cell"
+    );
+    assert_eq!(again_a, out_a, "byte-identical across the farm");
+    assert_eq!(again_b, out_b, "byte-identical across the farm");
+    assert_eq!(c.stats().journal_appends, 0, "nothing new to journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -183,38 +181,38 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 /// marker or quarantine file appears.
 #[test]
 fn legacy_v1_file_is_left_untouched_and_not_replayed() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("v1-alone");
-    isolated(|| {
-        std::fs::create_dir_all(&dir).unwrap();
-        // The v1 magic, then arbitrary entry bytes.
-        let v1_path = dir.join(journal::V1_FILE_NAME);
-        let mut v1_bytes = b"TINTJNL1".to_vec();
-        v1_bytes.extend((0..200u32).map(|i| (i * 53) as u8));
-        std::fs::write(&v1_path, &v1_bytes).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    // The v1 magic, then arbitrary entry bytes.
+    let v1_path = dir.join(journal::V1_FILE_NAME);
+    let mut v1_bytes = b"TINTJNL1".to_vec();
+    v1_bytes.extend((0..200u32).map(|i| (i * 53) as u8));
+    std::fs::write(&v1_path, &v1_bytes).unwrap();
 
-        rebirth(&dir);
-        assert_eq!(journal::legacy_file(), Some(v1_path.clone()));
-        let stats = journal::replay();
-        assert_eq!(stats.replayed, 0, "a v1 file is not replayed");
-        assert_eq!(stats.shards, 0);
-        assert_eq!(stats.quarantined, 0);
-        let (k, _) = cell(0);
-        assert!(simcache::lookup(&k).is_none(), "no cell comes from v1");
-        journal::gc().expect("gc succeeds");
-        assert_eq!(
-            std::fs::read(&v1_path).unwrap(),
-            v1_bytes,
-            "the v1 file is left byte-identical"
+    assert_eq!(journal::legacy_file(&dir), Some(v1_path.clone()));
+    let h = process(&dir);
+    let stats = h.journal().replay_stats();
+    assert_eq!(stats.replayed, 0, "a v1 file is not replayed");
+    assert_eq!(stats.shards, 0);
+    assert_eq!(stats.quarantined, 0);
+    let (k, _) = cell(0);
+    assert!(
+        h.cache().unwrap().get(&k).is_none(),
+        "no cell comes from v1"
+    );
+    h.journal().gc().expect("gc succeeds");
+    assert_eq!(
+        std::fs::read(&v1_path).unwrap(),
+        v1_bytes,
+        "the v1 file is left byte-identical"
+    );
+    for e in std::fs::read_dir(&dir).unwrap().flatten() {
+        let name = e.file_name().to_string_lossy().into_owned();
+        assert!(
+            name == journal::V1_FILE_NAME || name == journal::STORE_DIR,
+            "no marker or quarantine beside it: {name}"
         );
-        for e in std::fs::read_dir(&dir).unwrap().flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            assert!(
-                name == journal::V1_FILE_NAME || name == journal::STORE_DIR,
-                "no marker or quarantine beside it: {name}"
-            );
-        }
-    });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -222,45 +220,37 @@ fn legacy_v1_file_is_left_untouched_and_not_replayed() {
 /// replays, and the v1 file survives replay and GC byte-identical.
 #[test]
 fn v1_beside_a_v2_store_contributes_nothing() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("v1");
-    isolated(|| {
-        // A v2 shard holding keys 0..3 (a prior v2 process).
-        journal::set_dir(Some(&dir));
-        for i in 0..3 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        // A v1 file beside it: the v1 magic, then arbitrary entry bytes.
-        let v1_path = dir.join(journal::V1_FILE_NAME);
-        let mut v1_bytes = b"TINTJNL1".to_vec();
-        v1_bytes.extend((0..200u32).map(|i| (i * 37) as u8));
-        std::fs::write(&v1_path, &v1_bytes).unwrap();
+    // A v2 shard holding keys 0..3 (a prior v2 process).
+    write_cells(&dir, 0..3);
+    // A v1 file beside it: the v1 magic, then arbitrary entry bytes.
+    let v1_path = dir.join(journal::V1_FILE_NAME);
+    let mut v1_bytes = b"TINTJNL1".to_vec();
+    v1_bytes.extend((0..200u32).map(|i| (i * 37) as u8));
+    std::fs::write(&v1_path, &v1_bytes).unwrap();
 
-        rebirth(&dir);
-        assert_eq!(journal::legacy_file(), Some(v1_path.clone()));
-        let stats = journal::replay();
-        assert_eq!(stats.replayed, 3, "only the v2 shard replays");
-        assert_eq!(stats.shards, 1);
-        assert_eq!(stats.quarantined, 0);
-        journal::gc().expect("gc succeeds");
-        assert_eq!(
-            std::fs::read(&v1_path).unwrap(),
-            v1_bytes,
-            "the v1 file is left byte-identical"
-        );
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(
-            names.len(),
-            2,
-            "no marker or quarantine beside it: {names:?}"
-        );
-    });
+    assert_eq!(journal::legacy_file(&dir), Some(v1_path.clone()));
+    let h = process(&dir);
+    let stats = h.journal().replay_stats();
+    assert_eq!(stats.replayed, 3, "only the v2 shard replays");
+    assert_eq!(stats.shards, 1);
+    assert_eq!(stats.quarantined, 0);
+    h.journal().gc().expect("gc succeeds");
+    assert_eq!(
+        std::fs::read(&v1_path).unwrap(),
+        v1_bytes,
+        "the v1 file is left byte-identical"
+    );
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names.len(),
+        2,
+        "no marker or quarantine beside it: {names:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -269,46 +259,38 @@ fn v1_beside_a_v2_store_contributes_nothing() {
 /// the exact cell beside them still serves and nothing is quarantined.
 #[test]
 fn retired_engine_mode_records_are_skipped_not_quarantined() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("retired");
-    isolated(|| {
-        journal::set_dir(Some(&dir));
-        journal::replay();
-        let cells: Vec<_> = (0..3).map(cell).collect();
-        for (k, r) in &cells {
-            journal::append(k, r);
-        }
-        journal::flush();
+    write_cells(&dir, 0..3);
 
-        // Rewrite the 2nd and 3rd records' mode byte (payload offset 10:
-        // after the u64 fingerprint and the scheme and pin bytes) to 1 and
-        // 2, re-sealing each entry's CRC.
-        let shards = shard_paths(&dir);
-        assert_eq!(shards.len(), 1);
-        let mut bytes = std::fs::read(&shards[0]).unwrap();
-        let mut at = 8; // shard magic
-        for entry in 0..3u8 {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            let payload = at + 8..at + 8 + len;
-            assert_eq!(bytes[payload.start + 10], 0, "writers emit mode 0");
-            bytes[payload.start + 10] = entry;
-            let crc = journal::crc32(&bytes[payload.clone()]);
-            bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
-            at = payload.end;
-        }
-        assert_eq!(at, bytes.len());
-        std::fs::write(&shards[0], &bytes).unwrap();
+    // Rewrite the 2nd and 3rd records' mode byte (payload offset 10: after
+    // the u64 fingerprint and the scheme and pin bytes) to 1 and 2,
+    // re-sealing each entry's CRC.
+    let shards = shard_paths(&dir);
+    assert_eq!(shards.len(), 1);
+    let mut bytes = std::fs::read(&shards[0]).unwrap();
+    let mut at = 8; // shard magic
+    for entry in 0..3u8 {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let payload = at + 8..at + 8 + len;
+        assert_eq!(bytes[payload.start + 10], 0, "writers emit mode 0");
+        bytes[payload.start + 10] = entry;
+        let crc = journal::crc32(&bytes[payload.clone()]);
+        bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        at = payload.end;
+    }
+    assert_eq!(at, bytes.len());
+    std::fs::write(&shards[0], &bytes).unwrap();
 
-        rebirth(&dir);
-        let stats = journal::replay();
-        assert_eq!(stats.replayed, 1, "only the mode-0 cell replays");
-        assert_eq!(stats.retired_skipped, 2);
-        assert_eq!(stats.quarantined, 0);
-        assert_eq!(shard_paths(&dir), shards, "the shard stays in place");
-        assert!(simcache::lookup(&cells[0].0).is_some());
-        assert!(simcache::lookup(&cells[1].0).is_none());
-        assert!(simcache::lookup(&cells[2].0).is_none());
-    });
+    let h = process(&dir);
+    let stats = h.journal().replay_stats();
+    assert_eq!(stats.replayed, 1, "only the mode-0 cell replays");
+    assert_eq!(stats.retired_skipped, 2);
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(shard_paths(&dir), shards, "the shard stays in place");
+    let cache = h.cache().unwrap();
+    assert!(cache.get(&cell(0).0).is_some());
+    assert!(cache.get(&cell(1).0).is_none());
+    assert!(cache.get(&cell(2).0).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -318,73 +300,78 @@ fn retired_engine_mode_records_are_skipped_not_quarantined() {
 
 #[test]
 fn full_io_fault_rate_disarms_and_the_run_completes_identically() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("io1000");
     let opts = quick(0.02);
-    isolated(|| {
-        // Clean reference with no journal at all.
-        let clean = opts.render(&fig10(&opts));
-        simcache::clear();
+    // Clean reference with no journal at all.
+    let clean = opts.render(&fig10(
+        &Harness::new(RunConfig {
+            journal: None,
+            ..config(&dir)
+        }),
+        &opts,
+    ));
 
-        // io:1000 — every journal filesystem op fails. Arming the journal
-        // must not panic anything; it disarms and the figure is identical.
-        hostfault::set_plan(Some(HostFaultPlan {
-            mode: FaultMode::Io,
-            per_mille: 1000,
-            seed: 42,
-        }));
-        journal::set_dir(Some(&dir));
-        let stats = journal::replay();
-        assert_eq!(stats.replayed, 0);
-        assert!(!journal::enabled(), "the journal disarmed itself");
-        assert!(journal::io_disarmed());
-        let faulted = opts.render(&fig10(&opts));
-        assert_eq!(faulted, clean, "figures are unaffected by journal loss");
-        assert!(
-            hostfault::io_injected() > 0,
-            "the io schedule must actually fire"
-        );
-        // Worker panics are a different mode entirely.
-        assert_eq!(hostfault::injected(), 0, "io mode never panics workers");
+    // io:1000 — every journal filesystem op fails. Arming the journal must
+    // not panic anything; it disarms and the figure is identical.
+    let h = Harness::new(RunConfig {
+        host_fault: io_faults(1000, 42),
+        ..config(&dir)
     });
+    assert_eq!(h.journal().replay_stats().replayed, 0);
+    assert_eq!(h.journal().dir(), None, "the journal disarmed itself");
+    assert!(h.journal().io_disarmed());
+    let faulted = opts.render(&fig10(&h, &opts));
+    assert_eq!(faulted, clean, "figures are unaffected by journal loss");
+    assert!(
+        h.journal().io_faults_injected() > 0,
+        "the io schedule must actually fire"
+    );
+    // Worker panics are a different mode entirely.
+    assert_eq!(h.stats().faults_injected, 0, "io mode never panics workers");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn low_rate_io_faults_never_corrupt_the_good_prefix() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("iolow");
     let opts = quick(0.02);
-    isolated(|| {
-        let clean = opts.render(&fig10(&opts));
-        simcache::clear();
+    let clean = opts.render(&fig10(
+        &Harness::new(RunConfig {
+            journal: None,
+            ..config(&dir)
+        }),
+        &opts,
+    ));
 
-        // Arm the journal on a healthy disk first (store creation
-        // succeeds), then inject faults into the append stream.
-        journal::set_dir(Some(&dir));
-        journal::replay();
-        hostfault::set_plan(Some(HostFaultPlan {
-            mode: FaultMode::Io,
-            per_mille: 300,
-            seed: 7,
-        }));
-        let faulted = opts.render(&fig10(&opts));
-        journal::flush();
-        assert_eq!(faulted, clean, "io faults never reach the figures");
-        assert!(hostfault::io_injected() > 0, "the schedule must fire");
-
-        // Whatever survived on disk is a *good prefix*: a healthy process
-        // replays it without quarantine and completes the figure exactly.
-        hostfault::set_plan(None);
-        rebirth(&dir);
-        let stats = journal::replay();
-        assert_eq!(
-            stats.quarantined, 0,
-            "failed appends must never corrupt a shard mid-stream"
-        );
-        let resumed = opts.render(&fig10(&opts));
-        assert_eq!(resumed, clean);
+    // A healthy writer creates the store first, so the faults land in the
+    // faulted run's append stream.
+    write_cells(&dir, 0..1);
+    let h = Harness::new(RunConfig {
+        host_fault: io_faults(300, 7),
+        ..config(&dir)
     });
+    let faulted = opts.render(&fig10(&h, &opts));
+    h.journal().flush();
+    assert_eq!(faulted, clean, "io faults never reach the figures");
+    assert!(
+        h.journal().io_faults_injected() > 0,
+        "the schedule must fire"
+    );
+
+    // Whatever survived on disk is a *good prefix*: a healthy process
+    // replays it without quarantine and completes the figure exactly.
+    let healthy = process(&dir);
+    let stats = healthy.journal().replay_stats();
+    assert_eq!(
+        stats.quarantined, 0,
+        "failed appends must never corrupt a shard mid-stream"
+    );
+    assert!(
+        stats.replayed > 1,
+        "some faulted-run cells survived: {stats:?}"
+    );
+    let resumed = opts.render(&fig10(&healthy, &opts));
+    assert_eq!(resumed, clean);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -394,178 +381,149 @@ fn low_rate_io_faults_never_corrupt_the_good_prefix() {
 
 #[test]
 fn gc_compacts_duplicates_across_shards_and_preserves_every_cell() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("gc");
-    isolated(|| {
-        // Writer A: keys 0..10.
-        journal::set_dir(Some(&dir));
-        for i in 0..10 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        // Writer B: keys 0..15 — 10 duplicates land in a second shard
-        // (direct appends model a writer that raced A and re-simulated).
-        rebirth(&dir);
-        for i in 0..15 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        assert_eq!(shard_paths(&dir).len(), 2);
+    // Writer A: keys 0..10. Writer B: keys 0..15 — 10 duplicates land in a
+    // second shard (direct appends model a writer that raced A and
+    // re-simulated).
+    write_cells(&dir, 0..10);
+    write_cells(&dir, 0..15);
+    assert_eq!(shard_paths(&dir).len(), 2);
 
-        let stats = journal::gc().expect("gc succeeds");
-        assert_eq!(stats.live_cells, 15);
-        assert_eq!(stats.shards_merged, 2);
-        assert_eq!(stats.quarantined, 0);
-        assert_eq!(stats.generation, 2);
+    let stats = process(&dir).journal().gc().expect("gc succeeds");
+    assert_eq!(stats.live_cells, 15);
+    assert_eq!(stats.shards_merged, 2);
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(stats.generation, 2);
+    assert!(
+        stats.bytes_after < stats.bytes_before,
+        "dropping 10 duplicate records must shrink the store \
+         ({} -> {})",
+        stats.bytes_before,
+        stats.bytes_after
+    );
+    // The old generation is gone; one compacted shard remains.
+    let root = journal::v2_root(&dir);
+    assert!(!root.join("gen-00000001").exists());
+    Lockfile::acquire(&root.join(journal::GC_LOCK)).expect("lock released");
+    assert_eq!(shard_paths(&dir).len(), 1);
+
+    // The compacted store serves everything.
+    let h = process(&dir);
+    let replayed = h.journal().replay_stats();
+    assert_eq!(replayed.replayed, 15);
+    assert_eq!(replayed.shards, 1);
+    assert_eq!(replayed.quarantined, 0);
+    for i in 0..15 {
         assert!(
-            stats.bytes_after < stats.bytes_before,
-            "dropping 10 duplicate records must shrink the store \
-             ({} -> {})",
-            stats.bytes_before,
-            stats.bytes_after
+            h.cache().unwrap().get(&cell(i).0).is_some(),
+            "key {i} survives"
         );
-        // The old generation is gone; one compacted shard remains.
-        let root = journal::v2_root(&dir);
-        assert!(!root.join("gen-00000001").exists());
-        Lockfile::acquire(&root.join(journal::GC_LOCK)).expect("lock released");
-        assert_eq!(shard_paths(&dir).len(), 1);
+    }
 
-        // The compacted store serves everything.
-        rebirth(&dir);
-        let replayed = journal::replay();
-        assert_eq!(replayed.replayed, 15);
-        assert_eq!(replayed.shards, 1);
-        assert_eq!(replayed.quarantined, 0);
-        for i in 0..15 {
-            assert!(simcache::lookup(&cell(i).0).is_some(), "key {i} survives");
-        }
-
-        // Post-GC appends open a shard in the *new* generation.
-        let (k, r) = cell(99);
-        journal::append(&k, &r);
-        journal::flush();
-        assert_eq!(shard_paths(&dir).len(), 2, "fresh shard in generation 2");
-    });
+    // Post-GC appends open a shard in the *new* generation.
+    let (k, r) = cell(99);
+    h.journal().append(&k, &r);
+    h.journal().flush();
+    assert_eq!(shard_paths(&dir).len(), 2, "fresh shard in generation 2");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn gc_killed_at_every_io_op_leaves_old_or_new_generation_intact() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("gckill");
-    isolated(|| {
-        journal::set_dir(Some(&dir));
-        for i in 0..20 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        let root = journal::v2_root(&dir);
+    write_cells(&dir, 0..20);
+    let root = journal::v2_root(&dir);
 
-        // Sweep the kill point over every io operation of the compaction:
-        // op k panics (simulated SIGKILL at that filesystem step). After
-        // each kill the store must still replay the full live set — the
-        // commit is a single atomic rename, so there is no in-between.
-        let mut kill_points = 0u64;
-        let mut committed_at = None;
-        for k in 1..=200u64 {
-            journal::set_dir(Some(&dir)); // fresh "process" runs the GC
-            hostfault::set_io_abort_at(Some(k));
-            let res = std::panic::catch_unwind(journal::gc);
-            hostfault::set_io_abort_at(None);
-            match res {
-                Ok(Ok(stats)) => {
-                    // The kill point lies beyond the compaction's op
-                    // count: GC ran to completion.
-                    assert_eq!(stats.live_cells, 20);
-                    committed_at = Some(k);
-                    break;
-                }
-                Ok(Err(e)) => panic!("gc must only die by kill, got: {e}"),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .unwrap_or_default();
-                    assert!(
-                        msg.contains(IO_ABORT_MARKER),
-                        "only the injected kill may panic, got: {msg}"
-                    );
-                    kill_points += 1;
-                }
+    // Sweep the kill point over every io operation of the compaction: op k
+    // panics (simulated SIGKILL at that filesystem step). After each kill
+    // the store must still replay the full live set — the commit is a
+    // single atomic rename, so there is no in-between.
+    let mut kill_points = 0u64;
+    let mut committed_at = None;
+    for k in 1..=200u64 {
+        let gc_process = process(&dir); // a fresh "process" runs the GC
+        gc_process.journal().set_io_abort_at(Some(k));
+        match catch_unwind(AssertUnwindSafe(|| gc_process.journal().gc())) {
+            Ok(Ok(stats)) => {
+                // The kill point lies beyond the compaction's op count: GC
+                // ran to completion.
+                assert_eq!(stats.live_cells, 20);
+                committed_at = Some(k);
+                break;
             }
-            if let Err(e) = Lockfile::acquire(&root.join(journal::GC_LOCK)) {
-                panic!("kill point {k}: the gc lock must never linger: {e}");
+            Ok(Err(e)) => panic!("gc must only die by kill, got: {e}"),
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains(IO_ABORT_MARKER),
+                    "only the injected kill may panic, got: {msg}"
+                );
+                kill_points += 1;
             }
-            rebirth(&dir);
-            let stats = journal::replay();
-            assert_eq!(
-                stats.replayed, 20,
-                "kill point {k}: the store must replay the full live set"
-            );
-            assert_eq!(stats.quarantined, 0, "kill point {k}: no corruption");
         }
-        let committed_at = committed_at.expect("gc eventually runs clean");
-        assert!(
-            kill_points >= 20,
-            "the sweep must cover >= 20 kill points (got {kill_points}, \
-             committed at {committed_at})"
+        if let Err(e) = Lockfile::acquire(&root.join(journal::GC_LOCK)) {
+            panic!("kill point {k}: the gc lock must never linger: {e}");
+        }
+        let stats = process(&dir).journal().replay_stats();
+        assert_eq!(
+            stats.replayed, 20,
+            "kill point {k}: the store must replay the full live set"
         );
+        assert_eq!(stats.quarantined, 0, "kill point {k}: no corruption");
+    }
+    let committed_at = committed_at.expect("gc eventually runs clean");
+    assert!(
+        kill_points >= 20,
+        "the sweep must cover >= 20 kill points (got {kill_points}, \
+         committed at {committed_at})"
+    );
 
-        // After the clean commit: exactly one generation, fully intact,
-        // and no stray tmp build dirs from the killed attempts.
-        let names: Vec<String> = std::fs::read_dir(&root)
-            .unwrap()
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            names.iter().all(|n| !n.contains(".tmp.")),
-            "stray GC build dirs must be cleaned up: {names:?}"
-        );
-        rebirth(&dir);
-        let final_stats = journal::replay();
-        assert_eq!(final_stats.replayed, 20);
-        assert_eq!(final_stats.shards, 1, "compacted into one shard");
-    });
+    // After the clean commit: exactly one generation, fully intact, and no
+    // stray tmp build dirs from the killed attempts.
+    let names: Vec<String> = std::fs::read_dir(&root)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().all(|n| !n.contains(".tmp.")),
+        "stray GC build dirs must be cleaned up: {names:?}"
+    );
+    let final_stats = process(&dir).journal().replay_stats();
+    assert_eq!(final_stats.replayed, 20);
+    assert_eq!(final_stats.shards, 1, "compacted into one shard");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("gclock");
-    isolated(|| {
-        journal::set_dir(Some(&dir));
-        for i in 0..3 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        let lock = journal::v2_root(&dir).join(journal::GC_LOCK);
+    write_cells(&dir, 0..3);
+    let h = process(&dir);
+    let lock = journal::v2_root(&dir).join(journal::GC_LOCK);
 
-        // A live holder makes gc fail fast, store untouched.
-        let held = Lockfile::acquire(&lock).unwrap();
-        let err = journal::gc().expect_err("live lock must refuse");
-        assert!(err.contains("is held"), "{err}");
-        assert!(journal::v2_root(&dir).join("gen-00000001").exists());
-        drop(held);
+    // A live holder makes gc fail fast, store untouched.
+    let held = Lockfile::acquire(&lock).unwrap();
+    let err = h.journal().gc().expect_err("live lock must refuse");
+    assert!(err.contains("is held"), "{err}");
+    assert!(journal::v2_root(&dir).join("gen-00000001").exists());
+    drop(held);
 
-        // A stale holder (dead pid) is taken over.
-        let dead_pid = std::process::Command::new("true")
-            .spawn()
-            .map(|mut c| {
-                let pid = c.id();
-                let _ = c.wait();
-                pid
-            })
-            .unwrap();
-        std::fs::write(&lock, format!("{dead_pid}\n")).unwrap();
-        let stats = journal::gc().expect("stale lock is taken over");
-        assert_eq!(stats.live_cells, 3);
-        Lockfile::acquire(&lock).expect("lock released after gc");
-    });
+    // A stale holder (dead pid) is taken over.
+    let dead_pid = std::process::Command::new("true")
+        .spawn()
+        .map(|mut c| {
+            let pid = c.id();
+            let _ = c.wait();
+            pid
+        })
+        .unwrap();
+    std::fs::write(&lock, format!("{dead_pid}\n")).unwrap();
+    let stats = h.journal().gc().expect("stale lock is taken over");
+    assert_eq!(stats.live_cells, 3);
+    Lockfile::acquire(&lock).expect("lock released after gc");
     let _ = std::fs::remove_dir_all(&dir);
 }

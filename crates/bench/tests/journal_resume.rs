@@ -16,25 +16,16 @@
 //!    that fails every attempt renders as `ERR` instead of aborting the
 //!    matrix.
 //!
-//! Journal state, the cell cache, and the fault counters are
-//! process-global, so every test serializes on [`LOCK`] and restores what
-//! it found. "Process death" is simulated by [`journal::set_dir`] to the
-//! same directory (which drops all in-memory journal state, and — like a
-//! real fresh process — opens a *new* shard on the next append) plus
-//! [`simcache::clear`].
+//! Each test builds its own [`Harness`]es, so the tests run in parallel.
+//! "Process death" is dropping a harness and building a fresh one on the
+//! same journal directory: it replays the store into a new cell cache and
+//! — like a real fresh process — opens a *new* shard on its next append.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use tint_bench::figures::{fig10, FigOpts};
-use tint_bench::hostfault::{self, FaultMode, HostFaultPlan};
+use tint_bench::hostfault::{FaultMode, HostFaultPlan};
 use tint_bench::journal;
-use tint_bench::runner::{
-    poisoned_cells, reset_fault_counters, retries_used, set_cell_retries, set_jobs,
-};
-use tint_bench::simcache;
-
-/// Serializes tests that touch the process-global journal/cache/counters.
-static LOCK: Mutex<()> = Mutex::new(());
+use tint_bench::{Harness, RunConfig};
 
 /// Small-but-nontrivial options (mirrors `cell_cache.rs`).
 fn quick() -> FigOpts {
@@ -52,28 +43,23 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
-/// Run `f` with a clean cache (forced on), clean journal (unarmed), and
-/// clean fault state; restore/disarm everything afterwards.
-fn isolated<T>(cache_on: bool, f: impl FnOnce() -> T) -> T {
-    let cache_was = simcache::enabled();
-    simcache::clear();
-    simcache::set_enabled(cache_on);
-    journal::set_dir(None);
-    hostfault::set_plan(None);
-    hostfault::set_io_abort_at(None);
-    reset_fault_counters();
-    set_cell_retries(None);
-    set_jobs(1); // deterministic queue order (and fault schedule)
-    let out = f();
-    set_jobs(0);
-    set_cell_retries(None);
-    hostfault::set_plan(None);
-    hostfault::set_io_abort_at(None);
-    reset_fault_counters();
-    journal::set_dir(None);
-    simcache::set_enabled(cache_was);
-    simcache::clear();
-    out
+/// One worker (deterministic queue order and fault schedule), the cache
+/// on, journaling to `dir` if given.
+fn config(dir: Option<&Path>) -> RunConfig {
+    RunConfig {
+        jobs: Some(1),
+        journal: dir.map(Path::to_path_buf),
+        ..RunConfig::default()
+    }
+}
+
+/// A `panic:<per_mille>:<seed>` plan.
+fn panics(per_mille: u16, seed: u64) -> Option<HostFaultPlan> {
+    Some(HostFaultPlan {
+        mode: FaultMode::Panic,
+        per_mille,
+        seed,
+    })
 }
 
 /// Every shard file in `dir`'s current store generation, sorted.
@@ -97,45 +83,41 @@ fn shard_paths(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn resume_replays_completed_cells_and_matches_bytes() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("resume");
     let opts = quick();
-    isolated(true, || {
-        // "First process": run a figure with the journal armed.
-        journal::set_dir(Some(&dir));
-        journal::replay();
-        let first = opts.render(&fig10(&opts));
-        let (_, appended, _) = journal::counters();
-        assert!(appended > 0, "the first run must journal its cells");
-        assert_eq!(shard_paths(&dir).len(), 1, "one writer, one shard");
+    // "First process": run a figure with the journal armed.
+    let (first, appended) = {
+        let h = Harness::new(config(Some(&dir)));
+        let out = opts.render(&fig10(&h, &opts));
+        (out, h.stats().journal_appends)
+    };
+    assert!(appended > 0, "the first run must journal its cells");
+    assert_eq!(shard_paths(&dir).len(), 1, "one writer, one shard");
 
-        // "Second process": all in-memory state is gone; only the store
-        // survives.
-        journal::set_dir(Some(&dir));
-        simcache::clear();
-        let stats = journal::replay();
-        assert_eq!(stats.replayed, appended, "every appended cell replays");
-        assert_eq!(stats.torn_dropped, 0);
-        assert_eq!(stats.quarantined, 0);
-        assert_eq!(stats.shards, 1);
+    // "Second process": all in-memory state is gone; only the store
+    // survives.
+    let h = Harness::new(config(Some(&dir)));
+    let stats = h.journal().replay_stats();
+    assert_eq!(stats.replayed, appended, "every appended cell replays");
+    assert_eq!(stats.torn_dropped, 0);
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(stats.shards, 1);
 
-        let misses_before = simcache::stats().1;
-        let resumed = opts.render(&fig10(&opts));
-        let misses_after = simcache::stats().1;
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "a resumed run must not re-simulate the completed prefix"
-        );
-        let (hits, appended2, replayed) = journal::counters();
-        assert!(replayed > 0);
-        assert!(
-            hits >= replayed,
-            "every replayed cell is served at least once"
-        );
-        assert_eq!(appended2, 0, "nothing new to journal on a full resume");
-        assert_eq!(first, resumed, "resumed figures are byte-identical");
-    });
+    let resumed = opts.render(&fig10(&h, &opts));
+    let st = h.stats();
+    assert_eq!(
+        st.cache_misses, 0,
+        "a resumed run must not re-simulate the completed prefix"
+    );
+    assert!(
+        st.journal_hits >= stats.replayed,
+        "every replayed cell is served at least once"
+    );
+    assert_eq!(
+        st.journal_appends, 0,
+        "nothing new to journal on a full resume"
+    );
+    assert_eq!(first, resumed, "resumed figures are byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -143,18 +125,23 @@ fn resume_replays_completed_cells_and_matches_bytes() {
 // Damaged shards: torn tail vs mid-stream corruption
 // ---------------------------------------------------------------------------
 
-/// Journal a figure's cells and return the (single) shard path + bytes.
-fn journaled_run(dir: &Path) -> (PathBuf, Vec<u8>) {
-    journal::set_dir(Some(dir));
-    journal::replay();
+/// Journal a figure's cells in one "process"; return the (single) shard
+/// path, its bytes and the number of cells appended.
+fn journaled_run(dir: &Path) -> (PathBuf, Vec<u8>, u64) {
+    let h = Harness::new(config(Some(dir)));
     let opts = quick();
-    let _ = opts.render(&fig10(&opts));
-    journal::flush();
+    let _ = opts.render(&fig10(&h, &opts));
+    h.journal().flush();
     let shards = shard_paths(dir);
     assert_eq!(shards.len(), 1, "one writer, one shard");
     let path = shards.into_iter().next().unwrap();
     let bytes = std::fs::read(&path).expect("shard file exists");
-    (path, bytes)
+    (path, bytes, h.stats().journal_appends)
+}
+
+/// What a fresh "process" replays from `dir`.
+fn replay(dir: &Path) -> journal::ReplayStats {
+    Harness::new(config(Some(dir))).journal().replay_stats()
 }
 
 /// Byte offset just past the `n`-th entry (a shard starts with an 8-byte
@@ -170,110 +157,87 @@ fn entry_end(bytes: &[u8], n: usize) -> usize {
 
 #[test]
 fn torn_final_write_is_dropped_in_memory_without_touching_the_shard() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("torn");
-    isolated(true, || {
-        let (path, bytes) = journaled_run(&dir);
-        let (_, appended, _) = journal::counters();
-        assert!(appended >= 2, "need at least two entries to tear one");
-        // Tear the final entry mid-payload, as a crash during the last
-        // write would.
-        let keep = entry_end(&bytes, appended as usize - 1) + 5;
-        std::fs::write(&path, &bytes[..keep]).unwrap();
+    let (path, bytes, appended) = journaled_run(&dir);
+    assert!(appended >= 2, "need at least two entries to tear one");
+    // Tear the final entry mid-payload, as a crash during the last write
+    // would.
+    let keep = entry_end(&bytes, appended as usize - 1) + 5;
+    std::fs::write(&path, &bytes[..keep]).unwrap();
 
-        journal::set_dir(Some(&dir)); // process death
-        simcache::clear();
-        let stats = journal::replay();
-        assert_eq!(
-            stats.replayed,
-            appended - 1,
-            "all but the torn entry replay"
-        );
-        assert!(stats.torn_dropped > 0);
-        assert_eq!(stats.quarantined, 0, "a tear is not corruption");
-        // Foreign-shard safety: the torn shard is NOT truncated or
-        // rewritten — for all the replayer knows, that tail is a live
-        // sibling's append in flight. (GC compacts dead tails away.)
-        assert_eq!(
-            std::fs::read(&path).unwrap().len(),
-            keep,
-            "replay must never rewrite a foreign shard"
-        );
-    });
+    let stats = replay(&dir); // process death
+    assert_eq!(
+        stats.replayed,
+        appended - 1,
+        "all but the torn entry replay"
+    );
+    assert!(stats.torn_dropped > 0);
+    assert_eq!(stats.quarantined, 0, "a tear is not corruption");
+    // Foreign-shard safety: the torn shard is NOT truncated or rewritten —
+    // for all the replayer knows, that tail is a live sibling's append in
+    // flight. (GC compacts dead tails away.)
+    assert_eq!(
+        std::fs::read(&path).unwrap().len(),
+        keep,
+        "replay must never rewrite a foreign shard"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn midstream_bitflip_quarantines_that_shard_and_rescues_the_prefix() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("bitflip");
-    isolated(true, || {
-        let (path, mut bytes) = journaled_run(&dir);
-        let (_, appended, _) = journal::counters();
-        assert!(appended >= 2);
-        // Flip one bit inside the *second* entry's payload: data follows
-        // it, so this is mid-stream corruption, not a tear.
-        let flip_at = entry_end(&bytes, 1) + 10;
-        bytes[flip_at] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+    let (path, mut bytes, appended) = journaled_run(&dir);
+    assert!(appended >= 2);
+    // Flip one bit inside the *second* entry's payload: data follows it,
+    // so this is mid-stream corruption, not a tear.
+    let flip_at = entry_end(&bytes, 1) + 10;
+    bytes[flip_at] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
 
-        journal::set_dir(Some(&dir)); // process death
-        simcache::clear();
-        let stats = journal::replay();
-        assert_eq!(stats.quarantined, 1, "CRC mismatch mid-stream quarantines");
-        assert_eq!(stats.replayed, 1, "the good prefix (first entry) survives");
-        // The damaged shard moved to the store root under a unique name.
-        let shard_name = path.file_name().unwrap().to_str().unwrap();
-        let corrupt = journal::v2_root(&dir).join(format!("{shard_name}.corrupt.1"));
-        assert!(corrupt.exists(), "damaged shard is kept for inspection");
-        assert!(!path.exists(), "the corrupt shard left the generation");
+    let stats = replay(&dir); // process death
+    assert_eq!(stats.quarantined, 1, "CRC mismatch mid-stream quarantines");
+    assert_eq!(stats.replayed, 1, "the good prefix (first entry) survives");
+    // The damaged shard moved to the store root under a unique name.
+    let shard_name = path.file_name().unwrap().to_str().unwrap();
+    let corrupt = journal::v2_root(&dir).join(format!("{shard_name}.corrupt.1"));
+    assert!(corrupt.exists(), "damaged shard is kept for inspection");
+    assert!(!path.exists(), "the corrupt shard left the generation");
 
-        // The rescue re-persisted the good prefix: a third "process"
-        // replays it from a healthy shard without complaint.
-        journal::set_dir(Some(&dir));
-        simcache::clear();
-        let again = journal::replay();
-        assert_eq!(again.replayed, 1);
-        assert_eq!(again.quarantined, 0);
-    });
+    // The rescue re-persisted the good prefix: a third "process" replays
+    // it from a healthy shard without complaint.
+    let again = replay(&dir);
+    assert_eq!(again.replayed, 1);
+    assert_eq!(again.quarantined, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn successive_corruptions_quarantine_to_unique_names() {
-    let _g = LOCK.lock().unwrap();
     let dir = scratch("requarantine");
-    isolated(true, || {
-        // First corruption: bad magic on the process's own shard.
-        let (path, _) = journaled_run(&dir);
-        let shard_name = path.file_name().unwrap().to_str().unwrap().to_string();
-        std::fs::write(&path, b"NOTJRNL!garbage").unwrap();
-        journal::set_dir(Some(&dir));
-        simcache::clear();
-        let first = journal::replay();
-        assert_eq!(first.quarantined, 1);
-        let root = journal::v2_root(&dir);
-        let q1 = root.join(format!("{shard_name}.corrupt.1"));
-        assert!(q1.exists());
-        let q1_bytes = std::fs::read(&q1).unwrap();
+    // First corruption: bad magic on the process's own shard.
+    let (path, _, _) = journaled_run(&dir);
+    let shard_name = path.file_name().unwrap().to_str().unwrap().to_string();
+    std::fs::write(&path, b"NOTJRNL!garbage").unwrap();
+    assert_eq!(replay(&dir).quarantined, 1);
+    let root = journal::v2_root(&dir);
+    let q1 = root.join(format!("{shard_name}.corrupt.1"));
+    assert!(q1.exists());
+    let q1_bytes = std::fs::read(&q1).unwrap();
 
-        // Second corruption of a *same-named* shard (recreate it by hand,
-        // as a pathological writer might): the quarantine must take the
-        // next slot, never overwrite the first body of evidence.
-        let (_, gen_dir) = journal::current_generation(&dir).unwrap();
-        std::fs::write(gen_dir.join(&shard_name), b"NOTJRNL!other-garbage").unwrap();
-        journal::set_dir(Some(&dir));
-        simcache::clear();
-        let second = journal::replay();
-        assert_eq!(second.quarantined, 1);
-        let q2 = root.join(format!("{shard_name}.corrupt.2"));
-        assert!(q2.exists(), "second quarantine takes the next slot");
-        assert_eq!(
-            std::fs::read(&q1).unwrap(),
-            q1_bytes,
-            "the first quarantine is untouched"
-        );
-    });
+    // Second corruption of a *same-named* shard (recreate it by hand, as a
+    // pathological writer might): the quarantine must take the next slot,
+    // never overwrite the first body of evidence.
+    let (_, gen_dir) = journal::current_generation(&dir).unwrap();
+    std::fs::write(gen_dir.join(&shard_name), b"NOTJRNL!other-garbage").unwrap();
+    assert_eq!(replay(&dir).quarantined, 1);
+    let q2 = root.join(format!("{shard_name}.corrupt.2"));
+    assert!(q2.exists(), "second quarantine takes the next slot");
+    assert_eq!(
+        std::fs::read(&q1).unwrap(),
+        q1_bytes,
+        "the first quarantine is untouched"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -283,110 +247,93 @@ fn successive_corruptions_quarantine_to_unique_names() {
 
 #[test]
 fn injected_faults_are_masked_by_retries() {
-    let _g = LOCK.lock().unwrap();
     let opts = quick();
-    isolated(false, || {
-        let clean = opts.render(&fig10(&opts));
+    let clean = opts.render(&fig10(&Harness::new(config(None)), &opts));
 
-        // 10% of attempts panic; with 10 retries a cell failing for good
-        // needs 11 consecutive bad draws — the fixed seed never does.
-        set_cell_retries(Some(10));
-        hostfault::set_plan(Some(HostFaultPlan {
-            mode: FaultMode::Panic,
-            per_mille: 100,
-            seed: 11,
-        }));
-        reset_fault_counters();
-        let faulted = opts.render(&fig10(&opts));
-
-        assert!(hostfault::injected() > 0, "the plan must actually fire");
-        assert!(retries_used() > 0);
-        assert_eq!(poisoned_cells(), 0, "retries must absorb every fault");
-        assert_eq!(clean, faulted, "masked faults leave no trace in the output");
+    // 10% of attempts panic; with 10 retries a cell failing for good needs
+    // 11 consecutive bad draws — the fixed seed never does.
+    let h = Harness::new(RunConfig {
+        cell_retries: 10,
+        host_fault: panics(100, 11),
+        ..config(None)
     });
+    let faulted = opts.render(&fig10(&h, &opts));
+    let st = h.stats();
+    assert!(st.faults_injected > 0, "the plan must actually fire");
+    assert!(st.retries > 0);
+    assert_eq!(st.poisoned, 0, "retries must absorb every fault");
+    assert_eq!(clean, faulted, "masked faults leave no trace in the output");
 }
 
-/// The `--jobs 4` crash-consistency case: a worker that panics mid-cell may
-/// die between the cell cache's `lookup` and `insert`, poisoning the
-/// process-global mutex for every surviving worker. The cache absorbs the
-/// poison (`simcache`'s locks recover via `into_inner`), so subsequent gets
-/// and inserts must keep succeeding, the failed cells must be accounted as
-/// poisoned and render as `ERR`, and a disarmed re-run over the same cache
-/// must heal to a byte-identical clean figure.
+/// The `--jobs 4` crash-consistency case: workers that panic mid-cell must
+/// leave the harness usable. Failed cells are accounted as poisoned,
+/// render as `ERR`, are never cached or journaled, and a disarmed run over
+/// the same journal (a fresh "process") re-simulates them and heals to a
+/// byte-identical clean figure.
 #[test]
 fn parallel_faulted_run_keeps_cache_usable_and_accounts_err() {
-    let _g = LOCK.lock().unwrap();
+    let dir = scratch("parallel-faulted");
     let opts = quick();
-    isolated(true, || {
-        // Clean reference, computed with the cache bypassed so the faulted
-        // run below still simulates (and can panic in) every cell.
-        simcache::set_enabled(false);
-        let reference = opts.render(&fig10(&opts));
-        simcache::set_enabled(true);
+    let reference = opts.render(&fig10(&Harness::new(config(None)), &opts));
 
-        set_jobs(4); // the repro binary's `--jobs 4`
-        set_cell_retries(Some(1));
-        hostfault::set_plan(Some(HostFaultPlan {
-            mode: FaultMode::Panic,
-            per_mille: 1000,
-            seed: 3,
-        }));
-        reset_fault_counters();
-        let faulted = opts.render(&fig10(&opts));
-        assert!(hostfault::injected() > 0, "the plan must actually fire");
-        assert!(
-            poisoned_cells() > 0,
-            "permille=1000 must poison cells across 4 workers"
-        );
-        assert!(
-            faulted.contains("ERR"),
-            "poisoned cells render as ERR:\n{faulted}"
-        );
-        assert!(
-            hostfault::injected() >= poisoned_cells() * 2,
-            "every poisoned cell burned its retry too"
-        );
-
-        // The panicking workers must not have wedged the cache: direct
-        // probes (these take the same mutex) and a full figure re-run —
-        // every get and insert on the heal path — still succeed.
-        hostfault::set_plan(None);
-        let len_before = simcache::len();
-        let healed = opts.render(&fig10(&opts));
-        assert!(
-            simcache::len() >= len_before,
-            "post-panic inserts must land in the cache"
-        );
-        assert!(
-            simcache::stats().1 > 0,
-            "healing re-simulates the poisoned cells (cache misses)"
-        );
-        assert_eq!(
-            healed, reference,
-            "a disarmed re-run heals to the clean figure byte-for-byte"
-        );
+    let h = Harness::new(RunConfig {
+        jobs: Some(4), // the repro binary's `--jobs 4`
+        cell_retries: 1,
+        host_fault: panics(1000, 3),
+        ..config(Some(&dir))
     });
+    let faulted = opts.render(&fig10(&h, &opts));
+    let st = h.stats();
+    assert!(st.faults_injected > 0, "the plan must actually fire");
+    assert!(
+        st.poisoned > 0,
+        "permille=1000 must poison cells across 4 workers"
+    );
+    assert!(
+        faulted.contains("ERR"),
+        "poisoned cells render as ERR:\n{faulted}"
+    );
+    assert!(
+        st.faults_injected >= st.poisoned * 2,
+        "every poisoned cell burned its retry too"
+    );
+    // The panicking workers must not have wedged the cache, and nothing
+    // poisoned reached it or the journal.
+    assert_eq!(h.cache().map(|c| c.len()), Some(0));
+    assert_eq!(st.journal_appends, 0);
+    drop(h);
+
+    let healed_h = Harness::new(config(Some(&dir)));
+    assert_eq!(healed_h.journal().replay_stats().replayed, 0);
+    let healed = opts.render(&fig10(&healed_h, &opts));
+    assert_eq!(
+        healed_h.stats().cache_misses,
+        st.poisoned,
+        "healing re-simulates exactly the poisoned cells"
+    );
+    assert!(healed_h.cache().is_some_and(|c| !c.is_empty()));
+    assert_eq!(
+        healed, reference,
+        "a disarmed re-run heals to the clean figure byte-for-byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn total_fault_rate_poisons_cells_and_renders_err() {
-    let _g = LOCK.lock().unwrap();
     let opts = quick();
-    isolated(false, || {
-        set_cell_retries(Some(1));
-        hostfault::set_plan(Some(HostFaultPlan {
-            mode: FaultMode::Panic,
-            per_mille: 1000,
-            seed: 1,
-        }));
-        reset_fault_counters();
-        let table = opts.render(&fig10(&opts));
-
-        assert!(poisoned_cells() > 0, "permille=1000 defeats every retry");
-        assert!(
-            table.contains("ERR"),
-            "poisoned cells render as ERR:\n{table}"
-        );
-        assert!(hostfault::injected() >= poisoned_cells() * 2);
+    let h = Harness::new(RunConfig {
+        cache: false,
+        cell_retries: 1,
+        host_fault: panics(1000, 1),
+        ..config(None)
     });
+    let table = opts.render(&fig10(&h, &opts));
+    let st = h.stats();
+    assert!(st.poisoned > 0, "permille=1000 defeats every retry");
+    assert!(
+        table.contains("ERR"),
+        "poisoned cells render as ERR:\n{table}"
+    );
+    assert!(st.faults_injected >= st.poisoned * 2);
 }

@@ -9,7 +9,7 @@
 //! behaviour changes one of the two.
 
 use tint_bench::figures::{fig10, probe, FigOpts};
-use tint_bench::runner::simulated_cycles;
+use tint_bench::{Harness, RunConfig};
 use tint_workloads::PinConfig;
 
 /// `md5sum` of the rendered text.
@@ -25,11 +25,12 @@ fn small_matrix() -> (String, u64) {
         scale: 1.0,
         csv: false,
     };
-    let before = simulated_cycles();
+    let h = Harness::new(RunConfig::default());
     let mut out = String::new();
-    out.push_str(&opts.render(&fig10(&opts)));
-    out.push_str(&opts.render(&probe(&opts, "lbm", PinConfig::T16N4)));
-    (out, simulated_cycles() - before)
+    out.push_str(&opts.render(&fig10(&h, &opts)));
+    let probe = probe(&h, &opts, "lbm", PinConfig::T16N4).expect("lbm is a benchmark");
+    out.push_str(&opts.render(&probe));
+    (out, h.stats().sim_cycles)
 }
 
 /// MD5 (RFC 1321) as lower-case hex, so the pin can be checked with

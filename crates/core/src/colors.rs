@@ -48,7 +48,7 @@ impl ThreadColors {
 }
 
 /// The allocation policies compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ColorScheme {
     /// Stock Linux buddy (NUMA-aware local preference) — the baseline.
     Buddy,

@@ -9,7 +9,7 @@ use std::fmt;
 use tint_hw::types::CoreId;
 
 /// One of the paper's pinning configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PinConfig {
     /// 16 threads over all 4 nodes (cores 0–15).
     T16N4,

@@ -14,26 +14,27 @@ echo "== no retired perf tooling, no environment reads in libraries =="
 # Host-time performance has one instrument, the cold benchmark in
 # coldbench/; the self-profile and microbench tooling it replaced must not
 # grow back. Library code takes its configuration from its caller: only the
-# binaries read the environment, apart from the allowlisted sites below.
-# (The pathspec needs the trailing `/*`: git matches `crates/*/src` against
-# whole paths, so without it nothing under src/ would be searched.)
+# binaries read the environment (`repro` parses every TINT_* variable into
+# one RunConfig). (The pathspec needs the trailing `/*`: git matches
+# `crates/*/src` against whole paths, so without it nothing under src/
+# would be searched.)
 if git grep -nE 'profile::|TINT_BENCH_QUICK|microbench::' -- crates; then
     echo "FAIL: retired perf tooling is referenced again (matches above)" >&2
     exit 1
 fi
-env_allowlist='^crates/bench/src/(simcache|journal)\.rs:'
-if git grep -n 'env::var' -- 'crates/*/src/*' ':!crates/bench/src/bin' | grep -vE "$env_allowlist"; then
+if git grep -n 'env::var' -- 'crates/*/src/*' ':!crates/bench/src/bin'; then
     echo "FAIL: library code reads the environment (matches above); parse it in the binary" >&2
     exit 1
 fi
-# The simulator crates hold no randomly seeded std maps, in tests either:
-# their iteration order changes from process to process, so one loop over
-# them can leak into output. Use `tint_hw::fxhash::FxHashMap` (unseeded;
-# fxhash.rs is where it is built on std's map) or a BTreeMap/BTreeSet.
-sim_src=()
-for c in hw cache core kernel mem dram spmd workloads; do sim_src+=("crates/$c/src/*"); done
-if git grep -nwE 'HashMap|HashSet' -- "${sim_src[@]}" ':!crates/hw/src/fxhash.rs'; then
-    echo "FAIL: a simulator crate uses std HashMap/HashSet (matches above); use FxHashMap or a BTree map" >&2
+# The simulator crates and the figure harness hold no randomly seeded std
+# maps, in tests either: their iteration order changes from process to
+# process, so one loop over them can leak into output. Use
+# `tint_hw::fxhash::FxHashMap` (unseeded; fxhash.rs is where it is built on
+# std's map) or a BTreeMap/BTreeSet.
+lib_src=()
+for c in hw cache core kernel mem dram spmd workloads bench; do lib_src+=("crates/$c/src/*"); done
+if git grep -nwE 'HashMap|HashSet' -- "${lib_src[@]}" ':!crates/hw/src/fxhash.rs'; then
+    echo "FAIL: a library crate uses std HashMap/HashSet (matches above); use FxHashMap or a BTree map" >&2
     exit 1
 fi
 
