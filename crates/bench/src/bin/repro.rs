@@ -24,7 +24,8 @@
 //!                      pool-population skew vs task count and uptime (extension)
 //!   soak               sustained over-committed pressure: watermarks, backoff,
 //!                      OOM kills, incremental auditing, per-window trace (extension)
-//!   probe:<bench>      per-scheme diagnostics for one benchmark cell
+//!   probe:<bench>      per-scheme diagnostics for one benchmark cell, at
+//!                      every --configs entry (recorded as probe:<bench>@<config>)
 //!   gc-journal         compact the cell-farm journal into a fresh generation
 //!   all                everything above (except probe and gc-journal)
 //! ```
@@ -93,7 +94,8 @@
 //! `BENCH_repro.json.corrupt` and treated as empty rather than trusted.
 //! An intact existing file is *merged into*, not clobbered: command
 //! records are upserted by name, so `repro probe:lbm` after `repro all`
-//! keeps the figure records. The `invocation` block describes only the
+//! keeps the figure records (a probe records one `probe:<bench>@<config>`
+//! per configuration). The `invocation` block describes only the
 //! commands this run executed; the `total` block sums over every merged
 //! record.
 //!
@@ -193,16 +195,18 @@ fn header(s: &str) {
     println!("\n=== {s} ===");
 }
 
+/// Probe `bench` at one pinning configuration.
+fn run_probe(ctx: &Ctx, bench: &str, pin: PinConfig) {
+    header(&format!("Probe: {bench} at {pin}"));
+    let t = probe(&ctx.h, &ctx.opts, bench, pin);
+    print!("{}", ctx.opts.render(&t.expect("validated at startup")));
+}
+
 /// Run one command by name, printing exactly what a single-command
-/// invocation prints.
+/// invocation prints. (`probe:<bench>` runs once per configuration, see
+/// `main`.)
 fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     let all = cmd == "all";
-    if let Some(bench) = cmd.strip_prefix("probe:") {
-        header(&format!("Probe: {bench} at {}", ctx.configs[0]));
-        let t = probe(&ctx.h, &ctx.opts, bench, ctx.configs[0]);
-        print!("{}", ctx.opts.render(&t.expect("validated at startup")));
-        return;
-    }
     if cmd == "gc-journal" {
         header("Journal GC: compact the cell farm into a fresh generation");
         match ctx.h.journal().gc() {
@@ -480,20 +484,36 @@ fn main() {
     };
     let mut records = Vec::with_capacity(cmds.len());
     for cmd in &cmds {
-        let before = ctx.h.stats();
-        let start = std::time::Instant::now();
-        run_cmd(&mut ctx, cmd);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let after = ctx.h.stats();
-        records.push(CmdRecord {
-            name: cmd.clone(),
-            wall_ms,
-            sim_cycles: after.sim_cycles - before.sim_cycles,
-            reps: ctx.opts.reps,
-            scale: ctx.opts.scale,
-            cache_hits: after.cache_hits - before.cache_hits,
-            cache_misses: after.cache_misses - before.cache_misses,
-        });
+        // A probe runs once per configuration, recorded as
+        // `probe:<bench>@<config>`; every other command runs once.
+        let probe = cmd.strip_prefix("probe:");
+        let runs: Vec<(String, Option<PinConfig>)> = match probe {
+            Some(_) => ctx
+                .configs
+                .iter()
+                .map(|&pin| (format!("{cmd}@{pin}"), Some(pin)))
+                .collect(),
+            None => vec![(cmd.clone(), None)],
+        };
+        for (name, pin) in runs {
+            let before = ctx.h.stats();
+            let start = std::time::Instant::now();
+            match (probe, pin) {
+                (Some(bench), Some(pin)) => run_probe(&ctx, bench, pin),
+                _ => run_cmd(&mut ctx, cmd),
+            }
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let after = ctx.h.stats();
+            records.push(CmdRecord {
+                name,
+                wall_ms,
+                sim_cycles: after.sim_cycles - before.sim_cycles,
+                reps: ctx.opts.reps,
+                scale: ctx.opts.scale,
+                cache_hits: after.cache_hits - before.cache_hits,
+                cache_misses: after.cache_misses - before.cache_misses,
+            });
+        }
     }
     let journal = ctx.h.journal();
     journal.flush();

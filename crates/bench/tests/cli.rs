@@ -1,6 +1,7 @@
 //! `repro` usage errors: each bad flag, environment value or command exits
 //! 2 with a one-line message before any simulation runs (so no
 //! `BENCH_repro.json` is written). The cases run one after another in a private directory.
+//! A valid multi-config probe prints and records every configuration.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -16,8 +17,9 @@ const VARS: [&str; 6] = [
     "TINT_SIM_CACHE",
 ];
 
-fn scratch() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("tint-cli-test-{}", std::process::id()));
+/// A fresh private directory for the test named `name`.
+fn scratch(name: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("tint-cli-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -54,7 +56,7 @@ fn assert_usage_error(dir: &Path, args: &[&str], var: Option<(&str, &str)>) {
 
 #[test]
 fn usage_errors_exit_2_before_any_simulation() {
-    let dir = scratch();
+    let dir = scratch("usage");
     assert_usage_error(&dir, &["--profile"], None);
     assert_usage_error(&dir, &["--engine", "x"], None);
     assert_usage_error(&dir, &["--jobs", "0"], None);
@@ -64,5 +66,43 @@ fn usage_errors_exit_2_before_any_simulation() {
     assert_usage_error(&dir, &[], Some(("TINT_SIM_CACHE", "off")));
     assert_usage_error(&dir, &["fig99"], None);
     assert_usage_error(&dir, &["probe:nosuch"], None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `probe:<bench>` runs at every `--configs` entry: one table and one
+/// `probe:<bench>@<config>` record per configuration.
+#[test]
+fn probe_runs_every_config() {
+    let dir = scratch("probe");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.current_dir(&dir)
+        .args(["--reps", "1", "--scale", "0.1", "--configs", "16t4n,4t4n"])
+        .arg("probe:lbm");
+    for v in VARS {
+        cmd.env_remove(v);
+    }
+    cmd.env("TINT_JOURNAL", "0").env("TINT_SIM_CACHE", "0");
+    let out = cmd.output().expect("run repro");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let headers: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("=== Probe: lbm at "))
+        .collect();
+    assert_eq!(
+        headers,
+        [
+            "=== Probe: lbm at 16_threads_4_nodes ===",
+            "=== Probe: lbm at 4_threads_4_nodes ===",
+        ]
+    );
+    assert_eq!(stdout.matches("\nMEM+LLC ").count(), 2, "{stdout}");
+    let bench = std::fs::read_to_string(dir.join("BENCH_repro.json")).unwrap();
+    for name in [
+        "probe:lbm@16_threads_4_nodes",
+        "probe:lbm@4_threads_4_nodes",
+    ] {
+        assert!(bench.contains(&format!("\"name\": \"{name}\"")), "{bench}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

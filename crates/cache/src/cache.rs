@@ -4,26 +4,26 @@
 //! optionally records an owner tag (the core that filled it) so the shared
 //! LLC can attribute evictions to inter-task interference.
 
-use tint_hw::machine::MAX_ASSOC;
+use tint_hw::machine::{LINE_ADDR_BITS, MAX_ASSOC, MAX_CORES};
 use tint_hw::types::{CoreId, PhysAddr};
 
 /// Fibonacci multiplicative spread: mixes all input bits into the high
 /// output bits (take the top `k` bits for a `k`-bit hash index).
 #[inline]
-fn fibonacci_spread(v: u64) -> u64 {
+pub(crate) fn fibonacci_spread(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Bits a stored line address may occupy in a slot word: the low
-/// [`OWNER_BITS`] hold the owning core, the rest `line_addr + 1` (the `+ 1`
-/// keeps every stored word nonzero, so an all-zero word is an empty slot).
-/// `CacheHierarchy::new` asserts once per machine that the highest line
-/// fits; debug builds check it per access.
-pub(crate) const ADDR_BITS: u32 = 56;
-/// Low bits of a slot word that hold the owning core.
-pub(crate) const OWNER_BITS: u32 = 8;
+/// Low bits of a slot word that hold the owning core; the other
+/// [`LINE_ADDR_BITS`] hold `line_addr + 1` (the `+ 1` keeps every stored
+/// word nonzero, so an all-zero word is an empty slot). `MachineConfig`
+/// bounds a machine to fit: at most [`MAX_CORES`] cores and a highest line
+/// address below `2^LINE_ADDR_BITS − 1`. `CacheHierarchy::new` asserts both
+/// once per machine; debug builds check them per access.
+pub(crate) const OWNER_BITS: u32 = 4;
+const _: () = assert!(MAX_CORES <= 1 << OWNER_BITS && LINE_ADDR_BITS + OWNER_BITS == 32);
 /// Mask of the owner field.
-const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
+const OWNER_MASK: u32 = (1 << OWNER_BITS) - 1;
 
 /// Result of a cache fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +62,13 @@ pub enum IndexMode {
 
 /// A set-associative cache with LRU replacement.
 ///
-/// Storage is one word per line: a flat `slots` array of `sets × assoc`
-/// words (set `i` owns `slots[i*assoc .. (i+1)*assoc]`), each packing
-/// `((line_addr + 1) << 8) | owner`. An all-zero word is an empty slot, so
+/// Storage is one 32-bit word per line: a flat `slots` array of
+/// `slices × sets × assoc` words (set `i` owns `slots[i*assoc ..
+/// (i+1)*assoc]`), each packing `((line_addr + 1) << 4) | owner`. A cache
+/// built with [`new`](Self::new) or [`with_index_mode`](Self::with_index_mode)
+/// has one slice; the hierarchy keeps every core's private L1 (or L2) in one
+/// cache of `cores` slices, core `c` owning sets `c*sets .. (c+1)*sets`.
+/// The public methods address slice 0. An all-zero word is an empty slot, so
 /// the cache needs no occupancy count and a fresh cache is a zeroed
 /// allocation the OS commits lazily, page by page as sets are touched. A
 /// stride is kept in LRU order, most recent last, with its empty slots at
@@ -74,9 +78,10 @@ pub enum IndexMode {
 /// instantiated per way count (see `touch`).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Flat `((line_addr + 1) << 8) | owner` storage, `set_count * assoc`
-    /// slots; 0 is an empty slot.
-    slots: Vec<u64>,
+    /// Flat `((line_addr + 1) << 4) | owner` storage, `slices * set_count
+    /// * assoc` slots; 0 is an empty slot.
+    slots: Vec<u32>,
+    /// Sets per slice.
     set_count: usize,
     assoc: usize,
     line_shift: u32,
@@ -90,6 +95,23 @@ pub struct SetAssocCache {
     misses: u64,
 }
 
+/// The stored tag of a line address: `line_addr + 1`, never 0.
+#[inline]
+pub(crate) fn line_tag(line_addr: u64) -> u32 {
+    debug_assert!(
+        line_addr + 1 < 1 << LINE_ADDR_BITS,
+        "line address {line_addr:#x} must fit the slot word's {LINE_ADDR_BITS}-bit field"
+    );
+    line_addr as u32 + 1
+}
+
+/// The slot word `core` stores for a line with tag `tag`.
+#[inline]
+pub(crate) fn slot_word(tag: u32, core: CoreId) -> u32 {
+    debug_assert!(core.index() < MAX_CORES, "owner must fit the 4-bit field");
+    (tag << OWNER_BITS) | core.index() as u32
+}
+
 /// Look `tag` (a stored `line_addr + 1`) up in one LRU-ordered set and
 /// touch it with `word`: a hit moves the line to the MRU end, a miss shifts
 /// the set down one slot and fills the MRU end. Returns whether it hit and
@@ -97,7 +119,7 @@ pub struct SetAssocCache {
 /// was empty). The way count is a compile-time constant, so the scan and
 /// the shift unroll into straight-line code.
 #[inline(always)]
-fn touch<const A: usize>(set: &mut [u64; A], tag: u64, word: u64) -> (bool, u64) {
+fn touch<const A: usize>(set: &mut [u32; A], tag: u32, word: u32) -> (bool, u32) {
     let hit = set.iter().position(|&w| w >> OWNER_BITS == tag);
     let pos = hit.unwrap_or(0);
     let out = set[pos];
@@ -128,6 +150,18 @@ impl SetAssocCache {
         line_shift: u32,
         index_mode: IndexMode,
     ) -> Self {
+        Self::with_slices(sets, assoc, line_shift, index_mode, 1)
+    }
+
+    /// Build `slices` independent caches of `sets` sets each in one slot
+    /// array, all indexed by `index_mode` within their slice.
+    pub(crate) fn with_slices(
+        sets: usize,
+        assoc: usize,
+        line_shift: u32,
+        index_mode: IndexMode,
+        slices: usize,
+    ) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(
             (1..=MAX_ASSOC).contains(&assoc),
@@ -156,7 +190,7 @@ impl SetAssocCache {
             IndexMode::Modulo => 0,
         };
         Self {
-            slots: vec![0; sets * assoc],
+            slots: vec![0; slices * sets * assoc],
             set_count: sets,
             assoc,
             line_shift,
@@ -168,7 +202,7 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of sets.
+    /// Number of sets (per slice).
     pub fn set_count(&self) -> usize {
         self.set_count
     }
@@ -220,34 +254,28 @@ impl SetAssocCache {
         }
     }
 
-    /// The stored tag of `addr`'s line: `line_addr + 1`, never 0.
+    /// The flat set a [`fibonacci_spread`] of a line address selects in
+    /// slice `slice` of a hash-indexed cache (in slice 0, the same as
+    /// [`set_index`](Self::set_index)), so a caller probing several
+    /// hash-indexed caches spreads each line once.
     #[inline]
-    fn tag(&self, addr: PhysAddr) -> u64 {
-        let tag = (addr.0 >> self.line_shift) + 1;
-        debug_assert!(
-            tag < 1 << ADDR_BITS,
-            "line address must fit the packed field"
-        );
-        tag
+    pub(crate) fn hashed_set(&self, slice: usize, spread: u64) -> usize {
+        debug_assert_eq!(self.index_mode, IndexMode::Hash);
+        slice * self.set_count + (spread >> self.spread_shift) as usize
     }
 
-    /// The slots of `addr`'s set.
+    /// The slots of flat set `set`.
     #[inline]
-    fn stride(&self, addr: PhysAddr) -> std::ops::Range<usize> {
-        let base = self.set_index(addr) * self.assoc;
+    fn stride(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.assoc;
         base..base + self.assoc
     }
 
-    /// Look up and touch `addr` for `core`. On a hit the line moves to MRU;
-    /// on a miss the line is filled (evicting LRU if the set is full) and
-    /// the eviction, if any, is returned.
-    ///
-    /// Returns `(hit, eviction)`.
-    pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (bool, Option<Eviction>) {
-        debug_assert!(core.index() < 1 << OWNER_BITS, "owner must fit a byte");
-        let tag = self.tag(addr);
-        let word = (tag << OWNER_BITS) | core.index() as u64;
-        let set = self.set_index(addr);
+    /// Look `tag` up in flat set `set` and touch it with `word` (see
+    /// `touch`), without counting: returns whether it hit and the word that
+    /// left the set on a miss (0 when none did).
+    #[inline]
+    pub(crate) fn touch_set(&mut self, set: usize, tag: u32, word: u32) -> (bool, u32) {
         // One instantiation of `touch` per way count; `assoc` is fixed per
         // cache, so the branch is perfectly predicted.
         macro_rules! dispatch {
@@ -259,32 +287,54 @@ impl SetAssocCache {
             };
         }
         const _: () = assert!(MAX_ASSOC == 16, "instantiate `touch` for every way count");
-        let (hit, out) = dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    }
+
+    /// [`touch_set`](Self::touch_set), counted, with the displaced word
+    /// decoded: `(hit, eviction)`.
+    #[inline]
+    pub(crate) fn fill(&mut self, set: usize, tag: u32, word: u32) -> (bool, Option<Eviction>) {
+        let (hit, out) = self.touch_set(set, tag, word);
         if hit {
             self.hits += 1;
             return (true, None);
         }
         self.misses += 1;
         let eviction = (out != 0).then(|| Eviction {
-            line_addr: (out >> OWNER_BITS) - 1,
+            line_addr: u64::from(out >> OWNER_BITS) - 1,
             owner: CoreId((out & OWNER_MASK) as usize),
         });
         (false, eviction)
     }
 
-    /// Non-mutating lookup: does the cache currently hold `addr`?
-    pub fn probe(&self, addr: PhysAddr) -> bool {
-        let tag = self.tag(addr);
-        self.slots[self.stride(addr)]
+    /// Does flat set `set` hold `tag`?
+    #[inline]
+    pub(crate) fn holds(&self, set: usize, tag: u32) -> bool {
+        self.slots[self.stride(set)]
             .iter()
             .any(|&w| w >> OWNER_BITS == tag)
+    }
+
+    /// Look up and touch `addr` for `core`. On a hit the line moves to MRU;
+    /// on a miss the line is filled (evicting LRU if the set is full) and
+    /// the eviction, if any, is returned.
+    ///
+    /// Returns `(hit, eviction)`.
+    pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (bool, Option<Eviction>) {
+        let tag = line_tag(addr.0 >> self.line_shift);
+        self.fill(self.set_index(addr), tag, slot_word(tag, core))
+    }
+
+    /// Non-mutating lookup: does the cache currently hold `addr`?
+    pub fn probe(&self, addr: PhysAddr) -> bool {
+        self.holds(self.set_index(addr), line_tag(addr.0 >> self.line_shift))
     }
 
     /// Drop a line if present (used for invalidation tests). The slots on
     /// its LRU side move up one, keeping the empty slots at the LRU end.
     pub fn invalidate(&mut self, addr: PhysAddr) -> bool {
-        let tag = self.tag(addr);
-        let range = self.stride(addr);
+        let tag = line_tag(addr.0 >> self.line_shift);
+        let range = self.stride(self.set_index(addr));
         let slots = &mut self.slots[range];
         if let Some(pos) = slots.iter().position(|&w| w >> OWNER_BITS == tag) {
             slots[..=pos].rotate_right(1);

@@ -6,9 +6,9 @@
 //! access was resolved and the cycles spent in the hierarchy; on
 //! [`HitLevel::Memory`] the caller (tint-mem) adds interconnect + DRAM time.
 
-use crate::cache::SetAssocCache;
+use crate::cache::{fibonacci_spread, line_tag, slot_word, IndexMode, SetAssocCache};
 use crate::stats::HierarchyStats;
-use tint_hw::machine::MachineConfig;
+use tint_hw::machine::{MachineConfig, LINE_ADDR_BITS, MAX_CORES};
 use tint_hw::types::{CoreId, PhysAddr};
 
 /// Where an access was resolved.
@@ -25,11 +25,18 @@ pub enum HitLevel {
 }
 
 /// The full cache hierarchy of the machine.
+///
+/// Each private level is one [`SetAssocCache`] of `cores` slices (core `c`
+/// indexes slice `c`), so every core's L1 sets sit in one slot array and
+/// its L2 sets in another; the shared L3 is the same type with one slice.
+/// Hit and miss counts live in [`HierarchyStats`] only: the private levels
+/// are touched uncounted.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    l1: SetAssocCache,
+    l2: SetAssocCache,
     l3: SetAssocCache,
+    line_shift: u32,
     l1_lat: u64,
     l2_lat: u64,
     l3_lat: u64,
@@ -39,31 +46,24 @@ pub struct CacheHierarchy {
 impl CacheHierarchy {
     /// Build the hierarchy described by `m`.
     ///
-    /// Panics if the machine does not fit the packed slot word
-    /// (`((line_addr + 1) << 8) | owner`): more than 256 cores, or a
-    /// highest line address whose successor needs more than 56 bits.
+    /// Panics if the machine does not fit the 32-bit slot word
+    /// (`((line_addr + 1) << 4) | owner`): more than [`MAX_CORES`] cores, or
+    /// a highest line address not below `2^`[`LINE_ADDR_BITS`]` − 1` — the
+    /// bounds `MachineConfig::validate` enforces.
     pub fn new(m: &MachineConfig) -> Self {
         let line = m.mapping.line_size();
         let shift = m.mapping.line_shift;
         let cores = m.topology.core_count();
+        let top_line = (m.mapping.total_bytes() - 1) >> shift;
         assert!(
-            cores <= 1 << crate::cache::OWNER_BITS,
-            "{cores} cores do not fit the cache's 8-bit owner field"
-        );
-        let top_line = m.mapping.total_bytes().saturating_sub(1) >> shift;
-        assert!(
-            top_line + 1 < 1 << crate::cache::ADDR_BITS,
-            "line address {top_line:#x} does not fit the cache's 56-bit line field"
+            cores <= MAX_CORES && top_line < (1 << LINE_ADDR_BITS) - 1,
+            "{cores} cores and highest line {top_line:#x} exceed the cache's \
+             {MAX_CORES}-core, 2^{LINE_ADDR_BITS} - 1-line bound"
         );
         // Private levels are hash-indexed so their placement is independent
         // of which bank/LLC colors back a page (see IndexMode::Hash).
-        let mk = |lvl: &tint_hw::machine::CacheLevelConfig| {
-            SetAssocCache::with_index_mode(
-                lvl.sets(line),
-                lvl.assoc,
-                shift,
-                crate::cache::IndexMode::Hash,
-            )
+        let private = |lvl: &tint_hw::machine::CacheLevelConfig| {
+            SetAssocCache::with_slices(lvl.sets(line), lvl.assoc, shift, IndexMode::Hash, cores)
         };
         // The shared L3 is physically indexed with a color-preserving hash:
         // the LLC color bits become the top set-index bits (colors partition
@@ -73,20 +73,29 @@ impl CacheHierarchy {
             m.cache.l3.sets(line),
             m.cache.l3.assoc,
             shift,
-            crate::cache::IndexMode::ColorHash {
+            IndexMode::ColorHash {
                 color_low: m.mapping.llc_color_low_bit(),
                 color_bits: m.mapping.llc_bits,
             },
         );
         Self {
-            l1: (0..cores).map(|_| mk(&m.cache.l1)).collect(),
-            l2: (0..cores).map(|_| mk(&m.cache.l2)).collect(),
+            l1: private(&m.cache.l1),
+            l2: private(&m.cache.l2),
             l3,
+            line_shift: shift,
             l1_lat: m.cache.l1.latency,
             l2_lat: m.cache.l2.latency,
             l3_lat: m.cache.l3.latency,
             stats: HierarchyStats::new(cores),
         }
+    }
+
+    /// `core`'s private L1 and L2 sets of a line, from one spread of its
+    /// address.
+    #[inline]
+    fn private_sets(&self, c: usize, line: u64) -> (usize, usize) {
+        let spread = fibonacci_spread(line);
+        (self.l1.hashed_set(c, spread), self.l2.hashed_set(c, spread))
     }
 
     /// Walk the hierarchy for `core` touching `addr`.
@@ -95,25 +104,28 @@ impl CacheHierarchy {
     /// *lookup chain* cost: L1 on a hit; L1+L2 when resolved at L2; and so
     /// on — a miss everywhere costs the full chain and the caller adds
     /// memory time).
+    #[inline]
     pub fn access(&mut self, core: CoreId, addr: PhysAddr) -> (HitLevel, u64) {
         let c = core.index();
+        let line = addr.0 >> self.line_shift;
+        let tag = line_tag(line);
+        let word = slot_word(tag, core);
+        let (l1_set, l2_set) = self.private_sets(c, line);
         let st = &mut self.stats.cores[c];
 
-        let (l1_hit, _) = self.l1[c].access(core, addr);
-        if l1_hit {
+        if self.l1.touch_set(l1_set, tag, word).0 {
             st.l1_hits += 1;
             return (HitLevel::L1, self.l1_lat);
         }
         st.l1_misses += 1;
 
-        let (l2_hit, _) = self.l2[c].access(core, addr);
-        if l2_hit {
+        if self.l2.touch_set(l2_set, tag, word).0 {
             st.l2_hits += 1;
             return (HitLevel::L2, self.l1_lat + self.l2_lat);
         }
         st.l2_misses += 1;
 
-        let (l3_hit, evicted) = self.l3.access(core, addr);
+        let (l3_hit, evicted) = self.l3.fill(self.l3.set_index(addr), tag, word);
         if let Some(ev) = evicted {
             if ev.owner != core {
                 // Interference: this fill displaced another core's line.
@@ -137,11 +149,7 @@ impl CacheHierarchy {
 
     /// Zero all counters (contents preserved).
     pub fn reset_stats(&mut self) {
-        let cores = self.l1.len();
-        self.stats = HierarchyStats::new(cores);
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.reset_stats();
-        }
+        self.stats = HierarchyStats::new(self.stats.cores.len());
         self.l3.reset_stats();
     }
 
@@ -152,10 +160,12 @@ impl CacheHierarchy {
 
     /// Does any level currently hold `addr` for `core`?
     pub fn probe(&self, core: CoreId, addr: PhysAddr) -> Option<HitLevel> {
-        let c = core.index();
-        if self.l1[c].probe(addr) {
+        let line = addr.0 >> self.line_shift;
+        let tag = line_tag(line);
+        let (l1_set, l2_set) = self.private_sets(core.index(), line);
+        if self.l1.holds(l1_set, tag) {
             Some(HitLevel::L1)
-        } else if self.l2[c].probe(addr) {
+        } else if self.l2.holds(l2_set, tag) {
             Some(HitLevel::L2)
         } else if self.l3.probe(addr) {
             Some(HitLevel::L3)
@@ -338,11 +348,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "owner field")]
-    fn rejects_more_cores_than_the_owner_field_holds() {
+    #[should_panic(expected = "17 cores and highest line 0xfffff exceed the cache's 16-core")]
+    fn rejects_seventeen_cores() {
         let mut m = MachineConfig::tiny();
-        m.topology = tint_hw::Topology::new(1, 1, 257);
+        m.topology = tint_hw::Topology::new(1, 1, 17);
         CacheHierarchy::new(&m);
+    }
+
+    #[test]
+    fn private_slices_of_one_line_are_disjoint() {
+        // Core 15's copy of a line lives in its own L1/L2 slices: evicting
+        // it there leaves core 0's copy resident.
+        let mut m = MachineConfig::tiny();
+        m.topology = tint_hw::Topology::new(2, 1, 8);
+        let mut h = CacheHierarchy::new(&m);
+        let (c0, c15) = (CoreId(0), CoreId(15));
+        let a = PhysAddr(0x4000);
+        h.access(c0, a);
+        assert_eq!(h.access(c15, a).0, HitLevel::L3, "core 15 misses privately");
+        assert_eq!(h.probe(c0, a), Some(HitLevel::L1));
+        assert_eq!(h.probe(c15, a), Some(HitLevel::L1));
+        // Same line, same index within a slice; disjoint flat sets.
+        let line = a.0 >> m.mapping.line_shift;
+        let (s1_0, s2_0) = h.private_sets(0, line);
+        let (s1_15, s2_15) = h.private_sets(15, line);
+        assert_eq!(s1_15 - s1_0, 15 * h.l1.set_count());
+        assert_eq!(s2_15 - s2_0, 15 * h.l2.set_count());
+        // Core 15 streams lines of the same L1 and L2 sets until its copy
+        // is gone from both private levels.
+        let line_size = m.mapping.line_size();
+        let mut evicted = false;
+        for i in 1..1 << 16 {
+            let b = PhysAddr(a.0 + i * line_size);
+            if h.private_sets(15, b.0 >> m.mapping.line_shift) == (s1_15, s2_15) {
+                h.access(c15, b);
+            }
+            if !matches!(h.probe(c15, a), Some(HitLevel::L1 | HitLevel::L2)) {
+                evicted = true;
+                break;
+            }
+        }
+        assert!(evicted, "core 15's private copy was never evicted");
+        assert_eq!(
+            h.access(c0, a),
+            (HitLevel::L1, 3),
+            "core 0's copy survives in its own slice"
+        );
     }
 
     #[test]

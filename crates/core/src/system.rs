@@ -16,7 +16,7 @@ use crate::colors::ThreadColors;
 use crate::heap::{Heap, PageSource};
 use tint_hw::machine::MachineConfig;
 use tint_hw::pci::PciConfigSpace;
-use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, Rw, VirtAddr};
+use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, PhysAddr, Rw, VirtAddr};
 use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
 use tint_kernel::{
     AuditCursor, Errno, ExhaustionPolicy, FaultPlan, HeapPolicy, Kernel, KernelCosts, MemPressure,
@@ -51,55 +51,64 @@ pub struct System {
 /// Slots in the software TLB (direct-mapped).
 const TLB_SLOTS: usize = 1 << 13;
 
-/// One direct-mapped TLB slot. A slot is live only when its `epoch` equals
-/// the kernel's current translation epoch, so invalidating every cached
-/// translation is a counter bump, not a sweep.
+/// Bits of a [`TlbEntry::key`] that hold the virtual page number; the
+/// address-space index sits above them, so it must stay below
+/// `2^(64 − PAGE_BITS)`.
+const PAGE_BITS: u32 = 36;
+
+/// One direct-mapped TLB slot, 16 bytes. A slot is live only when its
+/// `generation` equals the table's current one, so invalidating every
+/// cached translation is a counter bump, not a sweep.
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
-    /// Address-space index the translation belongs to.
-    vm: u32,
-    /// Kernel translation epoch when this slot was filled.
-    epoch: u64,
-    /// Virtual page number.
-    page: u64,
+    /// `vm << PAGE_BITS | page`: the address space and virtual page number.
+    key: u64,
     /// Frame backing the page.
-    frame: FrameNumber,
+    frame: u32,
+    /// Table generation when this slot was filled; 0 never matches.
+    generation: u32,
 }
 
 /// Software TLB over [`Kernel::translate`], the [`System::access`] fast
 /// path. A direct-mapped table of (address space, page) → frame
 /// translations plus the task-struct fields `access` needs every call
-/// (address space, pinned core). Coherence is epoch-based: the kernel
+/// (address space, pinned core). Coherence is generation-based: the kernel
 /// bumps its [`translation_epoch`](Kernel::translation_epoch) whenever an
-/// existing translation dies (`munmap`, recolor migration), which strands
-/// every slot filled under the old epoch — exactly the
-/// shoot-down-everything model of a hardware TLB without ASID tracking,
-/// and cheap because remap events are rare next to accesses.
+/// existing translation dies (`munmap`, recolor migration); the table then
+/// advances its own 32-bit generation, which strands every slot filled
+/// under the old one — exactly the shoot-down-everything model of a
+/// hardware TLB without ASID tracking, and cheap because remap events are
+/// rare next to accesses. When the generation wraps, the table is swept
+/// once, so a stale slot can never match a reused generation.
 #[derive(Debug, Clone)]
 struct Tlb {
     /// Direct-mapped slots; conflicting pages simply evict each other.
     entries: Vec<TlbEntry>,
-    /// `tid.0` → (vm index, pinned core); tids are small and sequential.
-    /// Tasks never migrate, and tids are never reused, so an entry stays
-    /// valid for the task's whole life; [`System::exit`] clears the slot
-    /// when the task dies.
-    tasks: Vec<Option<(usize, CoreId)>>,
+    /// Generation live slots carry, in `1..=u32::MAX`.
+    generation: u32,
+    /// The kernel translation epoch `generation` belongs to.
+    epoch: u64,
+    /// `tid.0` → (vm key, pinned core), the vm key being the address-space
+    /// index shifted into place (`vm << PAGE_BITS`); tids are small and
+    /// sequential. Tasks never migrate, and tids are never reused, so an
+    /// entry stays valid for the task's whole life; [`System::exit`] clears
+    /// the slot when the task dies.
+    tasks: Vec<Option<(u64, CoreId)>>,
 }
+
+/// A slot no lookup matches: generation 0 is never current.
+const DEAD_ENTRY: TlbEntry = TlbEntry {
+    key: u64::MAX,
+    frame: 0,
+    generation: 0,
+};
 
 impl Default for Tlb {
     fn default() -> Self {
         Self {
-            // `epoch: u64::MAX` can never equal the kernel's epoch history
-            // (it would take 2^64 invalidations), so all slots start dead.
-            entries: vec![
-                TlbEntry {
-                    vm: u32::MAX,
-                    epoch: u64::MAX,
-                    page: u64::MAX,
-                    frame: FrameNumber(0),
-                };
-                TLB_SLOTS
-            ],
+            entries: vec![DEAD_ENTRY; TLB_SLOTS],
+            generation: 1,
+            epoch: 0,
             tasks: Vec::new(),
         }
     }
@@ -107,11 +116,56 @@ impl Default for Tlb {
 
 impl Tlb {
     /// Slot index for a translation: per-VM pages stream through distinct
-    /// slots; the multiplied VM index keeps different address spaces from
+    /// slots; the multiplied VM key keeps different address spaces from
     /// colliding on the same low page numbers.
     #[inline]
-    fn slot(vm: usize, page: u64) -> usize {
-        (page ^ (vm as u64).wrapping_mul(0x9E37_79B9)) as usize & (TLB_SLOTS - 1)
+    fn slot(vm_key: u64, page: u64) -> usize {
+        (page ^ (vm_key >> PAGE_BITS).wrapping_mul(0x9E37_79B9)) as usize & (TLB_SLOTS - 1)
+    }
+
+    /// Bring the generation up to the kernel's translation epoch: a new
+    /// epoch means some cached translation died, so every slot goes stale.
+    #[inline]
+    fn sync(&mut self, epoch: u64) {
+        if epoch != self.epoch {
+            self.advance(epoch);
+        }
+    }
+
+    /// Start the generation for a new kernel epoch.
+    #[cold]
+    fn advance(&mut self, epoch: u64) {
+        self.epoch = epoch;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: slots filled 2^32 − 1 generations ago would match
+            // again, so kill them all and start over.
+            self.entries.fill(DEAD_ENTRY);
+            self.generation = 1;
+        }
+    }
+
+    /// The cached frame of `page` in the address space `vm_key`, if live.
+    #[inline]
+    fn lookup(&self, vm_key: u64, page: u64) -> Option<u32> {
+        let e = self.entries[Self::slot(vm_key, page)];
+        // A page number wider than its field would alias another space's
+        // key; such an address is never mapped, so it always misses.
+        (e.key == vm_key | page && e.generation == self.generation && page >> PAGE_BITS == 0)
+            .then_some(e.frame)
+    }
+
+    /// Cache `page → frame` for the address space `vm_key`.
+    #[inline]
+    fn fill(&mut self, vm_key: u64, page: u64, frame: FrameNumber) {
+        if page >> PAGE_BITS != 0 {
+            return;
+        }
+        self.entries[Self::slot(vm_key, page)] = TlbEntry {
+            key: vm_key | page,
+            frame: u32::try_from(frame.0).expect("frame numbers fit 32 bits"),
+            generation: self.generation,
+        };
     }
 }
 
@@ -303,7 +357,7 @@ impl System {
     }
 
     /// Mutable kernel access for kernel-level experiments (raw syscalls,
-    /// fuzzing). The software TLB keys its entries by translation epoch, so
+    /// fuzzing). The software TLB follows the kernel's translation epoch, so
     /// direct kernel mutations stay coherent with later [`System::access`]
     /// calls — but heap metadata is *not* aware of raw kernel changes, so
     /// don't unmap regions the heap owns.
@@ -400,6 +454,7 @@ impl System {
     /// coloring) and drives the timing model. Warm translations come from
     /// the software [`Tlb`]; only TLB misses and first touches reach
     /// [`Kernel::translate`].
+    #[inline]
     pub fn access(
         &mut self,
         tid: Tid,
@@ -407,12 +462,37 @@ impl System {
         rw: Rw,
         now: u64,
     ) -> Result<MemAccess, Errno> {
+        let (phys, fault_cycles, core) = self.translate_cached(tid, addr)?;
+        let detail = self.mem.access(core, phys, rw, now + fault_cycles);
+        Ok(MemAccess {
+            latency: fault_cycles + detail.latency,
+            faulted: fault_cycles > 0,
+            detail,
+        })
+    }
+
+    /// The translation step of [`System::access`]: `addr`'s physical
+    /// address, the page-fault cycles taken to install it (0 on a TLB hit or
+    /// a resident page) and `tid`'s pinned core. Warm translations come from
+    /// the software [`Tlb`]; misses go to [`Kernel::translate`] and are
+    /// cached.
+    #[inline(always)]
+    fn translate_cached(
+        &mut self,
+        tid: Tid,
+        addr: VirtAddr,
+    ) -> Result<(PhysAddr, u64, CoreId), Errno> {
         let ti = tid.0 as usize;
-        let (vm, core) = match self.tlb.tasks.get(ti).copied().flatten() {
+        let (vm_key, core) = match self.tlb.tasks.get(ti).copied().flatten() {
             Some(entry) => entry,
             None => {
                 let t = self.kernel.task(tid)?;
-                let entry = (t.vm.0, t.core);
+                assert!(
+                    t.vm.0 < 1 << (64 - PAGE_BITS),
+                    "address space {} does not fit the TLB key",
+                    t.vm.0
+                );
+                let entry = ((t.vm.0 as u64) << PAGE_BITS, t.core);
                 if ti >= self.tlb.tasks.len() {
                     self.tlb.tasks.resize(ti + 1, None);
                 }
@@ -423,34 +503,30 @@ impl System {
 
         // Any destroyed/changed translation bumps the kernel epoch, which
         // strands every slot filled earlier.
-        let epoch = self.kernel.translation_epoch();
-        let page = addr.page();
-        let slot = Tlb::slot(vm, page.0);
-        let e = self.tlb.entries[slot];
-        let (phys, fault_cycles) = if e.page == page.0 && e.vm == vm as u32 && e.epoch == epoch {
-            (e.frame.at(addr.page_offset()), 0)
-        } else {
-            let tr = self.kernel.translate(tid, addr)?;
-            // `translate` can only install translations (a fault), never
-            // destroy one, so the entry we cache is current.
-            self.tlb.entries[slot] = TlbEntry {
-                vm: vm as u32,
-                epoch,
-                page: page.0,
-                frame: tr.phys.frame(),
-            };
-            (tr.phys, tr.fault_cycles)
-        };
-        let detail = self.mem.access(core, phys, rw, now + fault_cycles);
-        Ok(MemAccess {
-            latency: fault_cycles + detail.latency,
-            faulted: fault_cycles > 0,
-            detail,
-        })
+        self.tlb.sync(self.kernel.translation_epoch());
+        let page = addr.page().0;
+        if let Some(frame) = self.tlb.lookup(vm_key, page) {
+            return Ok((FrameNumber(frame.into()).at(addr.page_offset()), 0, core));
+        }
+        let tr = self.kernel.translate(tid, addr)?;
+        // `translate` can only install translations (a fault), never
+        // destroy one, so the entry we cache is current.
+        self.tlb.fill(vm_key, page, tr.phys.frame());
+        Ok((tr.phys, tr.fault_cycles, core))
     }
 
-    /// Translate without timing (used by tests to inspect placement).
-    pub fn resolve(&mut self, tid: Tid, addr: VirtAddr) -> Result<tint_hw::types::PhysAddr, Errno> {
+    /// The physical address [`System::access`] uses for `addr`, taken
+    /// through the same software TLB (so a stale cached translation shows
+    /// here exactly as it would on the access path), without timing. Faults
+    /// the page in on first touch, like `access`; [`System::resolve`] is the
+    /// page-table walk to compare it with.
+    pub fn translate(&mut self, tid: Tid, addr: VirtAddr) -> Result<PhysAddr, Errno> {
+        Ok(self.translate_cached(tid, addr)?.0)
+    }
+
+    /// Translate by a page-table walk, bypassing the software TLB (used by
+    /// tests to inspect placement).
+    pub fn resolve(&mut self, tid: Tid, addr: VirtAddr) -> Result<PhysAddr, Errno> {
         Ok(self.kernel.translate(tid, addr)?.phys)
     }
 
@@ -732,6 +808,47 @@ mod tests {
         assert_eq!(s.kernel().stats().oom_kills, 1);
         assert_eq!(s.kernel().pool_snapshot(), baseline, "kill reclaims all");
         s.check_invariants();
+    }
+
+    #[test]
+    fn generation_wrap_strands_entries_filled_before_it() {
+        let mut s = sys();
+        let t = s.spawn(CoreId(0));
+        // > 2048 bytes: page-granular, so `free` munmaps and bumps the
+        // kernel's translation epoch.
+        let a = s.malloc(t, 4 * 4096).unwrap();
+        let b = s.malloc(t, 4 * 4096).unwrap();
+        s.access(t, a, Rw::Write, 0).unwrap();
+        s.access(t, b, Rw::Write, 0).unwrap();
+        let (vm_key, _) = s.tlb.tasks[t.0 as usize].unwrap();
+        let page = a.page().0;
+        assert_eq!(s.tlb.generation, 1);
+        assert!(
+            s.tlb.lookup(vm_key, page).is_some(),
+            "filled at generation 1"
+        );
+
+        // 2^32 − 2 epoch bumps later the generation is about to wrap back to
+        // 1, the generation `a`'s entry carries.
+        s.tlb.generation = u32::MAX;
+        let epoch = s.kernel().translation_epoch();
+        s.free(t, b).unwrap();
+        assert_ne!(
+            s.kernel().translation_epoch(),
+            epoch,
+            "munmap bumps the epoch"
+        );
+        s.tlb.sync(s.kernel().translation_epoch());
+        assert_eq!(s.tlb.generation, 1, "the generation wrapped");
+        assert!(
+            s.tlb.lookup(vm_key, page).is_none(),
+            "an entry filled before the wrap must miss after it"
+        );
+        // The access path refills the slot from the page table.
+        let acc = s.access(t, a, Rw::Read, 0).unwrap();
+        assert!(!acc.faulted);
+        assert!(s.tlb.lookup(vm_key, page).is_some());
+        assert_eq!(s.translate(t, a).unwrap(), s.resolve(t, a).unwrap());
     }
 
     #[test]

@@ -11,16 +11,33 @@ use tint_hw::rng::SplitMix64;
 use tint_hw::types::{CoreId, Rw, VirtAddr, PAGE_SIZE};
 use tintmalloc::prelude::*;
 
+/// The home node of the frame `System::access` uses for `va`: the
+/// translation comes from the software TLB, as on the access path.
+fn tlb_node(sys: &mut System, tid: Tid, va: VirtAddr) -> tint_hw::types::NodeId {
+    let phys = sys.translate(tid, va).expect("mapped page");
+    sys.machine().mapping.decode_frame(phys.frame()).node
+}
+
+/// Assert that the software TLB's translation of `va` is the page
+/// table's current one.
+fn assert_tlb_matches_page_table(sys: &mut System, tid: Tid, va: VirtAddr, ctx: &str) {
+    let truth = sys.resolve(tid, va).expect("page still mapped");
+    assert_eq!(
+        sys.translate(tid, va).unwrap(),
+        truth,
+        "stale translation: {ctx}"
+    );
+}
+
 /// Warm the TLB for every page of `[base, base + len)` and return the
-/// home node the memory system reported for each page.
+/// home node of the frame each page's access used.
 fn touch_all(sys: &mut System, tid: Tid, base: VirtAddr, len: u64) -> Vec<tint_hw::types::NodeId> {
     let mut nodes = Vec::new();
     let mut off = 0;
     while off < len {
-        let acc = sys
-            .access(tid, base.offset(off), Rw::Read, 0)
-            .expect("mapped page");
-        nodes.push(acc.detail.home_node);
+        let va = base.offset(off);
+        sys.access(tid, va, Rw::Read, 0).expect("mapped page");
+        nodes.push(tlb_node(sys, tid, va));
         off += PAGE_SIZE;
     }
     nodes
@@ -68,13 +85,8 @@ fn remalloc_after_free_sees_fresh_frames() {
     let buf2 = sys.malloc(tid, len).unwrap();
     touch_all(&mut sys, tid, buf2, len);
     for off in (0..len).step_by(PAGE_SIZE as usize) {
-        let truth = sys.resolve(tid, buf2.offset(off)).unwrap();
-        let acc = sys.access(tid, buf2.offset(off), Rw::Read, 0).unwrap();
-        let want = sys.machine().mapping.decode_frame(truth.frame()).node;
-        assert_eq!(
-            acc.detail.home_node, want,
-            "access must observe the page table's current frame (offset {off})"
-        );
+        sys.access(tid, buf2.offset(off), Rw::Read, 0).unwrap();
+        assert_tlb_matches_page_table(&mut sys, tid, buf2.offset(off), &format!("offset {off}"));
     }
 }
 
@@ -124,13 +136,8 @@ fn recolor_invalidates_cached_translations() {
         "post-recolor accesses must land on the color's node: {after:?}"
     );
     for off in (0..len).step_by(PAGE_SIZE as usize) {
-        let truth = sys.resolve(tid, buf.offset(off)).unwrap();
-        let want = sys.machine().mapping.decode_frame(truth.frame()).node;
-        let acc = sys.access(tid, buf.offset(off), Rw::Read, 0).unwrap();
-        assert_eq!(
-            acc.detail.home_node, want,
-            "stale translation at offset {off}"
-        );
+        sys.access(tid, buf.offset(off), Rw::Read, 0).unwrap();
+        assert_tlb_matches_page_table(&mut sys, tid, buf.offset(off), &format!("offset {off}"));
     }
 }
 
@@ -166,17 +173,15 @@ fn recolor_range_keeps_accesses_coherent() {
     }
 }
 
-/// Assert that every page of `[base, base + len)` is resident and that a
-/// timed access agrees with a fresh page-table walk — i.e. no access is
+/// Assert that every page of `[base, base + len)` is resident and that the
+/// access path's translation agrees with a fresh page-table walk — i.e. no access is
 /// served from a stale cached translation.
 fn assert_tlb_coherent(sys: &mut System, tid: Tid, base: VirtAddr, len: u64) {
     for off in (0..len).step_by(PAGE_SIZE as usize) {
         let va = base.offset(off);
-        let truth = sys.resolve(tid, va).expect("page still mapped");
-        let want = sys.machine().mapping.decode_frame(truth.frame()).node;
         let acc = sys.access(tid, va, Rw::Read, 0).unwrap();
         assert!(!acc.faulted, "page at offset {off} must stay resident");
-        assert_eq!(acc.detail.home_node, want, "stale translation at {off}");
+        assert_tlb_matches_page_table(sys, tid, va, &format!("offset {off}"));
     }
 }
 
@@ -255,7 +260,7 @@ fn injected_page_copy_fault_keeps_tlb_coherent() {
 }
 
 /// Seeded property loop: under a random mix of malloc / touch / free /
-/// recolor, every access's observed home node matches a fresh page-table
+/// recolor, every access's TLB translation matches a fresh page-table
 /// walk, and every freed address faults. This is the invariant the TLB
 /// must preserve no matter how translations churn.
 #[test]
@@ -300,13 +305,8 @@ fn random_op_stream_never_observes_stale_translations() {
                     let (buf, len) = live[i];
                     let off = (rng.next_u64() % (len / PAGE_SIZE)) * PAGE_SIZE;
                     let va = buf.offset(off);
-                    let truth = sys.resolve(tid, va).unwrap();
-                    let want = sys.machine().mapping.decode_frame(truth.frame()).node;
-                    let acc = sys.access(tid, va, Rw::Read, 0).unwrap();
-                    assert_eq!(
-                        acc.detail.home_node, want,
-                        "case {case}: stale node for {va}"
-                    );
+                    sys.access(tid, va, Rw::Read, 0).unwrap();
+                    assert_tlb_matches_page_table(&mut sys, tid, va, &format!("case {case}: {va}"));
                 }
                 _ => {}
             }

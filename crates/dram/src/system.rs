@@ -95,6 +95,7 @@ impl DramSystem {
     /// `now`. `rw` currently shares timing between reads and writes (the
     /// paper's synthetic benchmark measures write latency; the row-buffer
     /// dynamics are identical in this model).
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr, _rw: Rw, now: u64) -> DramAccess {
         let frame = addr.frame();
         assert!(

@@ -13,6 +13,15 @@ use crate::topology::Topology;
 /// keeps one fixed-width set kernel per way count in `1..=MAX_ASSOC`.
 pub const MAX_ASSOC: usize = 16;
 
+/// The most cores a machine may have: the cache simulator packs a line's
+/// owning core into a 4-bit field of its 32-bit slot word.
+pub const MAX_CORES: usize = 16;
+
+/// Bits of a line address the cache simulator can store: a slot word keeps
+/// `line_addr + 1` in its top 28 bits, so the highest line address of a
+/// machine must stay below `2^LINE_ADDR_BITS − 1`.
+pub const LINE_ADDR_BITS: u32 = 28;
+
 /// Geometry and hit latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevelConfig {
@@ -247,10 +256,20 @@ impl MachineConfig {
 
     /// Panic if the configuration is internally inconsistent.
     pub fn validate(&self) {
+        let cores = self.topology.core_count();
+        assert!(
+            cores <= MAX_CORES,
+            "{cores} cores exceed the limit of {MAX_CORES}"
+        );
         assert_eq!(
             self.topology.node_count(),
             self.mapping.node_count(),
             "topology and address mapping disagree on the number of nodes"
+        );
+        let top_line = (self.mapping.total_bytes() - 1) >> self.mapping.line_shift;
+        assert!(
+            top_line < (1 << LINE_ADDR_BITS) - 1,
+            "highest line address {top_line:#x} is not below 2^{LINE_ADDR_BITS} - 1"
         );
         for (name, lvl) in [
             ("L1", &self.cache.l1),
@@ -354,6 +373,44 @@ mod tests {
         let mut m = MachineConfig::tiny();
         m.cache.l3.assoc = 17;
         m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "17 cores exceed the limit of 16")]
+    fn seventeen_cores_rejected() {
+        let mut m = MachineConfig::tiny();
+        m.topology = Topology::new(1, 1, 17);
+        m.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "highest line address 0xfffffff is not below 2^28 - 1")]
+    fn line_addresses_past_28_bits_rejected() {
+        // 2^28 lines of 64 B: the highest line address is 2^28 − 1.
+        let mut m = MachineConfig::tiny();
+        m.mapping.row_bits += 28 - m.mapping.addr_bits() + m.mapping.line_shift;
+        assert_eq!(m.mapping.total_bytes() >> m.mapping.line_shift, 1 << 28);
+        m.validate();
+    }
+
+    #[test]
+    fn every_preset_fits_the_machine_limits() {
+        for m in [
+            MachineConfig::opteron_6128(),
+            MachineConfig::eight_node(),
+            MachineConfig::tiny(),
+        ] {
+            m.validate();
+            let lines = m.mapping.total_bytes() >> m.mapping.line_shift;
+            assert!(m.topology.core_count() <= MAX_CORES, "{}", m.name);
+            assert!(lines <= 1 << 27, "{}: {lines} lines", m.name);
+        }
+        let opteron = MachineConfig::opteron_6128();
+        assert_eq!(opteron.topology.core_count(), 16);
+        assert_eq!(
+            opteron.mapping.total_bytes() >> opteron.mapping.line_shift,
+            1 << 27
+        );
     }
 
     #[test]

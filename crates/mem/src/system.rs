@@ -4,7 +4,7 @@ use crate::stats::MemStats;
 use tint_cache::{CacheHierarchy, HitLevel};
 use tint_dram::{DramAccess, DramSystem};
 use tint_hw::machine::MachineConfig;
-use tint_hw::types::{CoreId, NodeId, PhysAddr, Rw};
+use tint_hw::types::{CoreId, PhysAddr, Rw};
 
 /// Outcome of one memory access with its latency breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,9 +15,8 @@ pub struct AccessResult {
     pub level: HitLevel,
     /// Extra interconnect hops taken (0 = local node).
     pub hops: u32,
-    /// Home node of the address (meaningful when `level == Memory`).
-    pub home_node: NodeId,
-    /// DRAM detail when the access reached memory.
+    /// DRAM detail when the access reached memory (its `node` is the
+    /// address's home node).
     pub dram: Option<DramAccess>,
 }
 
@@ -58,11 +57,13 @@ impl MemorySystem {
     /// Serve one access from `core` to physical address `addr` at cycle
     /// `now`; returns the latency breakdown. Loads and stores share timing
     /// (see DESIGN.md).
+    #[inline]
     pub fn access(&mut self, core: CoreId, addr: PhysAddr, rw: Rw, now: u64) -> AccessResult {
         let (level, hier_cycles) = self.hierarchy.access(core, addr);
-        let home_node = self.dram.home_node(addr);
 
         let result = if level == HitLevel::Memory {
+            // Only an access that reached memory needs its home node.
+            let home_node = self.dram.home_node(addr);
             let hops = self.config.topology.hops(core, home_node);
             let hop_extra = self.config.interconnect.hop_extra(hops);
             // Outbound: remote requests serialize on the home node's link
@@ -81,7 +82,6 @@ impl MemorySystem {
                 latency: done - now,
                 level,
                 hops,
-                home_node,
                 dram: Some(dram),
             }
         } else {
@@ -89,7 +89,6 @@ impl MemorySystem {
                 latency: hier_cycles,
                 level,
                 hops: 0,
-                home_node,
                 dram: None,
             }
         };
@@ -160,7 +159,7 @@ mod tests {
         let r = s.access(CoreId(0), a, Rw::Read, 0);
         assert_eq!(r.level, HitLevel::Memory);
         assert_eq!(r.hops, 0);
-        assert_eq!(r.home_node, NodeId(0));
+        assert_eq!(r.dram.map(|d| d.node), Some(tint_hw::types::NodeId(0)));
     }
 
     #[test]

@@ -55,15 +55,21 @@ echo "== fault-injection fuzz (bounded) =="
 TINT_FUZZ_SEEDS=5 cargo test --release -q -p tintmalloc --test fuzz_pressure
 
 echo "== repro perf smoke =="
-# One release probe cell: the simulated cycle count is fully deterministic
-# (hard assert — any drift is a correctness bug in the pipeline).
+# Release probe cells at two configurations: one table per config, and the
+# 16t4n record's simulated cycle count is fully deterministic (hard assert
+# — any drift is a correctness bug in the pipeline).
 cargo build --release -q -p tint-bench --bin repro
 smoke_dir=$(mktemp -d)
-(cd "$smoke_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" --reps 1 probe:lbm > /dev/null)
-smoke_cycles=$(sed -n 's/.*"name": "probe:lbm".*"sim_cycles": \([0-9]*\),.*/\1/p' "$smoke_dir/BENCH_repro.json")
+(cd "$smoke_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" --reps 1 --configs 16t4n,4t4n probe:lbm > probe.txt)
+probe_tables=$(grep -c '^=== Probe: lbm at ' "$smoke_dir/probe.txt" || true)
+smoke_cycles=$(sed -n 's/.*"name": "probe:lbm@16_threads_4_nodes".*"sim_cycles": \([0-9]*\),.*/\1/p' "$smoke_dir/BENCH_repro.json")
 rm -rf "$smoke_dir"
+if [ "$probe_tables" != "2" ]; then
+    echo "FAIL: probe:lbm at 16t4n,4t4n printed $probe_tables tables, expected 2" >&2
+    exit 1
+fi
 if [ "$smoke_cycles" != "25652874" ]; then
-    echo "FAIL: probe:lbm simulated $smoke_cycles cycles, expected 25652874" >&2
+    echo "FAIL: probe:lbm at 16t4n simulated $smoke_cycles cycles, expected 25652874" >&2
     exit 1
 fi
 
