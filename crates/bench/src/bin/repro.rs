@@ -268,11 +268,11 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     }
     if all || cmd == "latency" {
         header("§V latency claims: controller locality, bank sharing, LLC interference");
-        print!("{}", ctx.opts.render(&latency(&ctx.opts)));
+        print!("{}", ctx.opts.render(&latency(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "bandwidth" {
         header("§II.B: bank/controller parallelism (achieved bandwidth)");
-        print!("{}", ctx.opts.render(&bandwidth(&ctx.opts)));
+        print!("{}", ctx.opts.render(&bandwidth(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-part" {
         header("Ablation: full vs partial coloring (normalized runtime vs buddy)");
@@ -284,29 +284,29 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
     }
     if all || cmd == "ablate-migrate" {
         header("Ablation (extension): dynamic recoloring via page migration");
-        print!("{}", ctx.opts.render(&ablate_migrate(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_migrate(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-dynamic" {
         header("Ablation (extension): static vs dynamic scheduling, buddy vs MEM+LLC");
-        print!("{}", ctx.opts.render(&ablate_dynamic(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_dynamic(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-pagepolicy" {
         header("Ablation (extension): DRAM page policy (open vs closed) x coloring");
-        print!("{}", ctx.opts.render(&ablate_pagepolicy(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_pagepolicy(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-colorlist" {
         header("Ablation: colored free-list population overhead (§III.C)");
-        print!("{}", ctx.opts.render(&ablate_colorlist(&ctx.opts)));
+        print!("{}", ctx.opts.render(&ablate_colorlist(&ctx.h, &ctx.opts)));
     }
     if all || cmd == "ablate-pressure" {
         header("Ablation (extension): exhaustion policies under color pressure");
-        let t = ablate_pressure(&ctx.opts);
+        let t = ablate_pressure(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
         ctx.pressure = Some(t);
     }
     if all || cmd == "churn" {
         header("Extension: multi-tenant churn (round-robin scheduling, full task reclamation)");
-        let t = churn(&ctx.opts);
+        let t = churn(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
         ctx.churn = Some(t);
     }

@@ -332,7 +332,7 @@ pub fn fig13_14(h: &Harness, opts: &FigOpts) -> (Table, Table) {
 
 /// **§V claims (1)–(2)** — pointed latency microbenchmarks on the memory
 /// system: local vs remote controller, bank sharing, LLC interference.
-pub fn latency(_opts: &FigOpts) -> Table {
+pub fn latency(h: &Harness, _opts: &FigOpts) -> Table {
     use tint_hw::types::{BankColor, FrameNumber, LlcColor, PhysAddr};
     use tint_mem::MemorySystem;
 
@@ -353,6 +353,7 @@ pub fn latency(_opts: &FigOpts) -> Table {
         for (i, (label, bc)) in cases.iter().enumerate() {
             let a = frame(&machine, *bc, 0, i as u64 + 1).base();
             let r = sys.access(CoreId(0), PhysAddr(a.0), Rw::Read, (i as u64) * 100_000);
+            h.note_sim_cycles(r.latency);
             t.row(vec![
                 format!("DRAM read, {label}"),
                 format!("{}", r.latency),
@@ -382,6 +383,7 @@ pub fn latency(_opts: &FigOpts) -> Table {
                 let r1 = sys.access(CoreId(1), pb.at(off), Rw::Write, now[1]);
                 now[1] += r1.latency;
             }
+            h.note_sim_cycles(now[0].max(now[1]));
             t.row(vec![
                 format!("2-thread stream, {label}"),
                 format!("{:.1}", (now[0] + now[1]) as f64 / (2 * n) as f64),
@@ -434,6 +436,7 @@ pub fn latency(_opts: &FigOpts) -> Table {
                 rescan(&mut sys, &mut clock);
             }
             let misses = sys.hierarchy().stats().core(CoreId(0)).l3_misses - misses0;
+            h.note_sim_cycles(clock);
             t.row(vec![
                 format!("victim L3 misses, {label}"),
                 format!("{misses}"),
@@ -567,7 +570,7 @@ pub fn ablate_firsttouch(h: &Harness, opts: &FigOpts) -> Table {
 /// Ablation (extension): dynamic recoloring. A team first-touches its data
 /// uncolored (buddy), then adopts MEM+LLC colors and migrates — the second
 /// pass should approach natively-colored speed, at a visible one-time cost.
-pub fn ablate_migrate(opts: &FigOpts) -> Table {
+pub fn ablate_migrate(h: &Harness, opts: &FigOpts) -> Table {
     use tint_spmd::{Program, SectionBody, SimThread};
     use tint_workloads::patterns::Seq;
 
@@ -576,6 +579,7 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
     let mut t = Table::new(vec!["measurement", "cycles", "note"]);
 
     fn stream_pass(
+        h: &Harness,
         sys: &mut System,
         threads: &mut [SimThread],
         regions: &[VirtAddr],
@@ -586,11 +590,13 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
             .iter()
             .map(|&r| Box::new(Seq::new(r, bytes, line, 1, 4, 2)) as Box<dyn SectionBody>)
             .collect();
-        Program::new()
+        let runtime = Program::new()
             .parallel(bodies)
             .run(sys, threads)
             .expect("pass runs")
-            .runtime
+            .runtime;
+        h.note_sim_cycles(runtime);
+        runtime
     }
 
     fn team_with_policy(
@@ -619,8 +625,8 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
 
     // Scenario A: buddy throughout (control).
     let (mut sys, mut threads, regions) = team_with_policy(&cores, None, bytes);
-    let pass1 = stream_pass(&mut sys, &mut threads, &regions, bytes);
-    let pass2_buddy = stream_pass(&mut sys, &mut threads, &regions, bytes);
+    let pass1 = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
+    let pass2_buddy = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
     t.row(vec![
         "pass 1, buddy (cold)".to_string(),
         format!("{pass1}"),
@@ -634,7 +640,7 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
 
     // Scenario B: same start, then adopt colors + migrate before pass 2.
     let (mut sys, mut threads, regions) = team_with_policy(&cores, None, bytes);
-    let _ = stream_pass(&mut sys, &mut threads, &regions, bytes);
+    let _ = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
     let plan = ColorScheme::MemLlc.plan(sys.machine(), &cores);
     let mut migrate_cycles = 0u64;
     let mut migrated = 0u64;
@@ -646,7 +652,7 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
         migrated += pages;
         migrate_cycles += cyc;
     }
-    let pass2_recolored = stream_pass(&mut sys, &mut threads, &regions, bytes);
+    let pass2_recolored = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
     t.row(vec![
         "migration cost".to_string(),
         format!("{migrate_cycles}"),
@@ -660,8 +666,8 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
 
     // Scenario C: natively colored from the start (the target).
     let (mut sys, mut threads, regions) = team_with_policy(&cores, Some(&plan), bytes);
-    let _ = stream_pass(&mut sys, &mut threads, &regions, bytes);
-    let pass2_native = stream_pass(&mut sys, &mut threads, &regions, bytes);
+    let _ = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
+    let pass2_native = stream_pass(h, &mut sys, &mut threads, &regions, bytes);
     t.row(vec![
         "pass 2, natively colored".to_string(),
         format!("{pass2_native}"),
@@ -675,7 +681,7 @@ pub fn ablate_migrate(opts: &FigOpts) -> Table {
 /// run over a shared bank, banks of one controller, and banks of different
 /// controllers, reporting achieved lines/kilocycle. (Stream sizes are fixed;
 /// `--scale` does not apply here.)
-pub fn bandwidth(_opts: &FigOpts) -> Table {
+pub fn bandwidth(h: &Harness, _opts: &FigOpts) -> Table {
     use tint_hw::types::{BankColor, FrameNumber, LlcColor, PhysAddr};
     use tint_mem::MemorySystem;
 
@@ -714,6 +720,7 @@ pub fn bandwidth(_opts: &FigOpts) -> Table {
                 }
             }
             let elapsed = clocks.iter().max().copied().unwrap_or(1).max(1);
+            h.note_sim_cycles(elapsed);
             let total_lines = streams * lines_per_stream;
             t.row(vec![
                 format!("{streams}"),
@@ -730,7 +737,7 @@ pub fn bandwidth(_opts: &FigOpts) -> Table {
 /// every access pays `tRCD + tCAS` regardless of sharing, so bank coloring
 /// loses most of its row-buffer rationale — open-page is the regime the
 /// paper's analysis assumes.
-pub fn ablate_pagepolicy(opts: &FigOpts) -> Table {
+pub fn ablate_pagepolicy(h: &Harness, opts: &FigOpts) -> Table {
     use tint_hw::machine::PagePolicy;
     use tint_spmd::SimThread;
 
@@ -754,6 +761,7 @@ pub fn ablate_pagepolicy(opts: &FigOpts) -> Table {
             let w = Synthetic::new(opts.scale_());
             let program = w.build(&mut sys, &threads, 1).unwrap();
             let m = program.run(&mut sys, &mut threads).unwrap();
+            h.note_sim_cycles(m.runtime);
             runtimes.push(m.runtime);
             t.row(vec![
                 format!("{policy:?}"),
@@ -776,7 +784,7 @@ pub fn ablate_pagepolicy(opts: &FigOpts) -> Table {
 /// Ablation (extension): static vs dynamic scheduling under an imbalanced
 /// chunk distribution — coloring attacks *memory-induced* divergence while
 /// dynamic scheduling attacks *work-induced* divergence; they compose.
-pub fn ablate_dynamic(opts: &FigOpts) -> Table {
+pub fn ablate_dynamic(h: &Harness, opts: &FigOpts) -> Table {
     use tint_spmd::{Program, SectionBody, SimThread};
     use tint_workloads::patterns::Seq;
 
@@ -824,6 +832,7 @@ pub fn ablate_dynamic(opts: &FigOpts) -> Table {
                 Program::new().parallel(bodies)
             };
             let m = program.run(&mut sys, &mut threads).unwrap();
+            h.note_sim_cycles(m.runtime);
             t.row(vec![
                 if dynamic { "dynamic" } else { "static" }.to_string(),
                 scheme.label().to_string(),
@@ -877,7 +886,7 @@ impl tint_spmd::SectionBody for ChainBodies<'_> {
 /// §III.C describes for tasks that outgrow their colors. The off-color
 /// fraction is the price of survival: pages that no longer enjoy the
 /// victim's bank/LLC isolation.
-pub fn ablate_pressure(_opts: &FigOpts) -> Table {
+pub fn ablate_pressure(h: &Harness, _opts: &FigOpts) -> Table {
     let mut t = Table::new(vec![
         "occupancy",
         "policy",
@@ -917,7 +926,10 @@ pub fn ablate_pressure(_opts: &FigOpts) -> Table {
                 Ok(base) => {
                     for p in 0..want {
                         match sys.access(victim, base.offset(p * 4096), Rw::Write, 0) {
-                            Ok(_) => placed += 1,
+                            Ok(a) => {
+                                h.note_sim_cycles(a.latency);
+                                placed += 1;
+                            }
                             Err(e) => {
                                 outcome = e.name().to_string();
                                 break;
@@ -950,7 +962,7 @@ pub fn ablate_pressure(_opts: &FigOpts) -> Table {
 
 /// Ablation: the colored-free-list population overhead (§III.C): cost of the
 /// first colored allocations vs steady state.
-pub fn ablate_colorlist(_opts: &FigOpts) -> Table {
+pub fn ablate_colorlist(h: &Harness, _opts: &FigOpts) -> Table {
     let machine = MachineConfig::opteron_6128();
     let mut t = Table::new(vec!["phase", "mean_fault_cycles", "pages_moved"]);
     let mut sys = System::boot(machine);
@@ -977,6 +989,8 @@ pub fn ablate_colorlist(_opts: &FigOpts) -> Table {
         }
         let st = sys.kernel().stats();
         let faults = st.page_faults - faults0;
+        // The figure simulates page faults only: their kernel cycles.
+        h.note_sim_cycles(st.fault_cycles - cyc0);
         t.row(vec![
             phase.to_string(),
             format!("{:.0}", (st.fault_cycles - cyc0) as f64 / faults as f64),
@@ -1002,7 +1016,7 @@ pub fn ablate_colorlist(_opts: &FigOpts) -> Table {
 /// with `check_invariants` running throughout the run. At `--scale 1.0`
 /// every exhaustion policy sees ≥ 1,000 arrivals per load level; the
 /// `mixed` rows cycle all three policies across one tenancy.
-pub fn churn(opts: &FigOpts) -> Table {
+pub fn churn(h: &Harness, opts: &FigOpts) -> Table {
     let mut t = Table::new(vec![
         "policy",
         "tasks",
@@ -1043,6 +1057,7 @@ pub fn churn(opts: &FigOpts) -> Table {
                 ..RoundRobin::default()
             };
             let out = rr.run(&mut sys, cfg.build_jobs(&machine));
+            h.note_sim_cycles(out.makespan);
             let (buddy, colors) = sys.kernel().pool_snapshot();
             let leaked = (baseline.0 + baseline.1) as i64 - (buddy + colors) as i64;
             let skew = colors as i64 - baseline.1 as i64;
@@ -1232,6 +1247,7 @@ pub fn soak(h: &Harness, opts: &FigOpts) -> Table {
     }
     for cell in &cells {
         h.note_pressure(cell.oom_kills, cell.admission_rejects, cell.alloc_retries);
+        h.note_sim_cycles(cell.out.makespan);
         for (wi, w) in cell.windows.iter().enumerate() {
             let off_total = w.off_color_allocs + w.colored_allocs;
             t.row(vec![
@@ -1313,19 +1329,19 @@ mod tests {
 
     #[test]
     fn latency_table_has_all_experiments() {
-        let t = latency(&quick());
+        let t = latency(&harness(1), &quick());
         assert_eq!(t.len(), 3 + 2 + 2);
     }
 
     #[test]
     fn colorlist_ablation_cold_vs_warm() {
-        let t = ablate_colorlist(&quick());
+        let t = ablate_colorlist(&harness(1), &quick());
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn churn_figure_reclaims_every_frame_in_every_cell() {
-        let t = churn(&quick());
+        let t = churn(&harness(1), &quick());
         assert_eq!(t.len(), 4 * 2, "policy mixes × load levels");
         for row in t.rows() {
             // The figure itself asserts reclamation per cell; the rendered
@@ -1361,7 +1377,7 @@ mod tests {
 
     #[test]
     fn pressure_ablation_covers_grid_and_degrades_gracefully() {
-        let t = ablate_pressure(&quick());
+        let t = ablate_pressure(&harness(1), &quick());
         assert_eq!(t.len(), 6 * 3, "occupancies × policies");
         let cell = |occ: &str, policy: &str, col: usize| {
             t.rows()

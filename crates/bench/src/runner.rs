@@ -380,10 +380,11 @@ impl Default for RunConfig {
 /// A harness's run counters (a snapshot: [`Harness::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Simulated cycles (sum of `metrics.runtime`) of every actual
-    /// simulation. Cache hits do not add to it: it counts *new* work,
-    /// which is how `BENCH_repro.json` proves a command was served from
-    /// the cache.
+    /// Simulated cycles of every actual simulation: each cell's
+    /// `metrics.runtime`, plus what self-booting figures report through
+    /// [`Harness::note_sim_cycles`]. Cache hits do not add to it: it counts
+    /// *new* work, which is how `BENCH_repro.json` proves a command was
+    /// served from the cache.
     pub sim_cycles: u64,
     /// Cells that exhausted every attempt.
     pub poisoned: u64,
@@ -475,6 +476,13 @@ impl Harness {
         f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
+    /// Add cycles simulated outside [`Harness::run_cells`]: a figure that
+    /// boots its own machines reports each program's runtime, each
+    /// round-robin makespan, or each scenario's simulated span here.
+    pub fn note_sim_cycles(&self, cycles: u64) {
+        self.note(|s| s.sim_cycles += cycles);
+    }
+
     /// Accumulate one simulated system's memory-pressure counters.
     pub fn note_pressure(&self, oom_kills: u64, admission_rejects: u64, alloc_retries: u64) {
         self.note(|s| {
@@ -504,7 +512,7 @@ impl Harness {
             }));
             match outcome {
                 Ok(r) => {
-                    self.note(|s| s.sim_cycles += r.metrics.runtime);
+                    self.note_sim_cycles(r.metrics.runtime);
                     return r;
                 }
                 Err(_) if attempt < attempts => {

@@ -1,7 +1,8 @@
 //! `repro` usage errors: each bad flag, environment value or command exits
 //! 2 with a one-line message before any simulation runs (so no
 //! `BENCH_repro.json` is written). The cases run one after another in a private directory.
-//! A valid multi-config probe prints and records every configuration.
+//! A valid multi-config probe prints and records every configuration, and
+//! commands that boot their own machines record what they simulate.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -103,6 +104,39 @@ fn probe_runs_every_config() {
         "probe:lbm@4_threads_4_nodes",
     ] {
         assert!(bench.contains(&format!("\"name\": \"{name}\"")), "{bench}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commands that boot their own machines (no cell batches) still add what
+/// they simulate to their `BENCH_repro.json` record's `sim_cycles`.
+#[test]
+fn self_booting_commands_record_their_sim_cycles() {
+    let dir = scratch("selfboot");
+    let commands = ["ablate-migrate", "ablate-dynamic", "churn"];
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.current_dir(&dir)
+        .args(["--scale", "0.05", "--reps", "1"])
+        .args(commands);
+    for v in VARS {
+        cmd.env_remove(v);
+    }
+    cmd.env("TINT_JOURNAL", "0");
+    let out = cmd.output().expect("run repro");
+    assert!(out.status.success(), "{out:?}");
+    let bench = std::fs::read_to_string(dir.join("BENCH_repro.json")).unwrap();
+    for name in commands {
+        let record = bench
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("no {name} record in {bench}"));
+        let cycles: u64 = record
+            .split("\"sim_cycles\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no sim_cycles in {record}"));
+        assert!(cycles > 0, "{name} recorded no simulated cycles: {record}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

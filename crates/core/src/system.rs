@@ -69,17 +69,37 @@ struct TlbEntry {
     generation: u32,
 }
 
+/// What the TLB keeps per task: the task-struct fields `access` needs every
+/// call, and a memo of the task's last translation in front of the table.
+#[derive(Debug, Clone, Copy)]
+struct TaskEntry {
+    /// The address-space index shifted into place (`vm << PAGE_BITS`).
+    vm_key: u64,
+    /// The core the task is pinned to.
+    core: CoreId,
+    /// The page the task translated last.
+    memo_page: u64,
+    /// The frame backing `memo_page`.
+    memo_frame: u32,
+    /// Table generation when the memo was taken; 0 never matches.
+    memo_generation: u32,
+}
+
 /// Software TLB over [`Kernel::translate`], the [`System::access`] fast
 /// path. A direct-mapped table of (address space, page) → frame
-/// translations plus the task-struct fields `access` needs every call
-/// (address space, pinned core). Coherence is generation-based: the kernel
-/// bumps its [`translation_epoch`](Kernel::translation_epoch) whenever an
-/// existing translation dies (`munmap`, recolor migration); the table then
-/// advances its own 32-bit generation, which strands every slot filled
-/// under the old one — exactly the shoot-down-everything model of a
-/// hardware TLB without ASID tracking, and cheap because remap events are
-/// rare next to accesses. When the generation wraps, the table is swept
-/// once, so a stale slot can never match a reused generation.
+/// translations plus, per task, the task-struct fields `access` needs every
+/// call (address space, pinned core) and a one-entry memo of the task's last
+/// translation, checked before the table. Coherence is generation-based:
+/// the kernel bumps its [`translation_epoch`](Kernel::translation_epoch)
+/// whenever an existing translation dies (`munmap`, recolor migration); the
+/// table then advances its own 32-bit generation, which strands every slot
+/// and every memo filled under the old one — exactly the
+/// shoot-down-everything model of a hardware TLB without ASID tracking, and
+/// cheap because remap events are rare next to accesses. A memo is a copy of
+/// a translation that was current under its generation, so it is live
+/// exactly when a table slot filled at the same moment would be. When the
+/// generation wraps, the table and every memo are swept once, so a stale
+/// slot or memo can never match a reused generation.
 #[derive(Debug, Clone)]
 struct Tlb {
     /// Direct-mapped slots; conflicting pages simply evict each other.
@@ -88,12 +108,11 @@ struct Tlb {
     generation: u32,
     /// The kernel translation epoch `generation` belongs to.
     epoch: u64,
-    /// `tid.0` → (vm key, pinned core), the vm key being the address-space
-    /// index shifted into place (`vm << PAGE_BITS`); tids are small and
-    /// sequential. Tasks never migrate, and tids are never reused, so an
-    /// entry stays valid for the task's whole life; [`System::exit`] clears
-    /// the slot when the task dies.
-    tasks: Vec<Option<(u64, CoreId)>>,
+    /// `tid.0` → the task's entry; tids are small and sequential. Tasks
+    /// never migrate, and tids are never reused, so an entry's address space
+    /// and core stay valid for the task's whole life; [`System::exit`]
+    /// clears the slot when the task dies.
+    tasks: Vec<Option<TaskEntry>>,
 }
 
 /// A slot no lookup matches: generation 0 is never current.
@@ -138,9 +157,12 @@ impl Tlb {
         self.epoch = epoch;
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            // Wrapped: slots filled 2^32 − 1 generations ago would match
-            // again, so kill them all and start over.
+            // Wrapped: slots and memos filled 2^32 − 1 generations ago
+            // would match again, so kill them all and start over.
             self.entries.fill(DEAD_ENTRY);
+            for task in self.tasks.iter_mut().flatten() {
+                task.memo_generation = 0;
+            }
             self.generation = 1;
         }
     }
@@ -155,15 +177,25 @@ impl Tlb {
             .then_some(e.frame)
     }
 
+    /// Make `page → frame`, current under this generation, task `ti`'s memo.
+    #[inline]
+    fn memoize(&mut self, ti: usize, page: u64, frame: u32) {
+        if let Some(Some(task)) = self.tasks.get_mut(ti) {
+            task.memo_page = page;
+            task.memo_frame = frame;
+            task.memo_generation = self.generation;
+        }
+    }
+
     /// Cache `page → frame` for the address space `vm_key`.
     #[inline]
-    fn fill(&mut self, vm_key: u64, page: u64, frame: FrameNumber) {
+    fn fill(&mut self, vm_key: u64, page: u64, frame: u32) {
         if page >> PAGE_BITS != 0 {
             return;
         }
         self.entries[Self::slot(vm_key, page)] = TlbEntry {
             key: vm_key | page,
-            frame: u32::try_from(frame.0).expect("frame numbers fit 32 bits"),
+            frame,
             generation: self.generation,
         };
     }
@@ -482,37 +514,58 @@ impl System {
         tid: Tid,
         addr: VirtAddr,
     ) -> Result<(PhysAddr, u64, CoreId), Errno> {
+        // Any destroyed/changed translation bumps the kernel epoch, which
+        // strands every slot and memo filled earlier. (Sync before copying
+        // the task entry: a wrap clears the memo.)
+        self.tlb.sync(self.kernel.translation_epoch());
         let ti = tid.0 as usize;
-        let (vm_key, core) = match self.tlb.tasks.get(ti).copied().flatten() {
-            Some(entry) => entry,
+        let task = match self.tlb.tasks.get(ti).copied().flatten() {
+            Some(task) => task,
+            None => self.cache_task(tid)?,
+        };
+        let page = addr.page().0;
+        if task.memo_page == page && task.memo_generation == self.tlb.generation {
+            let frame = FrameNumber(task.memo_frame.into());
+            return Ok((frame.at(addr.page_offset()), 0, task.core));
+        }
+        let (frame, phys, fault_cycles) = match self.tlb.lookup(task.vm_key, page) {
+            Some(frame) => (frame, FrameNumber(frame.into()).at(addr.page_offset()), 0),
             None => {
-                let t = self.kernel.task(tid)?;
-                assert!(
-                    t.vm.0 < 1 << (64 - PAGE_BITS),
-                    "address space {} does not fit the TLB key",
-                    t.vm.0
-                );
-                let entry = ((t.vm.0 as u64) << PAGE_BITS, t.core);
-                if ti >= self.tlb.tasks.len() {
-                    self.tlb.tasks.resize(ti + 1, None);
-                }
-                self.tlb.tasks[ti] = Some(entry);
-                entry
+                let tr = self.kernel.translate(tid, addr)?;
+                // `translate` can only install translations (a fault), never
+                // destroy one, so the entry we cache is current.
+                let frame = u32::try_from(tr.phys.frame().0).expect("frame numbers fit 32 bits");
+                self.tlb.fill(task.vm_key, page, frame);
+                (frame, tr.phys, tr.fault_cycles)
             }
         };
+        self.tlb.memoize(ti, page, frame);
+        Ok((phys, fault_cycles, task.core))
+    }
 
-        // Any destroyed/changed translation bumps the kernel epoch, which
-        // strands every slot filled earlier.
-        self.tlb.sync(self.kernel.translation_epoch());
-        let page = addr.page().0;
-        if let Some(frame) = self.tlb.lookup(vm_key, page) {
-            return Ok((FrameNumber(frame.into()).at(addr.page_offset()), 0, core));
+    /// Cache `tid`'s TLB task entry (address space, pinned core, an empty
+    /// memo) on its first access.
+    #[cold]
+    fn cache_task(&mut self, tid: Tid) -> Result<TaskEntry, Errno> {
+        let t = self.kernel.task(tid)?;
+        assert!(
+            t.vm.0 < 1 << (64 - PAGE_BITS),
+            "address space {} does not fit the TLB key",
+            t.vm.0
+        );
+        let entry = TaskEntry {
+            vm_key: (t.vm.0 as u64) << PAGE_BITS,
+            core: t.core,
+            memo_page: 0,
+            memo_frame: 0,
+            memo_generation: 0,
+        };
+        let ti = tid.0 as usize;
+        if ti >= self.tlb.tasks.len() {
+            self.tlb.tasks.resize(ti + 1, None);
         }
-        let tr = self.kernel.translate(tid, addr)?;
-        // `translate` can only install translations (a fault), never
-        // destroy one, so the entry we cache is current.
-        self.tlb.fill(vm_key, page, tr.phys.frame());
-        Ok((tr.phys, tr.fault_cycles, core))
+        self.tlb.tasks[ti] = Some(entry);
+        Ok(entry)
     }
 
     /// The physical address [`System::access`] uses for `addr`, taken
@@ -820,7 +873,7 @@ mod tests {
         let b = s.malloc(t, 4 * 4096).unwrap();
         s.access(t, a, Rw::Write, 0).unwrap();
         s.access(t, b, Rw::Write, 0).unwrap();
-        let (vm_key, _) = s.tlb.tasks[t.0 as usize].unwrap();
+        let vm_key = s.tlb.tasks[t.0 as usize].unwrap().vm_key;
         let page = a.page().0;
         assert_eq!(s.tlb.generation, 1);
         assert!(
@@ -849,6 +902,39 @@ mod tests {
         assert!(!acc.faulted);
         assert!(s.tlb.lookup(vm_key, page).is_some());
         assert_eq!(s.translate(t, a).unwrap(), s.resolve(t, a).unwrap());
+    }
+
+    #[test]
+    fn generation_wrap_strands_the_last_page_memo() {
+        let mut s = sys();
+        let t = s.spawn(CoreId(0));
+        let a = s.malloc(t, 4 * 4096).unwrap();
+        let b = s.malloc(t, 4 * 4096).unwrap();
+        s.access(t, a, Rw::Write, 0).unwrap();
+        // Repeated accesses to one page: the memo holds `b` at generation 1.
+        for off in [0, 64, 128, 4000] {
+            s.access(t, b.offset(off), Rw::Write, 0).unwrap();
+            assert_eq!(
+                s.translate(t, b.offset(off)).unwrap(),
+                s.resolve(t, b.offset(off)).unwrap()
+            );
+        }
+        let memo = s.tlb.tasks[t.0 as usize].unwrap();
+        assert_eq!((memo.memo_page, memo.memo_generation), (b.page().0, 1));
+
+        // Unmap `b` just as the generation wraps back to 1, the generation
+        // the memo carries: the sweep must clear it, or the dead page would
+        // still translate to its old frame.
+        s.tlb.generation = u32::MAX;
+        s.free(t, b).unwrap();
+        assert_eq!(s.access(t, b, Rw::Read, 0), Err(Errno::Efault));
+        assert_eq!(s.tlb.generation, 1, "the generation wrapped");
+        assert_eq!(s.translate(t, b), Err(Errno::Efault));
+        // A live page translates afresh and is memoized at the new generation.
+        s.access(t, a, Rw::Read, 0).unwrap();
+        assert_eq!(s.translate(t, a).unwrap(), s.resolve(t, a).unwrap());
+        let memo = s.tlb.tasks[t.0 as usize].unwrap();
+        assert_eq!((memo.memo_page, memo.memo_generation), (a.page().0, 1));
     }
 
     #[test]

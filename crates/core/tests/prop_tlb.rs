@@ -173,6 +173,63 @@ fn recolor_range_keeps_accesses_coherent() {
     }
 }
 
+/// The per-task memo of the last translated page sits in front of the
+/// table: repeated accesses to one page are served from it, and a munmap
+/// of that page, or a recolor of it, must still be seen by the very next
+/// access — `translate` equals `resolve` after every step.
+#[test]
+fn last_page_memo_follows_remaps_and_recolors() {
+    let mut sys = System::boot(MachineConfig::opteron_6128());
+    // Core 12 lives on node 3; the task's color is a node-0 bank color.
+    let core = CoreId(12);
+    let local = sys.machine().topology.node_of_core(core);
+    let target = sys.machine().mapping.node_of_bank_color(BankColor(0));
+    let tid = sys.spawn(core);
+    sys.set_policy(tid, HeapPolicy::FirstTouch).unwrap();
+    sys.set_mem_color(tid, BankColor(0)).unwrap();
+    let len = 2 * PAGE_SIZE;
+    let lines = |base: VirtAddr| (0..PAGE_SIZE / 64).map(move |i| base.offset(i * 64));
+
+    // Page-cache pages land uncolored and node-local; hammer one page.
+    let buf = sys.malloc_pagecache(tid, len).unwrap();
+    for va in lines(buf) {
+        sys.access(tid, va, Rw::Read, 0).unwrap();
+        assert_tlb_matches_page_table(&mut sys, tid, va, "repeated accesses");
+    }
+    assert_eq!(tlb_node(&mut sys, tid, buf), local);
+
+    // munmap while the memo holds the page: the next access faults. Then
+    // map a fresh range under the task's colors and hammer its first page.
+    sys.free(tid, buf).unwrap();
+    assert_eq!(sys.access(tid, buf, Rw::Read, 0), Err(Errno::Efault));
+    assert_eq!(sys.translate(tid, buf), Err(Errno::Efault));
+    let buf = sys.malloc(tid, len).unwrap();
+    for va in lines(buf) {
+        sys.access(tid, va, Rw::Write, 0).unwrap();
+        assert_tlb_matches_page_table(&mut sys, tid, va, "after munmap and remap");
+    }
+    assert_eq!(tlb_node(&mut sys, tid, buf), target);
+
+    // A new LLC color makes the page non-conforming; recoloring its range
+    // migrates it while the memo holds its old frame.
+    let before = sys.resolve(tid, buf).unwrap();
+    let llc = sys.machine().mapping.decode_frame(before.frame()).llc_color;
+    let other = LlcColor((llc.raw() + 1) % sys.machine().mapping.llc_color_count() as u16);
+    sys.set_llc_color(tid, other).unwrap();
+    let (moved, _) = sys.recolor_range(tid, buf, PAGE_SIZE).unwrap();
+    assert_eq!(moved, 1);
+    assert_ne!(sys.resolve(tid, buf).unwrap(), before);
+    for va in lines(buf) {
+        sys.access(tid, va, Rw::Read, 0).unwrap();
+        assert_tlb_matches_page_table(&mut sys, tid, va, "after recolor_range");
+    }
+    let now = sys.translate(tid, buf).unwrap();
+    assert_eq!(
+        sys.machine().mapping.decode_frame(now.frame()).llc_color,
+        other
+    );
+}
+
 /// Assert that every page of `[base, base + len)` is resident and that the
 /// access path's translation agrees with a fresh page-table walk — i.e. no access is
 /// served from a stale cached translation.

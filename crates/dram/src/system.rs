@@ -1,15 +1,17 @@
 //! The machine-wide DRAM system: controllers → channels → banks.
 //!
-//! [`DramSystem::access`] is the single entry point: given a physical
-//! address, an access direction, and the cycle at which the request reaches
-//! memory, it routes the request through its node's controller front-end,
-//! the addressed bank's row buffer, and the channel data bus, returning the
-//! completion cycle and a latency breakdown.
+//! [`DramSystem::access`] is the entry point: given a physical address, an
+//! access direction, and the cycle at which the request reaches memory, it
+//! routes the request through its node's controller front-end, the
+//! addressed bank's row buffer, and the channel data bus, returning the
+//! completion cycle and a latency breakdown. A caller that needs the
+//! frame's fields itself (the home node, for routing) decodes once with
+//! [`DramSystem::decode`] and serves with [`DramSystem::access_decoded`].
 
 use crate::bank::{BankState, RowOutcome};
 use crate::stats::DramStats;
 use tint_hw::addrmap::AddressMapping;
-use tint_hw::decoder::FrameDecoder;
+use tint_hw::decoder::{FrameDecoder, FrameInfo};
 use tint_hw::machine::DramConfig;
 use tint_hw::types::{BankColor, NodeId, PhysAddr, Rw};
 
@@ -85,10 +87,16 @@ impl DramSystem {
         self.stats = DramStats::new(self.mapping.bank_color_count(), self.mapping.node_count());
     }
 
-    /// Home node of the frame holding `addr`.
+    /// The fields of the frame holding `addr` (home node, bank color,
+    /// channel): one table load. Panics beyond installed memory.
     #[inline]
-    pub fn home_node(&self, addr: PhysAddr) -> NodeId {
-        self.decoder.node_of_frame(addr.frame())
+    pub fn decode(&self, addr: PhysAddr) -> FrameInfo {
+        let frame = addr.frame();
+        assert!(
+            frame.0 < self.decoder.frame_count(),
+            "physical address {addr} beyond installed memory"
+        );
+        self.decoder.info(frame)
     }
 
     /// Serve an access to `addr` arriving at the memory system at cycle
@@ -97,12 +105,15 @@ impl DramSystem {
     /// dynamics are identical in this model).
     #[inline]
     pub fn access(&mut self, addr: PhysAddr, _rw: Rw, now: u64) -> DramAccess {
+        self.access_decoded(addr, self.decode(addr), now)
+    }
+
+    /// [`access`](Self::access) with `addr`'s frame already decoded: `d`
+    /// must be [`decode`](Self::decode)`(addr)`.
+    #[inline]
+    pub fn access_decoded(&mut self, addr: PhysAddr, d: FrameInfo, now: u64) -> DramAccess {
+        debug_assert_eq!(d, self.decode(addr));
         let frame = addr.frame();
-        assert!(
-            frame.0 < self.decoder.frame_count(),
-            "physical address {addr} beyond installed memory"
-        );
-        let d = self.decoder.info(frame);
         let node = NodeId(d.node as usize);
         let bc = BankColor(d.bank_color);
         let chan = d.global_channel as usize;

@@ -88,12 +88,6 @@ impl FrameDecoder {
         self.info(addr.frame())
     }
 
-    /// Home node of a frame.
-    #[inline]
-    pub fn node_of_frame(&self, frame: FrameNumber) -> NodeId {
-        NodeId(self.info(frame).node as usize)
-    }
-
     /// The DRAM row id opened by an access to `frame`, whose fields are
     /// `info` (from [`Self::info`]) — matches [`AddressMapping::decode`]'s
     /// `row` (LLC bits folded into the row id).
@@ -212,7 +206,6 @@ mod tests {
                 let f = FrameNumber((row << dec.low_bits) | low);
                 let slow = m.decode_frame(f);
                 assert_eq!(dec.decode_frame(f), slow);
-                assert_eq!(dec.node_of_frame(f), slow.node);
                 assert_eq!(dec.dram_row(f, dec.info(f)), m.decode(f.base()).row);
                 let i = dec.info(f);
                 let (n, c, ..) = m.coords_of_bank_color(slow.bank_color);

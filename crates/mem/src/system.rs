@@ -29,7 +29,21 @@ pub struct MemorySystem {
     /// Per-node HT port availability: remote requests into a node serialize
     /// briefly on its link, modeling interconnect contention (§II.B).
     link_free_at: Vec<u64>,
+    /// `core * nodes + node` → the route from a core to a memory node,
+    /// tabulated once from the topology and interconnect.
+    routes: Vec<Route>,
     stats: MemStats,
+}
+
+/// Interconnect route from a core to a memory node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Route {
+    /// Extra hops ([`Topology::hops`](tint_hw::topology::Topology::hops)).
+    hops: u32,
+    /// The hops' interconnect penalty
+    /// ([`InterconnectConfig::hop_extra`](tint_hw::machine::InterconnectConfig::hop_extra)),
+    /// half paid on the way out and half on the way back.
+    extra: u64,
 }
 
 impl MemorySystem {
@@ -40,13 +54,32 @@ impl MemorySystem {
         let dram = DramSystem::new(config.mapping, config.dram);
         let nodes = config.topology.node_count();
         let cores = config.topology.core_count();
+        let routes = config
+            .topology
+            .cores()
+            .flat_map(|c| config.topology.nodes().map(move |n| (c, n)))
+            .map(|(c, n)| {
+                let hops = config.topology.hops(c, n);
+                Route {
+                    hops,
+                    extra: config.interconnect.hop_extra(hops),
+                }
+            })
+            .collect();
         Self {
             config,
             hierarchy,
             dram,
             link_free_at: vec![0; nodes],
+            routes,
             stats: MemStats::new(cores),
         }
+    }
+
+    /// The route from `core` to memory node `node`.
+    #[inline]
+    fn route(&self, core: CoreId, node: usize) -> Route {
+        self.routes[core.index() * self.link_free_at.len() + node]
     }
 
     /// The machine this system simulates.
@@ -58,24 +91,28 @@ impl MemorySystem {
     /// `now`; returns the latency breakdown. Loads and stores share timing
     /// (see DESIGN.md).
     #[inline]
-    pub fn access(&mut self, core: CoreId, addr: PhysAddr, rw: Rw, now: u64) -> AccessResult {
+    pub fn access(&mut self, core: CoreId, addr: PhysAddr, _rw: Rw, now: u64) -> AccessResult {
         let (level, hier_cycles) = self.hierarchy.access(core, addr);
 
         let result = if level == HitLevel::Memory {
-            // Only an access that reached memory needs its home node.
-            let home_node = self.dram.home_node(addr);
-            let hops = self.config.topology.hops(core, home_node);
-            let hop_extra = self.config.interconnect.hop_extra(hops);
+            // Only an access that reached memory needs its frame decoded,
+            // once: the home node routes it, the rest picks bank and channel.
+            let frame = self.dram.decode(addr);
+            let home = frame.node as usize;
+            let Route {
+                hops,
+                extra: hop_extra,
+            } = self.route(core, home);
             // Outbound: remote requests serialize on the home node's link
             // (the stats' interconnect share is derived by subtraction).
             let mut arrive = now + hier_cycles + hop_extra / 2;
             if hops > 0 {
-                let port = &mut self.link_free_at[home_node.index()];
+                let port = &mut self.link_free_at[home];
                 let start = arrive.max(*port);
                 *port = start + self.config.interconnect.link_busy;
                 arrive = start;
             }
-            let dram = self.dram.access(addr, rw, arrive);
+            let dram = self.dram.access_decoded(addr, frame, arrive);
             // Return trip: the other half of the hop penalty.
             let done = dram.complete_at + (hop_extra - hop_extra / 2);
             AccessResult {
@@ -255,6 +292,102 @@ mod tests {
             r.latency,
             "breakdown must sum to end-to-end latency"
         );
+    }
+
+    #[test]
+    fn routes_match_the_topology_on_every_preset() {
+        for m in [
+            MachineConfig::opteron_6128(),
+            MachineConfig::eight_node(),
+            MachineConfig::tiny(),
+        ] {
+            let s = MemorySystem::new(m.clone());
+            for c in m.topology.cores() {
+                for n in m.topology.nodes() {
+                    let hops = m.topology.hops(c, n);
+                    assert_eq!(
+                        s.route(c, n.index()),
+                        Route {
+                            hops,
+                            extra: m.interconnect.hop_extra(hops),
+                        },
+                        "{}: core {c} to node {n}",
+                        m.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// The access path as it was before the one-decode DRAM path: the home
+    /// node from a full `AddressMapping` decode, the hop count from the
+    /// topology, and a `DramSystem::access` that decodes the frame again.
+    fn access_decoding_twice(
+        s: &mut MemorySystem,
+        core: CoreId,
+        addr: PhysAddr,
+        rw: Rw,
+        now: u64,
+    ) -> AccessResult {
+        let (level, hier_cycles) = s.hierarchy.access(core, addr);
+        if level != HitLevel::Memory {
+            return AccessResult {
+                latency: hier_cycles,
+                level,
+                hops: 0,
+                dram: None,
+            };
+        }
+        let home = s.config.mapping.decode_frame(addr.frame()).node;
+        let hops = s.config.topology.hops(core, home);
+        let hop_extra = s.config.interconnect.hop_extra(hops);
+        let mut arrive = now + hier_cycles + hop_extra / 2;
+        if hops > 0 {
+            let port = &mut s.link_free_at[home.index()];
+            let start = arrive.max(*port);
+            *port = start + s.config.interconnect.link_busy;
+            arrive = start;
+        }
+        let dram = s.dram.access(addr, rw, arrive);
+        let done = dram.complete_at + (hop_extra - hop_extra / 2);
+        AccessResult {
+            latency: done - now,
+            level,
+            hops,
+            dram: Some(dram),
+        }
+    }
+
+    #[test]
+    fn one_decode_path_matches_decoding_twice() {
+        let mut rng = tint_hw::rng::SplitMix64::new(0xD0DE);
+        let mut fast = sys();
+        let mut slow = sys();
+        let mut now = 0;
+        for i in 0..20_000 {
+            let core = CoreId(rng.gen_range(16) as usize);
+            // Every bank color and node, but only eight rows each, so rows,
+            // banks and links contend.
+            let frame = tint_hw::types::FrameNumber(rng.gen_range(1 << 15));
+            let addr = frame.at(rng.gen_range(32) * 128);
+            let rw = if rng.gen_range(2) == 0 {
+                Rw::Read
+            } else {
+                Rw::Write
+            };
+            now += rng.gen_range(40);
+            let want = access_decoding_twice(&mut slow, core, addr, rw, now);
+            assert_eq!(fast.access(core, addr, rw, now), want, "access {i}");
+        }
+        assert_eq!(
+            format!("{:?}", fast.dram().stats()),
+            format!("{:?}", slow.dram().stats())
+        );
+        assert_eq!(
+            format!("{:?}", fast.hierarchy().stats()),
+            format!("{:?}", slow.hierarchy().stats())
+        );
+        assert_eq!(fast.link_free_at, slow.link_free_at);
     }
 
     #[test]

@@ -1,13 +1,44 @@
 //! Reusable access-stream iterators.
 //!
-//! Every pattern is a plain `Iterator<Item = Op>`, which the SPMD engine
-//! accepts directly as a section body. Patterns interleave `Op::Compute`
-//! with `Op::Access` so memory intensity is a parameter (compute cycles per
-//! access), and they never materialize traces.
+//! The leaf patterns are plain `Iterator<Item = Op>`s, which the SPMD
+//! engine accepts directly as section bodies; [`Interleave`] is a
+//! [`SectionBody`] that merges two bodies through small per-side batches.
+//! Patterns interleave `Op::Compute` with `Op::Access` so memory intensity
+//! is a parameter (compute cycles per access), and they never materialize
+//! traces.
 
 use tint_hw::rng::SplitMix64;
 use tint_hw::types::{Rw, VirtAddr};
-use tint_spmd::Op;
+use tint_spmd::{Op, SectionBody};
+
+/// Store-selection countdown: every `every`-th call is a store (`every` = 0:
+/// none). Counting down replaces a per-access `count % every`.
+#[derive(Debug, Clone)]
+struct WriteEvery {
+    every: u32,
+    left: u32,
+}
+
+impl WriteEvery {
+    fn new(every: u32) -> Self {
+        Self { every, left: every }
+    }
+
+    /// The direction of the next access.
+    #[inline]
+    fn next(&mut self) -> Rw {
+        if self.every == 0 {
+            return Rw::Read;
+        }
+        self.left -= 1;
+        if self.left == 0 {
+            self.left = self.every;
+            Rw::Write
+        } else {
+            Rw::Read
+        }
+    }
+}
 
 /// Sequential sweep: walk `[base, base+len)` with `stride`, `passes` times.
 /// Every `write_every`-th access is a store (0 = all loads, 1 = all stores).
@@ -18,11 +49,10 @@ pub struct Seq {
     stride: u64,
     passes: u32,
     compute: u64,
-    write_every: u32,
+    writes: WriteEvery,
     // iteration state
     pos: u64,
     pass: u32,
-    count: u64,
     emit_compute: bool,
 }
 
@@ -43,10 +73,9 @@ impl Seq {
             stride,
             passes,
             compute,
-            write_every,
+            writes: WriteEvery::new(write_every),
             pos: 0,
             pass: 0,
-            count: 0,
             emit_compute: false,
         }
     }
@@ -69,14 +98,11 @@ impl Iterator for Seq {
             self.pos = 0;
             self.pass += 1;
         }
-        self.count += 1;
         self.emit_compute = self.compute > 0;
-        let rw = if self.write_every > 0 && self.count.is_multiple_of(self.write_every as u64) {
-            Rw::Write
-        } else {
-            Rw::Read
-        };
-        Some(Op::Access { addr, rw })
+        Some(Op::Access {
+            addr,
+            rw: self.writes.next(),
+        })
     }
 }
 
@@ -88,9 +114,8 @@ pub struct RandomTaps {
     align: u64,
     remaining: u64,
     compute: u64,
-    write_every: u32,
+    writes: WriteEvery,
     rng: SplitMix64,
-    count: u64,
     emit_compute: bool,
 }
 
@@ -112,9 +137,8 @@ impl RandomTaps {
             align,
             remaining: count,
             compute,
-            write_every,
+            writes: WriteEvery::new(write_every),
             rng: SplitMix64::new(seed),
-            count: 0,
             emit_compute: false,
         }
     }
@@ -133,16 +157,10 @@ impl Iterator for RandomTaps {
         }
         let slot = self.rng.gen_range(self.slots);
         self.remaining -= 1;
-        self.count += 1;
         self.emit_compute = self.compute > 0;
-        let rw = if self.write_every > 0 && self.count.is_multiple_of(self.write_every as u64) {
-            Rw::Write
-        } else {
-            Rw::Read
-        };
         Some(Op::Access {
             addr: self.base.offset(slot * self.align),
-            rw,
+            rw: self.writes.next(),
         })
     }
 }
@@ -214,32 +232,148 @@ impl Iterator for AlternatingStride {
     }
 }
 
-/// Interleave two streams: a, b, a, b, … draining whichever remains.
+/// Ops each side of an [`Interleave`] pulls per `fill`: half an engine
+/// batch, so one engine refill costs one fill per side.
+const SIDE_OPS: usize = tint_spmd::engine::BATCH_OPS / 2;
+
+/// One side of an [`Interleave`]: a body plus the batch pulled from it
+/// through its own `fill`. The batch is allocated on first use, so the
+/// bodies of sections not yet running hold no buffer.
 #[derive(Debug, Clone)]
-pub struct Interleave<A, B> {
-    a: A,
-    b: B,
-    from_a: bool,
+struct Side<S> {
+    body: S,
+    /// The ops of the body's last `fill`.
+    batch: Vec<Op>,
+    /// Next op of `batch` to hand out.
+    cur: usize,
+    /// The body's last `fill` came back short: nothing follows `batch`.
+    done: bool,
 }
 
-impl<A: Iterator<Item = Op>, B: Iterator<Item = Op>> Interleave<A, B> {
-    /// New interleaving starting with `a`.
-    pub fn new(a: A, b: B) -> Self {
-        Self { a, b, from_a: true }
+impl<S: SectionBody> Side<S> {
+    fn new(body: S) -> Self {
+        Self {
+            body,
+            batch: Vec::new(),
+            cur: 0,
+            done: false,
+        }
+    }
+
+    /// The buffered ops not yet handed out, refilling an empty batch from
+    /// the body; empty only once the body is exhausted.
+    #[inline]
+    fn ready(&mut self, side_ops: usize) -> &[Op] {
+        if self.cur == self.batch.len() && !self.done {
+            self.batch.resize(side_ops, Op::Compute(0));
+            let n = self.body.fill(&mut self.batch);
+            self.batch.truncate(n);
+            self.cur = 0;
+            self.done = n < side_ops;
+        }
+        &self.batch[self.cur..]
+    }
+
+    /// The next op, if any.
+    #[inline]
+    fn pull(&mut self, side_ops: usize) -> Option<Op> {
+        let op = self.ready(side_ops).first().copied();
+        self.cur += op.is_some() as usize;
+        op
+    }
+
+    /// Copy the rest of this side's ops into `out`, bypassing the batch
+    /// once it is used up; returns how many were written.
+    fn drain_into(&mut self, out: &mut [Op]) -> usize {
+        let buffered = &self.batch[self.cur..];
+        let k = buffered.len().min(out.len());
+        out[..k].copy_from_slice(&buffered[..k]);
+        self.cur += k;
+        if k == out.len() || self.done {
+            return k;
+        }
+        let got = self.body.fill(&mut out[k..]);
+        self.done = got < out.len() - k;
+        k + got
     }
 }
 
-impl<A: Iterator<Item = Op>, B: Iterator<Item = Op>> Iterator for Interleave<A, B> {
-    type Item = Op;
+/// Interleave two streams op by op: a, b, a, b, … draining whichever
+/// remains once the other is exhausted.
+///
+/// Each side is pulled through its own [`SectionBody::fill`] into a small
+/// batch and the output alternates from the two batches; once one side is
+/// exhausted, the rest of the other is copied in bulk. The op stream is
+/// exactly the one a `next_op`-at-a-time merge yields.
+#[derive(Debug, Clone)]
+pub struct Interleave<A, B> {
+    a: Side<A>,
+    b: Side<B>,
+    from_a: bool,
+    side_ops: usize,
+}
 
-    fn next(&mut self) -> Option<Op> {
-        let first = self.from_a;
-        self.from_a = !self.from_a;
-        if first {
-            self.a.next().or_else(|| self.b.next())
-        } else {
-            self.b.next().or_else(|| self.a.next())
+impl<A: SectionBody, B: SectionBody> Interleave<A, B> {
+    /// New interleaving starting with `a`.
+    pub fn new(a: A, b: B) -> Self {
+        Self::with_batch(a, b, SIDE_OPS)
+    }
+
+    /// [`new`](Self::new) with `side_ops` ops buffered per side.
+    fn with_batch(a: A, b: B, side_ops: usize) -> Self {
+        assert!(side_ops > 0);
+        Self {
+            a: Side::new(a),
+            b: Side::new(b),
+            from_a: true,
+            side_ops,
         }
+    }
+}
+
+impl<A: SectionBody, B: SectionBody> SectionBody for Interleave<A, B> {
+    fn next_op(&mut self) -> Option<Op> {
+        let first = self.from_a;
+        self.from_a = !first;
+        let n = self.side_ops;
+        if first {
+            self.a.pull(n).or_else(|| self.b.pull(n))
+        } else {
+            self.b.pull(n).or_else(|| self.a.pull(n))
+        }
+    }
+
+    fn fill(&mut self, out: &mut [Op]) -> usize {
+        let mut n = 0;
+        while n < out.len() {
+            let side_ops = self.side_ops;
+            let (a, b) = (self.a.ready(side_ops), self.b.ready(side_ops));
+            if a.is_empty() {
+                return n + self.b.drain_into(&mut out[n..]);
+            }
+            if b.is_empty() {
+                return n + self.a.drain_into(&mut out[n..]);
+            }
+            let (x, y) = if self.from_a { (a, b) } else { (b, a) };
+            let both = x.len().min(y.len());
+            let pairs = both.min((out.len() - n) / 2);
+            for (k, (&p, &q)) in x[..pairs].iter().zip(&y[..pairs]).enumerate() {
+                out[n + 2 * k] = p;
+                out[n + 2 * k + 1] = q;
+            }
+            n += 2 * pairs;
+            // One slot left with both sides still buffered: the side whose
+            // turn it is fills it.
+            let odd = n + 1 == out.len() && pairs < both;
+            if odd {
+                out[n] = x[pairs];
+                n += 1;
+            }
+            self.a.cur += pairs + (odd && self.from_a) as usize;
+            self.b.cur += pairs + (odd && !self.from_a) as usize;
+            self.from_a ^= odd;
+        }
+        n
     }
 }
 
@@ -338,39 +472,127 @@ mod tests {
         assert_eq!(monotone_runs, 0);
     }
 
+    /// Every op of `body`, pulled through `fill` with a `chunk`-op buffer.
+    fn drain_fill(body: &mut dyn SectionBody, chunk: usize) -> Vec<Op> {
+        let mut out = Vec::new();
+        let mut buf = vec![Op::Compute(0); chunk];
+        loop {
+            let n = body.fill(&mut buf);
+            out.extend_from_slice(&buf[..n]);
+            if n < buf.len() {
+                return out;
+            }
+        }
+    }
+
+    /// Every op of `body`, pulled one at a time through `next_op`.
+    fn drain_next(body: &mut dyn SectionBody) -> Vec<Op> {
+        std::iter::from_fn(|| body.next_op()).collect()
+    }
+
+    /// The unbuffered merge `Interleave` must reproduce: take from the side
+    /// whose turn it is, else from the other.
+    fn reference_merge(
+        mut a: impl Iterator<Item = Op>,
+        mut b: impl Iterator<Item = Op>,
+    ) -> Vec<Op> {
+        let mut from_a = true;
+        std::iter::from_fn(|| {
+            from_a = !from_a;
+            if !from_a {
+                a.next().or_else(|| b.next())
+            } else {
+                b.next().or_else(|| a.next())
+            }
+        })
+        .collect()
+    }
+
     #[test]
     fn fill_matches_next_op_for_every_pattern() {
-        use tint_spmd::SectionBody;
         // The engine pulls ops through `SectionBody::fill`; its test
         // oracle pulls them one at a time through `next_op`.
         // Both routes must yield the identical op stream for every pattern
         // (an odd buffer size exercises chunk boundaries).
-        fn drain_fill(body: &mut dyn SectionBody) -> Vec<Op> {
-            let mut out = Vec::new();
-            let mut buf = [Op::Compute(0); 7];
-            loop {
-                let n = body.fill(&mut buf);
-                out.extend_from_slice(&buf[..n]);
-                if n < buf.len() {
-                    return out;
-                }
-            }
-        }
         let seq = Seq::new(VirtAddr(0), 1024, 128, 2, 5, 3);
         let taps = RandomTaps::new(VirtAddr(0x1000), 4096, 64, 100, 2, 3, 42);
         let alt = AlternatingStride::new(VirtAddr(0), 16 * 128, 128);
         let mix = Interleave::new(seq.clone(), taps.clone());
-        assert_eq!(drain_fill(&mut seq.clone()), seq.collect::<Vec<_>>());
-        assert_eq!(drain_fill(&mut taps.clone()), taps.collect::<Vec<_>>());
-        assert_eq!(drain_fill(&mut alt.clone()), alt.collect::<Vec<_>>());
-        assert_eq!(drain_fill(&mut mix.clone()), mix.collect::<Vec<_>>());
+        assert_eq!(drain_fill(&mut seq.clone(), 7), seq.collect::<Vec<_>>());
+        assert_eq!(drain_fill(&mut taps.clone(), 7), taps.collect::<Vec<_>>());
+        assert_eq!(drain_fill(&mut alt.clone(), 7), alt.collect::<Vec<_>>());
+        assert_eq!(
+            drain_fill(&mut mix.clone(), 7),
+            drain_next(&mut mix.clone())
+        );
+    }
+
+    /// `Interleave`'s `fill` and `next_op` both equal the unbuffered merge
+    /// when either side runs out mid-batch, when either side is empty, for
+    /// every per-side batch of 1–7 and 64 ops and every `fill` buffer of
+    /// 1–7 and 64 ops — and when `fill` and `next_op` calls are mixed.
+    #[test]
+    fn interleave_matches_the_unbuffered_merge() {
+        let seq = |n: u64| Seq::new(VirtAddr(0), n * 64, 64, 1, 3, 2);
+        let taps = |n: u64| RandomTaps::new(VirtAddr(0x10_0000), 4096, 64, n, 0, 3, n);
+        let sizes = [1usize, 2, 3, 4, 5, 6, 7, 64];
+        // Side lengths in accesses: empty, shorter and longer than a
+        // batch, and one side outliving the other by several batches.
+        for (na, nb) in [
+            (0, 0),
+            (0, 9),
+            (9, 0),
+            (1, 40),
+            (40, 1),
+            (13, 13),
+            (100, 37),
+        ] {
+            let want = reference_merge(seq(na.max(1)).take(2 * na as usize), taps(nb));
+            for side_ops in sizes {
+                let mk = || {
+                    Interleave::with_batch(seq(na.max(1)).take(2 * na as usize), taps(nb), side_ops)
+                };
+                assert_eq!(
+                    drain_next(&mut mk()),
+                    want,
+                    "next_op, sides {na}/{nb}, batch {side_ops}"
+                );
+                for chunk in sizes {
+                    assert_eq!(
+                        drain_fill(&mut mk(), chunk),
+                        want,
+                        "fill, sides {na}/{nb}, batch {side_ops}, chunk {chunk}"
+                    );
+                }
+                // Alternate single pulls with fills of varying size.
+                let mut m = mk();
+                let mut got = Vec::new();
+                let mut buf = [Op::Compute(0); 5];
+                for k in 0.. {
+                    if k % 2 == 0 {
+                        match m.next_op() {
+                            Some(op) => got.push(op),
+                            None => break,
+                        }
+                    } else {
+                        let len = 1 + k % buf.len();
+                        let n = m.fill(&mut buf[..len]);
+                        got.extend_from_slice(&buf[..n]);
+                        if n < len {
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(got, want, "mixed, sides {na}/{nb}, batch {side_ops}");
+            }
+        }
     }
 
     #[test]
     fn interleave_alternates_then_drains() {
         let a = (0..3).map(Op::Compute);
         let b = (10..12).map(Op::Compute);
-        let got: Vec<_> = Interleave::new(a, b).collect();
+        let got = drain_next(&mut Interleave::new(a, b));
         assert_eq!(
             got,
             vec![

@@ -116,6 +116,25 @@ if ! cmp -s "$det_dir/all_jobs1.txt" "$det_dir/all_jobs2.txt"; then
     diff "$det_dir/all_jobs1.txt" "$det_dir/all_jobs2.txt" >&2 || true
     exit 1
 fi
+# `all` records one summed BENCH_repro.json entry, so the same command set
+# (repro's COMMANDS list) runs cold once more, command by command, and every
+# command that simulates must record non-zero `sim_cycles` — including the
+# figures that boot their own machines instead of running cell batches.
+# Exempt:
+#   gc-journal  compacts the cell journal; it simulates nothing (not run).
+#   fig12       prints fig11's matrix, which the same invocation simulated.
+#   fig14       prints fig13's sweep, which the same invocation simulated.
+commands=$(sed -n '/^const COMMANDS/,/";$/p' crates/bench/src/bin/repro.rs \
+    | sed 's/.*= "//; s/";$//; s/\\$//' | tr -s ' \n' '\n\n' | grep -v -x -e all -e gc-journal -e '')
+# shellcheck disable=SC2086 # $commands is a word list on purpose
+(cd "$det_dir" && rm -f BENCH_repro.json && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" \
+    --scale 0.1 $commands > per_command.txt 2> /dev/null)
+zero=$(sed -n 's/.*"name": "\([^"]*\)", "wall_ms": [0-9.]*, "sim_cycles": 0,.*/\1/p' "$det_dir/BENCH_repro.json" \
+    | grep -v -x -e fig12 -e fig14 || true)
+if [ -n "$zero" ]; then
+    echo "FAIL: commands that simulate recorded \"sim_cycles\": 0:" $zero >&2
+    exit 1
+fi
 rm -rf "$det_dir"
 
 echo "== sim-cache smoke =="
