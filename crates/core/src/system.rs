@@ -91,11 +91,15 @@ struct TaskEntry {
 /// call (address space, pinned core) and a one-entry memo of the task's last
 /// translation, checked before the table. Coherence is generation-based:
 /// the kernel bumps its [`translation_epoch`](Kernel::translation_epoch)
-/// whenever an existing translation dies (`munmap`, recolor migration); the
-/// table then advances its own 32-bit generation, which strands every slot
-/// and every memo filled under the old one — exactly the
+/// whenever a translation dies in a space that lives on (`munmap`, recolor
+/// migration); the table then advances its own 32-bit generation, which
+/// strands every slot and every memo filled under the old one — the
 /// shoot-down-everything model of a hardware TLB without ASID tracking, and
-/// cheap because remap events are rare next to accesses. A memo is a copy of
+/// cheap because remap events are rare next to accesses. A whole space's
+/// teardown at exit does not bump the epoch: keys carry the `VmId`, which
+/// the kernel never reissues, and a dead task's entry is dropped
+/// ([`System::exit`], [`System::oom_kill`], [`System::kernel_mut`]), so the
+/// dead space's slots are unreachable and age out by eviction. A memo is a copy of
 /// a translation that was current under its generation, so it is live
 /// exactly when a table slot filled at the same moment would be. When the
 /// generation wraps, the table and every memo are swept once, so a stale
@@ -389,11 +393,18 @@ impl System {
     }
 
     /// Mutable kernel access for kernel-level experiments (raw syscalls,
-    /// fuzzing). The software TLB follows the kernel's translation epoch, so
-    /// direct kernel mutations stay coherent with later [`System::access`]
-    /// calls — but heap metadata is *not* aware of raw kernel changes, so
-    /// don't unmap regions the heap owns.
+    /// fuzzing). The software TLB follows the kernel's translation epoch for
+    /// translations that die in a live space (`munmap`, recolor migration),
+    /// and this call drops every cached task entry, memos included: a task
+    /// destroyed through the returned kernel skips [`System::exit`]'s
+    /// cleanup, so its next access must reach the kernel and read `ESRCH`
+    /// (a surviving CLONE_VM sibling may refill the shared space's slots,
+    /// which a generation advance alone would not stop). Live tasks
+    /// re-cache their entry on their next access; table slots stay. Heap
+    /// metadata is *not* aware of raw kernel changes, so don't unmap regions
+    /// the heap owns.
     pub fn kernel_mut(&mut self) -> &mut Kernel {
+        self.tlb.tasks.clear();
         &mut self.kernel
     }
 
@@ -468,11 +479,13 @@ impl System {
         }
     }
 
-    /// Exit a task: drop its heap arena and cached TLB task entry, then let
-    /// the kernel run the full reclamation — address-space teardown when the
-    /// last sharer exits, provenance-routed frame returns, TCB removal, and
-    /// a translation-epoch bump that strands every cached translation of the
-    /// torn-down space. Heap metadata needs no unwinding of its own: all
+    /// Exit a task: let the kernel run the full reclamation — address-space
+    /// teardown when the last sharer exits, provenance-routed frame returns,
+    /// TCB removal — then drop the task's heap arena and cached TLB task
+    /// entry. The TLB is not flushed: the torn-down space's slots keep their
+    /// generation, but its `VmId` is never reissued and the dead tid's entry
+    /// is gone, so no lookup can reach them; every other space's slots and
+    /// memos stay live. Heap metadata needs no unwinding of its own: all
     /// heap memory lives in the task's address space, which the kernel
     /// reclaims wholesale.
     pub fn exit(&mut self, tid: Tid) -> Result<(), Errno> {
@@ -861,6 +874,94 @@ mod tests {
         assert_eq!(s.kernel().stats().oom_kills, 1);
         assert_eq!(s.kernel().pool_snapshot(), baseline, "kill reclaims all");
         s.check_invariants();
+    }
+
+    #[test]
+    fn tenant_exit_leaves_other_tenants_translations_live() {
+        let mut s = sys();
+        let a = s.spawn(CoreId(0));
+        let b = s.spawn(CoreId(2));
+        s.set_mem_color(b, BankColor(1)).unwrap();
+        let pa = s.malloc(a, 4 * 4096).unwrap();
+        let pb = s.malloc(b, 4 * 4096).unwrap();
+        s.access(a, pa.offset(4096), Rw::Write, 0).unwrap();
+        s.access(a, pa, Rw::Write, 0).unwrap();
+        s.access(b, pb, Rw::Write, 0).unwrap();
+        let generation = s.tlb.generation;
+        let entry = s.tlb.tasks[a.0 as usize].unwrap();
+        assert_eq!(
+            (entry.memo_page, entry.memo_generation),
+            (pa.page().0, generation)
+        );
+
+        // B's space is torn down with a resident page; A's cached state
+        // must survive it untouched.
+        s.exit(b).unwrap();
+        s.access(a, pa, Rw::Read, 0).unwrap();
+        assert_eq!(s.tlb.generation, generation, "no generation advance");
+        let entry = s.tlb.tasks[a.0 as usize].unwrap();
+        assert_eq!(
+            (entry.memo_page, entry.memo_generation),
+            (pa.page().0, generation),
+            "A's last-page memo is still live"
+        );
+        assert!(
+            s.tlb
+                .lookup(entry.vm_key, pa.offset(4096).page().0)
+                .is_some(),
+            "A's table slot is still live"
+        );
+        assert_eq!(s.translate(a, pa).unwrap(), s.resolve(a, pa).unwrap());
+        assert_eq!(s.access(b, pb, Rw::Read, 0), Err(Errno::Esrch));
+        s.check_invariants();
+    }
+
+    #[test]
+    fn task_destroyed_behind_the_systems_back_reads_esrch() {
+        let mut s = sys();
+        // A lone tenant: its space dies with it.
+        let t = s.spawn(CoreId(0));
+        let a = s.malloc(t, 4 * 4096).unwrap();
+        s.access(t, a, Rw::Write, 0).unwrap();
+        s.kernel_mut().destroy_task(t).unwrap();
+        assert_eq!(s.access(t, a, Rw::Read, 0), Err(Errno::Esrch));
+        assert_eq!(s.translate(t, a), Err(Errno::Esrch));
+
+        // A CLONE_VM thread: the space lives on, and the surviving leader
+        // refills the shared page's slot after the thread is gone.
+        let leader = s.spawn(CoreId(0));
+        let worker = s.spawn_thread(CoreId(2), leader).unwrap();
+        let b = s.malloc(leader, 4 * 4096).unwrap();
+        s.access(worker, b, Rw::Write, 0).unwrap();
+        s.kernel_mut().destroy_task(worker).unwrap();
+        assert!(!s.access(leader, b, Rw::Read, 0).unwrap().faulted);
+        assert_eq!(s.access(worker, b, Rw::Read, 0), Err(Errno::Esrch));
+        assert_eq!(s.translate(worker, b), Err(Errno::Esrch));
+        assert_eq!(
+            s.translate(leader, b).unwrap(),
+            s.resolve(leader, b).unwrap()
+        );
+    }
+
+    #[test]
+    fn munmap_of_a_resident_page_strands_its_slot() {
+        let mut s = sys();
+        let t = s.spawn(CoreId(0));
+        // > 2048 bytes: page-granular, so `free` munmaps.
+        let a = s.malloc(t, 4 * 4096).unwrap();
+        let b = s.malloc(t, 4 * 4096).unwrap();
+        s.access(t, a, Rw::Write, 0).unwrap();
+        s.access(t, b, Rw::Write, 0).unwrap();
+        let vm_key = s.tlb.tasks[t.0 as usize].unwrap().vm_key;
+        assert!(s.tlb.lookup(vm_key, a.page().0).is_some());
+        s.free(t, a).unwrap();
+        s.tlb.sync(s.kernel().translation_epoch());
+        assert!(
+            s.tlb.lookup(vm_key, a.page().0).is_none(),
+            "the unmapped page's slot is stranded"
+        );
+        assert_eq!(s.access(t, a, Rw::Read, 0), Err(Errno::Efault));
+        assert!(!s.access(t, b, Rw::Read, 0).unwrap().faulted);
     }
 
     #[test]

@@ -206,6 +206,57 @@ impl BuddyAllocator {
         assert!(inserted, "double free of block {start:#x} at order {order}");
     }
 
+    /// Free a batch of order-0 frames, coalescing in bulk: sort, then per
+    /// order pair the batch's own buddies and look the rest up in that
+    /// order's free list — one set operation per merged or final block, and
+    /// the survivors of each order (still sorted) are the next order's
+    /// input, compacted in place. The free lists are canonical (no two free
+    /// buddies at one order), so the result equals freeing the frames one at
+    /// a time in any order. Panics on a frame named twice in the batch or
+    /// beyond memory; like [`Self::free`], it cannot see a frame that lies
+    /// inside a block that is already free.
+    pub fn free_frames(&mut self, mut frames: Vec<FrameNumber>) {
+        frames.sort_unstable();
+        let Some(&last) = frames.last() else {
+            return;
+        };
+        assert!(last.0 < self.frame_count, "free beyond memory");
+        if let Some(w) = frames.windows(2).find(|w| w[0] == w[1]) {
+            panic!("double free of frame {} in one batch", w[0]);
+        }
+        self.free_pages += frames.len() as u64;
+        let mut len = frames.len();
+        for order in 0..=MAX_ORDER {
+            let size = 1u64 << order;
+            let list = &mut self.free_lists[order as usize];
+            let (mut read, mut write) = (0, 0);
+            while read < len {
+                let start = frames[read].0;
+                read += 1;
+                if order < MAX_ORDER {
+                    let buddy = start ^ size;
+                    let merged = if buddy > start && read < len && frames[read].0 == buddy {
+                        read += 1;
+                        true
+                    } else {
+                        buddy + size <= self.frame_count && list.remove(&buddy)
+                    };
+                    if merged {
+                        frames[write] = FrameNumber(start & !size);
+                        write += 1;
+                        continue;
+                    }
+                }
+                let inserted = list.insert(start);
+                assert!(inserted, "double free of block {start:#x} at order {order}");
+            }
+            len = write;
+            if len == 0 {
+                break;
+            }
+        }
+    }
+
     /// The free frames among the 64 starting at `base` (a multiple of 64),
     /// as a bitmask: bit `i` set ⇔ frame `base + i` lies in a free block.
     /// One ordered-set query per order — a `range` for the blocks smaller
@@ -362,6 +413,32 @@ mod tests {
         // f0 is a detectable duplicate insert.
         b.free(f0, 0);
         b.free(f0, 0);
+    }
+
+    #[test]
+    fn free_frames_coalesces_a_batch_and_ignores_an_empty_one() {
+        let mut b = BuddyAllocator::new(64);
+        let frames: Vec<_> = (0..64).map(|_| b.alloc(0).unwrap()).collect();
+        b.free_frames(Vec::new());
+        assert_eq!(b.free_pages(), 0);
+        // Reversed, so no frame meets its buddy in address order.
+        b.free_frames(frames.into_iter().rev().collect());
+        assert_eq!(b.free_pages(), 64);
+        assert_eq!(b.free_blocks(6), 1, "one order-6 block");
+        b.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "double free of frame pfn:0x5 in one batch")]
+    fn free_frames_rejects_a_frame_named_twice() {
+        // Freed singly, 5 and then 4 coalesce into the order-1 block at 4,
+        // and the repeat of 5 lands inside it, where `free` cannot see it;
+        // the batch's adjacent compare after the sort catches it.
+        let mut b = BuddyAllocator::new(16);
+        for f in 0..16 {
+            assert!(b.alloc_specific(FrameNumber(f)));
+        }
+        b.free_frames(vec![FrameNumber(5), FrameNumber(4), FrameNumber(5)]);
     }
 
     #[test]

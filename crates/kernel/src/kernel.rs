@@ -162,14 +162,24 @@ pub struct Kernel {
     /// Address spaces; threads created with [`Kernel::create_thread`] share
     /// their group leader's entry (CLONE_VM).
     vms: Vec<AddressSpace>,
+    /// `sharers[vm]`: live tasks using address space `vm` — 1 at
+    /// `create_task`, +1 per `create_thread`, −1 per `destroy_task`, which
+    /// tears the space down at 0. Redundant with the task table
+    /// ([`Kernel::check_invariants`] recounts it) so that an exit learns
+    /// whether it was the last sharer in O(1).
+    sharers: Vec<u32>,
     next_tid: u64,
     costs: KernelCosts,
     stats: KernelStats,
-    /// Bumped whenever an existing virtual→physical translation is destroyed
-    /// or changed (`munmap`, recolor migration). Software TLBs above the
-    /// kernel ([`tintmalloc::System`]) compare this against their snapshot
-    /// and flush on mismatch — installing a *new* translation never bumps it,
-    /// so fault-heavy phases keep their TLB warm.
+    /// Bumped whenever an existing virtual→physical translation of a space
+    /// that lives on is destroyed or changed (`munmap`, recolor migration).
+    /// Software TLBs above the kernel ([`tintmalloc::System`]) compare this
+    /// against their snapshot and flush on mismatch — installing a *new*
+    /// translation never bumps it, so fault-heavy phases keep their TLB
+    /// warm. Tearing a whole space down at the last sharer's exit does not
+    /// bump it either: `VmId`s are never reissued, so once the cache above
+    /// has dropped the dead tasks, no lookup can present the dead space's
+    /// key again.
     translation_epoch: u64,
     /// Armed fault-injection state; `None` (the default) costs one branch
     /// per injection site and keeps behaviour bit-identical to a kernel
@@ -210,7 +220,9 @@ const RMAP_PAGE_BITS: u32 = 44;
 /// tests can prove each detection path of [`Kernel::check_invariants`] and
 /// [`Kernel::audit_step`] fires. Every variant except
 /// [`Corruption::ResidentCounter`] keeps the frame-conservation counters
-/// balanced, so only the per-frame checks can catch it.
+/// balanced, so only the per-frame checks can catch it;
+/// [`Corruption::Sharers`] touches no frame, and only
+/// [`Kernel::check_invariants`] catches it.
 #[cfg(any(test, feature = "test-hooks"))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corruption {
@@ -229,6 +241,8 @@ pub enum Corruption {
     ResidentCounter,
     /// Set the frame's color-membership bit without listing the frame.
     ParkedBit(FrameNumber),
+    /// Count one sharer more than the address space has live tasks.
+    Sharers(VmId),
 }
 
 /// [`TaskTable::slot`] entry of a tid that is not live.
@@ -336,6 +350,7 @@ impl Kernel {
             colors,
             tasks: TaskTable::default(),
             vms: Vec::new(),
+            sharers: Vec::new(),
             next_tid: 1,
             topology,
             costs,
@@ -391,7 +406,10 @@ impl Kernel {
     }
 
     /// Current translation epoch. Any cached virtual→physical translation
-    /// obtained at an older epoch may be stale and must be dropped.
+    /// obtained at an older epoch may be stale and must be dropped. A space
+    /// torn down by [`Kernel::destroy_task`] does not advance it: a cache
+    /// keyed by [`VmId`] must instead stop serving the dead tids, whose
+    /// space is never reissued.
     pub fn translation_epoch(&self) -> u64 {
         self.translation_epoch
     }
@@ -442,7 +460,9 @@ impl Kernel {
     /// * every resident page lies inside a VMA of its address space;
     /// * the frames owned by none of those structures are exactly the
     ///   untracked pool (boot noise + outstanding raw blocks);
-    /// * the reverse map is the exact inverse of the page tables.
+    /// * the reverse map is the exact inverse of the page tables;
+    /// * each address space's sharer count is the number of live tasks
+    ///   naming it.
     pub fn check_invariants(&self) {
         self.buddy.check_invariants();
         self.colors.check_invariants();
@@ -491,11 +511,17 @@ impl Kernel {
                 );
             }
         }
+        let mut sharers = vec![0u32; self.vms.len()];
         for t in self.tasks.iter() {
+            sharers[t.vm.0] += 1;
             for &f in &t.pcp {
                 claim(f.0..f.0 + 1, 4, "pcp batch");
             }
         }
+        assert!(
+            sharers == self.sharers,
+            "per-space sharer counts drifted from the task table"
+        );
         assert_eq!(
             claimed + self.untracked_pages,
             self.mapping.frame_count(),
@@ -803,6 +829,7 @@ impl Kernel {
             Corruption::ClearRmap(f) => self.rmap[f.0 as usize] = RMAP_NONE,
             Corruption::ResidentCounter => self.resident_pages -= 1,
             Corruption::ParkedBit(f) => self.colors.corrupt_member_bit(f),
+            Corruption::Sharers(vm) => self.sharers[vm.0] += 1,
         }
     }
 
@@ -816,6 +843,7 @@ impl Kernel {
         assert!(core.index() < self.topology.core_count(), "no such core");
         let vm = VmId(self.vms.len());
         self.vms.push(AddressSpace::new());
+        self.sharers.push(1);
         let tid = Tid(self.next_tid);
         self.next_tid += 1;
         self.tasks.insert(TaskStruct::new(tid, core, vm));
@@ -835,6 +863,7 @@ impl Kernel {
         let mut t = TaskStruct::new(tid, core, vm);
         t.inherit_from(self.task(leader)?);
         self.tasks.insert(t);
+        self.sharers[vm.0] += 1;
         Ok(tid)
     }
 
@@ -845,24 +874,26 @@ impl Kernel {
     }
 
     /// Tear a task down: remove its TCB, drain its pcp batch back to the
-    /// buddy allocator and — when it was the last CLONE_VM sharer — tear its
-    /// address space down, returning every frame to the pool recorded in its
-    /// PTE. When the last *colored* task leaves, the color matrix is nothing
-    /// but a cache of free pages, so it drains back to the buddy allocator:
+    /// buddy allocator in one [`BuddyAllocator::free_frames`] batch and —
+    /// when it was the last CLONE_VM sharer, which a per-space sharer count
+    /// answers in O(1) — tear its address space down, returning every frame
+    /// to the pool recorded in its PTE. The teardown does not bump the
+    /// translation epoch (see [`Kernel::translation_epoch`]). When the last
+    /// *colored* task leaves, the color matrix is nothing but a cache of
+    /// free pages, so it drains back to the buddy allocator in one batch:
     /// after arbitrary churn the free-pool populations return to their
-    /// post-boot baseline (zero leaked frames, zero pool skew).
+    /// post-boot baseline (zero leaked frames, zero pool skew). The cost is
+    /// O(what the task owned), plus one walk of the live tasks for the
+    /// colored-task test.
     pub fn destroy_task(&mut self, tid: Tid) -> Result<(), Errno> {
-        let mut task = self.tasks.remove(tid).ok_or(Errno::Esrch)?;
-        for f in task.pcp.drain(..) {
-            self.buddy.free(f, 0);
-        }
+        let task = self.tasks.remove(tid).ok_or(Errno::Esrch)?;
+        self.buddy.free_frames(Vec::from(task.pcp));
         let vm = task.vm;
-        if !self.tasks.iter().any(|t| t.vm == vm) {
+        self.sharers[vm.0] -= 1;
+        if self.sharers[vm.0] == 0 {
+            // No epoch bump: `VmId`s are never reissued, so no live task can
+            // name the dead space again and caches above need not flush.
             let ptes = self.vms[vm.0].teardown();
-            if !ptes.is_empty() {
-                // Existing translations died: caches above must flush.
-                self.translation_epoch += 1;
-            }
             self.resident_pages -= ptes.len() as u64;
             for pte in ptes {
                 self.rmap_clear(pte.frame);
@@ -870,9 +901,7 @@ impl Kernel {
             }
         }
         if !self.tasks.iter().any(|t| t.coloring_active()) {
-            for f in self.colors.drain_all() {
-                self.buddy.free(f, 0);
-            }
+            self.buddy.free_frames(self.colors.drain_all());
         }
         Ok(())
     }
@@ -2600,14 +2629,28 @@ mod tests {
     }
 
     #[test]
-    fn exit_bumps_translation_epoch_when_pages_were_resident() {
+    fn teardown_leaves_the_epoch_alone_and_munmap_bumps_it() {
         let mut k = kernel();
-        let tid = k.create_task(CoreId(0));
-        let base = k.sys_mmap(tid, 0, 4096, 0).unwrap();
-        k.translate(tid, base).unwrap();
+        let a = k.create_task(CoreId(0));
+        let b = k.create_task(CoreId(2));
+        let base_a = k.sys_mmap(a, 0, 4096, 0).unwrap();
+        let untouched = k.sys_mmap(a, 0, 4096, 0).unwrap();
+        let base_b = k.sys_mmap(b, 0, 4096, 0).unwrap();
+        k.translate(a, base_a).unwrap();
+        k.translate(b, base_b).unwrap();
         let epoch = k.translation_epoch();
-        k.sys_exit(tid).unwrap();
-        assert!(k.translation_epoch() > epoch, "stale TLB entries shot down");
+        // B's space dies whole with resident pages: its VmId is never
+        // reissued, so no cache above needs a flush.
+        k.sys_exit(b).unwrap();
+        assert_eq!(k.translation_epoch(), epoch, "teardown does not bump");
+        // A translation dying in a space that lives on still does.
+        k.sys_munmap(a, base_a, 4096).unwrap();
+        assert!(k.translation_epoch() > epoch, "munmap of a resident page");
+        // Unmapping a never-touched page destroys no translation.
+        let epoch = k.translation_epoch();
+        k.sys_munmap(a, untouched, 4096).unwrap();
+        assert_eq!(k.translation_epoch(), epoch);
+        k.check_invariants();
     }
 
     #[test]
@@ -2627,6 +2670,50 @@ mod tests {
         k.sys_exit(leader).unwrap();
         assert_eq!(k.pool_snapshot(), baseline);
         k.check_invariants();
+    }
+
+    #[test]
+    fn shared_space_dies_exactly_at_the_last_of_three_exits() {
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let mut k = kernel();
+            let baseline = k.pool_snapshot();
+            let leader = colored_task(&mut k, 0, 1, 2);
+            let team = [
+                leader,
+                k.create_thread(CoreId(1), leader).unwrap(),
+                k.create_thread(CoreId(2), leader).unwrap(),
+            ];
+            let vm = k.task(leader).unwrap().vm;
+            // Each member maps and touches its own region of the space.
+            for &tid in &team {
+                let base = k.sys_mmap(tid, 0, 3 * PAGE_SIZE, 0).unwrap();
+                for p in 0..3u64 {
+                    k.translate(tid, base.offset(p * PAGE_SIZE)).unwrap();
+                }
+            }
+            assert_eq!(k.vm(vm).resident_pages(), 9);
+            k.check_invariants();
+            for (i, &who) in order.iter().enumerate() {
+                k.sys_exit(team[who]).unwrap();
+                let last = i == team.len() - 1;
+                assert_eq!(
+                    k.vm(vm).resident_pages(),
+                    if last { 0 } else { 9 },
+                    "order {order:?}: exit {i} of {who}"
+                );
+                assert_eq!(k.vm(vm).vma_count(), if last { 0 } else { 3 });
+                k.check_invariants();
+            }
+            assert_eq!(k.pool_snapshot(), baseline, "order {order:?}");
+        }
     }
 
     #[test]
@@ -2946,6 +3033,18 @@ mod tests {
     fn check_invariants_catches_a_frame_claimed_twice() {
         let (mut k, _, _, _, free) = populated();
         k.corrupt(Corruption::ParkInColors(free));
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer counts drifted")]
+    fn check_invariants_catches_a_drifted_sharer_count() {
+        let mut k = kernel();
+        let leader = k.create_task(CoreId(0));
+        k.create_thread(CoreId(2), leader).unwrap();
+        k.check_invariants();
+        let vm = k.task(leader).unwrap().vm;
+        k.corrupt(Corruption::Sharers(vm));
         k.check_invariants();
     }
 

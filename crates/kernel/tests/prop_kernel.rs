@@ -533,6 +533,69 @@ fn free_word_matches_contains_frame() {
     }
 }
 
+/// `free_frames` of a batch leaves exactly the free lists and free-page
+/// count that freeing the same frames one at a time, in random order,
+/// leaves: the free lists are canonical, so the order of coalescing cannot
+/// matter. States are fragmented by `alloc`, `alloc_specific` and
+/// `take_block` on 32 to 16 384 frames, unaligned totals included; the
+/// batch is a random subset of the allocated frames (frames of one
+/// allocated block may be freed singly, as a buddy allocator allows).
+#[test]
+fn free_frames_equals_freeing_one_frame_at_a_time() {
+    let mut rng = SplitMix64::new(0xba7c);
+    for case in 0..CASES {
+        let frames = [32, 96, 512, 3000, 1 << 13, 1 << 14][rng.gen_range(6) as usize];
+        let mut b = BuddyAllocator::new(frames);
+        for _ in 0..rng.gen_range_in(1, 400) {
+            match rng.gen_range(3) {
+                0 => {
+                    b.alloc(rng.gen_range(MAX_ORDER as u64 + 1) as u32);
+                }
+                1 => {
+                    b.alloc_specific(FrameNumber(rng.gen_range(frames)));
+                }
+                _ => {
+                    let order = rng.gen_range(MAX_ORDER as u64 + 1) as u32;
+                    let n = b.free_blocks(order) as u64;
+                    if n > 0 {
+                        let start = b.blocks(order).nth(rng.gen_range(n) as usize).unwrap();
+                        b.take_block(order, start);
+                    }
+                }
+            }
+        }
+        let allocated: Vec<FrameNumber> = (0..frames)
+            .map(FrameNumber)
+            .filter(|&f| !b.contains_frame(f))
+            .collect();
+        let keep = rng.gen_range_in(1, 101);
+        let mut batch: Vec<FrameNumber> = allocated
+            .into_iter()
+            .filter(|_| rng.gen_range(100) < keep)
+            .collect();
+        for i in (1..batch.len()).rev() {
+            batch.swap(i, rng.gen_range(i as u64 + 1) as usize);
+        }
+
+        let mut bulk = b.clone();
+        bulk.free_frames(batch.clone());
+        let mut single = b;
+        for &f in &batch {
+            single.free(f, 0);
+        }
+        bulk.check_invariants();
+        single.check_invariants();
+        assert_eq!(bulk.free_pages(), single.free_pages(), "case {case}");
+        for order in 0..=MAX_ORDER {
+            assert!(
+                bulk.blocks(order).eq(single.blocks(order)),
+                "case {case}: {frames} frames, {} freed, order {order} differs",
+                batch.len()
+            );
+        }
+    }
+}
+
 /// On random kernel states, a full wrap of `audit_step` — any window of
 /// 1..=frames, any start, wrapping — passes exactly when
 /// `check_invariants` passes: on the clean state (both pass) and after

@@ -88,14 +88,15 @@ echo "== cold benchmark tests =="
 cargo test --release --offline -q --manifest-path coldbench/Cargo.toml
 
 echo "== determinism smoke =="
-# Two cold runs each of the page-migration ablation and of a short soak
-# must print byte-identical output: recoloring migrates pages in a fixed
-# order, and the soak's OOM kills and exits walk the kernel's task table,
-# so any dependence on hash-map or table iteration order (or other
-# per-process state) shows up here. Then the whole command set must print
-# the same at --jobs 1 and --jobs 2.
+# Two cold runs each of the page-migration ablation, a short soak and a
+# short churn must print byte-identical output: recoloring migrates pages
+# in a fixed order, the soak's OOM kills and exits walk the kernel's task
+# table, and churn exits drain pcp batches and the color matrix back to
+# the buddy allocator in bulk, so any dependence on hash-map or table
+# iteration order (or other per-process state) shows up here. Then the
+# whole command set must print the same at --jobs 1 and --jobs 2.
 det_dir=$(mktemp -d)
-for cmd in "ablate-migrate" "--scale 0.1 soak"; do
+for cmd in "ablate-migrate" "--scale 0.1 soak" "--scale 0.1 churn"; do
     for run in 1 2; do
         # shellcheck disable=SC2086 # $cmd is a word list on purpose
         (cd "$det_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" $cmd > "run$run.txt" 2> /dev/null)
