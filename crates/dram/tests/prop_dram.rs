@@ -35,7 +35,7 @@ fn completions_are_causal_and_banks_serialize() {
         let m = MachineConfig::opteron_6128();
         let mut dram = DramSystem::new(m.mapping, m.dram);
         let mut now = 0u64;
-        let mut last_done_per_bank = std::collections::HashMap::new();
+        let mut last_done_per_bank = std::collections::BTreeMap::new();
         for (bc, llc, row, gap) in accs {
             now += gap;
             let addr = m

@@ -143,7 +143,7 @@ fn colored_pages_always_match_task_colors() {
         k.sys_mmap(t, SET_LLC_COLOR | llc as u64, 0, COLOR_ALLOC)
             .unwrap();
         let base = k.sys_mmap(t, 0, pages * PAGE_SIZE, 0).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in 0..pages {
             let tr = k.translate(t, base.offset(p * PAGE_SIZE)).unwrap();
             let d = k.mapping().decode_frame(tr.phys.frame());
@@ -630,6 +630,99 @@ fn a_full_audit_wrap_agrees_with_check_invariants() {
     assert!(
         corrupted > CASES,
         "corruptions were exercised ({corrupted})"
+    );
+}
+
+/// Every [`Corruption`] variant, by index: a new variant fails to compile
+/// here until the differential property below seeds it.
+fn variant(c: Corruption) -> usize {
+    match c {
+        Corruption::ParkInColors(_) => 0,
+        Corruption::BatchInPcp(..) => 1,
+        Corruption::Rmap(..) => 2,
+        Corruption::ClearRmap(_) => 3,
+        Corruption::ResidentCounter => 4,
+        Corruption::ParkedBit(_) => 5,
+        Corruption::Sharers(_) => 6,
+        Corruption::PcpFrames => 7,
+    }
+}
+
+/// Seeded corruptions of every variant for `k`: the auditor's list, the
+/// drifted counts and an erased rmap entry, plus variants aimed at random
+/// frames. A random aim is sometimes harmless (re-parking the front page,
+/// re-batching the last batched frame, rewriting an entry to its own
+/// value, clearing an empty entry, setting a bit already set, swapping an
+/// untracked frame into a batch), so both outcomes of the checks are
+/// exercised.
+fn every_corruption(k: &Kernel, live: &[Tenant], rng: &mut SplitMix64) -> Vec<Corruption> {
+    let mut out = applicable_corruptions(k, live);
+    out.push(Corruption::PcpFrames);
+    let total = k.mapping().frame_count();
+    let vms: Vec<VmId> = live.iter().map(|t| k.task(t.tid).unwrap().vm).collect();
+    let batched: Vec<Tid> = live
+        .iter()
+        .map(|t| t.tid)
+        .filter(|&t| k.task(t).unwrap().pcp_pages() > 0)
+        .collect();
+    if let Some(&vm) = vms.first() {
+        out.push(Corruption::Sharers(vm));
+        if let Some((_, f)) = k.vm(vm).resident().next() {
+            out.push(Corruption::ClearRmap(f));
+        }
+    }
+    for _ in 0..8 {
+        let f = FrameNumber(rng.gen_range(total));
+        out.push(Corruption::ClearRmap(f));
+        out.push(Corruption::ParkedBit(f));
+        if k.color_lists().pages() > 0 {
+            out.push(Corruption::ParkInColors(f));
+        }
+        if !batched.is_empty() {
+            let t = batched[rng.gen_range(batched.len() as u64) as usize];
+            out.push(Corruption::BatchInPcp(t, f));
+        }
+        if !vms.is_empty() {
+            let vm = vms[rng.gen_range(vms.len() as u64) as usize];
+            let resident: Vec<PageNumber> = k.vm(vm).resident().map(|(p, _)| p).collect();
+            let page = match resident.len() {
+                0 => PageNumber(rng.gen_range(1 << 20)),
+                n => resident[rng.gen_range(n as u64) as usize],
+            };
+            out.push(Corruption::Rmap(f, vm, page));
+        }
+    }
+    out
+}
+
+/// The word-at-a-time `check_invariants` panics exactly when the per-frame
+/// reference check does: on random kernel states (32 to 1 024 frames)
+/// uncorrupted, and after each seeded corruption of every variant.
+#[test]
+fn check_invariants_panics_exactly_when_the_reference_does() {
+    let mut rng = SplitMix64::new(0xd1ff);
+    let (mut seen, mut caught, mut harmless) = ([false; 8], 0, 0);
+    for _ in 0..CASES {
+        let (k, live) = arb_kernel_state(&mut rng);
+        assert!(passes(|| k.check_invariants_reference()), "clean reference");
+        assert!(passes(|| k.check_invariants()), "clean state");
+        for c in every_corruption(&k, &live, &mut rng) {
+            seen[variant(c)] = true;
+            let mut bad = k.clone();
+            bad.corrupt(c);
+            let reference = passes(|| bad.check_invariants_reference());
+            assert_eq!(passes(|| bad.check_invariants()), reference, "{c:?}");
+            if reference {
+                harmless += 1;
+            } else {
+                caught += 1;
+            }
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "every variant seeded: {seen:?}");
+    assert!(
+        caught > CASES && harmless > CASES,
+        "both outcomes exercised (caught {caught}, harmless {harmless})"
     );
 }
 

@@ -39,9 +39,9 @@ fn main() {
     // Plain malloc() now returns colored memory: no per-call color argument.
     for (name, tid, want_node) in [("t0", t0, 0usize), ("t1", t1, 3usize)] {
         let buf = sys.malloc(tid, 64 * 1024).unwrap();
-        let mut nodes = std::collections::HashSet::new();
-        let mut banks = std::collections::HashSet::new();
-        let mut llcs = std::collections::HashSet::new();
+        let mut nodes = std::collections::BTreeSet::new();
+        let mut banks = std::collections::BTreeSet::new();
+        let mut llcs = std::collections::BTreeSet::new();
         for page in 0..16u64 {
             let pa = sys.resolve(tid, buf.offset(page * 4096)).unwrap();
             let d = m.mapping.decode_frame(pa.frame());
@@ -63,8 +63,8 @@ fn main() {
     let t2 = sys.spawn(CoreId(4));
     sys.set_policy(t2, HeapPolicy::FirstTouch).unwrap();
     let buf = sys.malloc(t2, 256 * 1024).unwrap();
-    let mut banks = std::collections::HashSet::new();
-    let mut llcs = std::collections::HashSet::new();
+    let mut banks = std::collections::BTreeSet::new();
+    let mut llcs = std::collections::BTreeSet::new();
     for page in 0..64u64 {
         let pa = sys.resolve(t2, buf.offset(page * 4096)).unwrap();
         let d = m.mapping.decode_frame(pa.frame());

@@ -21,8 +21,8 @@ fn memllc_plan_is_local_and_disjoint_on_eight_nodes() {
     let m = MachineConfig::eight_node();
     let cores: Vec<CoreId> = m.topology.cores().collect(); // 16 cores, 8 nodes
     let plan = ColorScheme::MemLlc.plan(&m, &cores);
-    let mut seen_banks = std::collections::HashSet::new();
-    let mut seen_llc = std::collections::HashSet::new();
+    let mut seen_banks = std::collections::BTreeSet::new();
+    let mut seen_llc = std::collections::BTreeSet::new();
     for (i, p) in plan.iter().enumerate() {
         assert_eq!(p.mem.len(), 16, "32 node colors / 2 threads per node");
         assert_eq!(p.llc.len(), 2);
