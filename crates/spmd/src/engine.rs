@@ -4,7 +4,7 @@
 //! generic over where threads get their work (a `WorkSource`): one body
 //! per thread for static and serial sections, a shared chunk queue for
 //! dynamic ones. The runnable thread with the smallest clock executes its
-//! next operation; ties break by thread index. Three devices make that
+//! next operation; ties break by thread index. Four devices make that
 //! order cheap to follow without changing it:
 //!
 //! * section bodies hand the engine *runs* of operations through
@@ -13,7 +13,11 @@
 //!   keys with a *still-minimum* fast path;
 //! * a thread's step is one access plus the run of `Compute` ops that
 //!   follows it in the current batch, all fused into the clock before the
-//!   thread is re-keyed.
+//!   thread is re-keyed;
+//! * the next thread is the runner-up the fast path compared against, not
+//!   a read of the tree's root after the re-key, so the next access's
+//!   translation and cache walk need not wait for the previous access's
+//!   latency to pass through the tree.
 //!
 //! The result is bit-identical to the one-op-at-a-time min-heap loops
 //! the engine started from; those loops now live in this crate's tests as
@@ -25,6 +29,13 @@
 //! smaller than every other runnable thread's `(clock, index)` key, that
 //! pop returns *i* again — so the engine just keeps draining thread *i*
 //! and only re-picks when its key rises past the runner-up's.
+//! Why the runner-up pick is exact: a thread leaves the fast path only
+//! when its new key is at or above the runner-up's, or when it dies
+//! (`u64::MAX`). Keys are unique, so after the re-key the runner-up is
+//! the smallest key in the tree — the root a heap loop's pop would read —
+//! and its index was known before the leaving thread's access ran. Only
+//! the new runner-up, which the next fast-path compare needs, is read
+//! back from the tree.
 //! Why compute fusion is safe, also past the runner-up's key: `Compute`
 //! ops touch nothing but the local clock, and the memory system observes
 //! only `(access order, issue cycle)` pairs. A thread that absorbs the
@@ -91,7 +102,8 @@ pub enum Op {
 }
 
 /// Ops the engine requests per [`SectionBody::fill`] call. Large enough to
-/// amortize the virtual call, small enough to stay in L1 (64 × 24 B).
+/// amortize the virtual call, small enough to stay in L1 (64 × 16 B, a
+/// 1 KiB batch).
 pub const BATCH_OPS: usize = 64;
 
 /// A thread's work within one parallel (or serial) section, pulled in
@@ -200,17 +212,26 @@ impl WinnerTree {
     }
 
     /// The global minimum key and the runner-up (`u64::MAX` when no second
-    /// live key exists). Only meaningful while some key is live.
+    /// live key exists; both are `u64::MAX` once every key is dead).
     #[inline]
     fn min2(&self) -> (u64, u64) {
         let m1 = self.t[1];
+        (m1, self.runner_up_of(m1))
+    }
+
+    /// The runner-up behind `m1`, which must be the current minimum: the
+    /// min of the four siblings on `m1`'s leaf-to-root path (`u64::MAX`
+    /// when no second live key exists).
+    #[inline]
+    fn runner_up_of(&self, m1: u64) -> u64 {
+        debug_assert_eq!(self.t[1], m1);
         let mut k = TREE_LEAVES + (m1 & 0xF) as usize;
         let mut m2 = u64::MAX;
         for _ in 0..4 {
             m2 = m2.min(self.t[k ^ 1]);
             k >>= 1;
         }
-        (m1, m2)
+        m2
     }
 
     /// Replace thread `i`'s key and replay its four matches.
@@ -343,8 +364,8 @@ fn run_team<W: WorkSource>(
     let mut live = n;
     let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
     let mut ops = 0u64;
+    let (mut m1, mut runner_up) = tree.min2();
     while live > 0 {
-        let (m1, runner_up) = tree.min2();
         let i = (m1 & 0xF) as usize;
         let tid = threads[i].tid;
         let mut clock = threads[i].clock;
@@ -392,6 +413,14 @@ fn run_team<W: WorkSource>(
             }
         }
         threads[i].clock = clock;
+        // Thread i left at a key at or above the runner-up (or died at
+        // `u64::MAX`), so the runner-up is the new minimum: known before
+        // i's access ran, it lets the next access start while the tree
+        // update above is still settling. Only the next fast-path compare
+        // waits for the tree. (Once every thread is dead, both are
+        // `u64::MAX`.)
+        m1 = runner_up;
+        runner_up = tree.runner_up_of(m1);
     }
     // The implicit barrier: every thread resumes at the latest end time.
     let barrier = end.iter().copied().max().unwrap_or(0);
@@ -681,7 +710,10 @@ mod tests {
 
     /// The winner tree's `(min, runner-up)` equals a brute-force scan
     /// after every leaf update: random clocks, deaths (`u64::MAX`),
-    /// revivals, and teams of 1–16 threads.
+    /// revivals, and teams of 1–16 threads. Half the updates are the
+    /// engine's own: the minimum leaves at a key at or above the runner-up
+    /// (or dies), after which the old runner-up must be the new minimum —
+    /// the invariant `run_team`'s next-thread pick relies on.
     #[test]
     fn winner_tree_matches_brute_force_scan() {
         use tint_hw::rng::SplitMix64;
@@ -704,8 +736,28 @@ mod tests {
             let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
             let mut tree = WinnerTree::new(&threads);
             for step in 0..200 {
-                if keys.iter().any(|&k| k != u64::MAX) {
-                    assert_eq!(tree.min2(), brute(&keys), "case {case} step {step}");
+                let live = keys.iter().any(|&k| k != u64::MAX);
+                if live {
+                    let (m1, m2) = brute(&keys);
+                    assert_eq!(tree.min2(), (m1, m2), "case {case} step {step}");
+                    assert_eq!(tree.runner_up_of(m1), m2, "case {case} step {step}");
+                }
+                if live && rng.gen_range(2) == 0 {
+                    // The minimum leaves past the runner-up, or dies.
+                    let (m1, runner_up) = tree.min2();
+                    let i = (m1 & 0xF) as usize;
+                    keys[i] = if runner_up == u64::MAX || rng.gen_range(5) == 0 {
+                        u64::MAX
+                    } else {
+                        let mut clock = (runner_up >> 4) + rng.gen_range(clock_span);
+                        if pack_key(clock, i) < runner_up {
+                            clock += 1;
+                        }
+                        pack_key(clock, i)
+                    };
+                    tree.set(i, keys[i]);
+                    assert_eq!(tree.t[1], runner_up, "case {case} step {step}");
+                    continue;
                 }
                 let i = rng.gen_range(n as u64) as usize;
                 keys[i] = if rng.gen_range(5) == 0 {

@@ -54,6 +54,12 @@ echo "== fault-injection fuzz (bounded) =="
 # TINT_FUZZ_SEEDS instead.
 TINT_FUZZ_SEEDS=5 cargo test --release -q -p tintmalloc --test fuzz_pressure
 
+echo "== engine differential tests (release) =="
+# The SPMD engine against its one-op-at-a-time oracle, in the optimized
+# build the cold benchmark times: the engine's scheduling shortcuts must
+# hold there too, not only under debug assertions.
+cargo test --release -q -p tint-spmd --test engine_oracle
+
 echo "== repro perf smoke =="
 # Release probe cells at two configurations: one table per config, and the
 # 16t4n record's simulated cycle count is fully deterministic (hard assert
