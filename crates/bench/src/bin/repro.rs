@@ -30,8 +30,9 @@
 //!   all                everything above (except probe and gc-journal)
 //! ```
 //!
-//! Every cell runs the exact simulation: each access walks TLB, caches,
-//! interconnect and DRAM (see `tint_spmd::engine`).
+//! Every cell runs the exact simulation: each access reads its page
+//! table, then walks caches, interconnect and DRAM (see
+//! `tint_spmd::engine`).
 //!
 //! Multiple commands run in sequence within one process, through one
 //! `tint_bench::Harness`. Two layers keep the sequence from repeating

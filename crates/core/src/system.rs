@@ -18,6 +18,7 @@ use tint_hw::machine::MachineConfig;
 use tint_hw::pci::PciConfigSpace;
 use tint_hw::types::{BankColor, CoreId, FrameNumber, LlcColor, PhysAddr, Rw, VirtAddr};
 use tint_kernel::kernel::{COLOR_ALLOC, SET_LLC_COLOR, SET_MEM_COLOR};
+use tint_kernel::task::VmId;
 use tint_kernel::{
     AuditCursor, Errno, ExhaustionPolicy, FaultPlan, HeapPolicy, Kernel, KernelCosts, MemPressure,
     OomKill, Tid, VictimPolicy, Watermarks,
@@ -42,167 +43,24 @@ pub struct System {
     kernel: Kernel,
     mem: MemorySystem,
     /// `tid.0` → the task's heap arena, `None` once it exited (tids are
-    /// small, sequential and never reused, as in [`Tlb::tasks`]). Boxed, so
-    /// a slot costs one word for every tid ever issued, not a whole heap.
+    /// small, sequential and never reused). Boxed, so a slot costs one word
+    /// for every tid ever issued, not a whole heap.
     heaps: Vec<Option<Box<Heap>>>,
-    tlb: Tlb,
-}
-
-/// Slots in the software TLB (direct-mapped).
-const TLB_SLOTS: usize = 1 << 13;
-
-/// Bits of a [`TlbEntry::key`] that hold the virtual page number; the
-/// address-space index sits above them, so it must stay below
-/// `2^(64 − PAGE_BITS)`.
-const PAGE_BITS: u32 = 36;
-
-/// One direct-mapped TLB slot, 16 bytes. A slot is live only when its
-/// `generation` equals the table's current one, so invalidating every
-/// cached translation is a counter bump, not a sweep.
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    /// `vm << PAGE_BITS | page`: the address space and virtual page number.
-    key: u64,
-    /// Frame backing the page.
-    frame: u32,
-    /// Table generation when this slot was filled; 0 never matches.
-    generation: u32,
-}
-
-/// What the TLB keeps per task: the task-struct fields `access` needs every
-/// call, and a memo of the task's last translation in front of the table.
-#[derive(Debug, Clone, Copy)]
-struct TaskEntry {
-    /// The address-space index shifted into place (`vm << PAGE_BITS`).
-    vm_key: u64,
-    /// The core the task is pinned to.
-    core: CoreId,
-    /// The page the task translated last.
-    memo_page: u64,
-    /// The frame backing `memo_page`.
-    memo_frame: u32,
-    /// Table generation when the memo was taken; 0 never matches.
-    memo_generation: u32,
-}
-
-/// Software TLB over [`Kernel::translate`], the [`System::access`] fast
-/// path. A direct-mapped table of (address space, page) → frame
-/// translations plus, per task, the task-struct fields `access` needs every
-/// call (address space, pinned core) and a one-entry memo of the task's last
-/// translation, checked before the table. Coherence is generation-based:
-/// the kernel bumps its [`translation_epoch`](Kernel::translation_epoch)
-/// whenever a translation dies in a space that lives on (`munmap`, recolor
-/// migration); the table then advances its own 32-bit generation, which
-/// strands every slot and every memo filled under the old one — the
-/// shoot-down-everything model of a hardware TLB without ASID tracking, and
-/// cheap because remap events are rare next to accesses. A whole space's
-/// teardown at exit does not bump the epoch: keys carry the `VmId`, which
-/// the kernel never reissues, and a dead task's entry is dropped
-/// ([`System::exit`], [`System::oom_kill`], [`System::kernel_mut`]), so the
-/// dead space's slots are unreachable and age out by eviction. A memo is a copy of
-/// a translation that was current under its generation, so it is live
-/// exactly when a table slot filled at the same moment would be. When the
-/// generation wraps, the table and every memo are swept once, so a stale
-/// slot or memo can never match a reused generation.
-#[derive(Debug, Clone)]
-struct Tlb {
-    /// Direct-mapped slots; conflicting pages simply evict each other.
-    entries: Vec<TlbEntry>,
-    /// Generation live slots carry, in `1..=u32::MAX`.
-    generation: u32,
-    /// The kernel translation epoch `generation` belongs to.
-    epoch: u64,
-    /// `tid.0` → the task's entry; tids are small and sequential. Tasks
-    /// never migrate, and tids are never reused, so an entry's address space
-    /// and core stay valid for the task's whole life; [`System::exit`]
-    /// clears the slot when the task dies.
+    /// `tid.0` → the task's [`TaskEntry`], filled on its first access.
+    /// Tasks never migrate and tids are never reused, so an entry stays
+    /// valid for the task's whole life; [`System::exit`] clears it when the
+    /// task dies.
     tasks: Vec<Option<TaskEntry>>,
 }
 
-/// A slot no lookup matches: generation 0 is never current.
-const DEAD_ENTRY: TlbEntry = TlbEntry {
-    key: u64::MAX,
-    frame: 0,
-    generation: 0,
-};
-
-impl Default for Tlb {
-    fn default() -> Self {
-        Self {
-            entries: vec![DEAD_ENTRY; TLB_SLOTS],
-            generation: 1,
-            epoch: 0,
-            tasks: Vec::new(),
-        }
-    }
-}
-
-impl Tlb {
-    /// Slot index for a translation: per-VM pages stream through distinct
-    /// slots; the multiplied VM key keeps different address spaces from
-    /// colliding on the same low page numbers.
-    #[inline]
-    fn slot(vm_key: u64, page: u64) -> usize {
-        (page ^ (vm_key >> PAGE_BITS).wrapping_mul(0x9E37_79B9)) as usize & (TLB_SLOTS - 1)
-    }
-
-    /// Bring the generation up to the kernel's translation epoch: a new
-    /// epoch means some cached translation died, so every slot goes stale.
-    #[inline]
-    fn sync(&mut self, epoch: u64) {
-        if epoch != self.epoch {
-            self.advance(epoch);
-        }
-    }
-
-    /// Start the generation for a new kernel epoch.
-    #[cold]
-    fn advance(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Wrapped: slots and memos filled 2^32 − 1 generations ago
-            // would match again, so kill them all and start over.
-            self.entries.fill(DEAD_ENTRY);
-            for task in self.tasks.iter_mut().flatten() {
-                task.memo_generation = 0;
-            }
-            self.generation = 1;
-        }
-    }
-
-    /// The cached frame of `page` in the address space `vm_key`, if live.
-    #[inline]
-    fn lookup(&self, vm_key: u64, page: u64) -> Option<u32> {
-        let e = self.entries[Self::slot(vm_key, page)];
-        // A page number wider than its field would alias another space's
-        // key; such an address is never mapped, so it always misses.
-        (e.key == vm_key | page && e.generation == self.generation && page >> PAGE_BITS == 0)
-            .then_some(e.frame)
-    }
-
-    /// Make `page → frame`, current under this generation, task `ti`'s memo.
-    #[inline]
-    fn memoize(&mut self, ti: usize, page: u64, frame: u32) {
-        if let Some(Some(task)) = self.tasks.get_mut(ti) {
-            task.memo_page = page;
-            task.memo_frame = frame;
-            task.memo_generation = self.generation;
-        }
-    }
-
-    /// Cache `page → frame` for the address space `vm_key`.
-    #[inline]
-    fn fill(&mut self, vm_key: u64, page: u64, frame: u32) {
-        if page >> PAGE_BITS != 0 {
-            return;
-        }
-        self.entries[Self::slot(vm_key, page)] = TlbEntry {
-            key: vm_key | page,
-            frame,
-            generation: self.generation,
-        };
-    }
+/// What [`System::access`] keeps per task: the task-struct fields it needs
+/// on every call, so a warm access never looks the task up in the kernel.
+#[derive(Debug, Clone, Copy)]
+struct TaskEntry {
+    /// The task's address space.
+    vm: VmId,
+    /// The core the task is pinned to.
+    core: CoreId,
 }
 
 /// Bridges the user-level heap's page requests to the kernel's `mmap`.
@@ -250,7 +108,7 @@ impl System {
             kernel,
             mem,
             heaps: Vec::new(),
-            tlb: Tlb::default(),
+            tasks: Vec::new(),
         }
     }
 
@@ -301,13 +159,13 @@ impl System {
         self.heaps[ti] = Some(Box::default());
     }
 
-    /// Drop a dead task's heap arena and cached TLB task entry.
+    /// Drop a dead task's heap arena and cached task entry.
     fn forget(&mut self, tid: Tid) {
         let ti = tid.0 as usize;
         if let Some(heap) = self.heaps.get_mut(ti) {
             *heap = None;
         }
-        if let Some(task) = self.tlb.tasks.get_mut(ti) {
+        if let Some(task) = self.tasks.get_mut(ti) {
             *task = None;
         }
     }
@@ -349,9 +207,9 @@ impl System {
     }
 
     /// Run the kernel's whole-machine consistency check (panics on
-    /// violation; see [`Kernel::check_invariants`]). It costs ~110 µs
-    /// a call on the `tenant-churn` machine (16 384 frames, ~1 100 live
-    /// tasks), about 70 % of it the walk of the page tables.
+    /// violation; see [`Kernel::check_invariants`]). It costs ~87 µs a
+    /// call in the median on the `tenant-churn` machine (16 384 frames,
+    /// ~1 100 live tasks), about 70 % of it the walk of the page tables.
     pub fn check_invariants(&self) {
         self.kernel.check_invariants();
     }
@@ -376,8 +234,8 @@ impl System {
 
     /// Kill one task to relieve memory pressure: deterministic victim
     /// selection in the kernel, then the same user-level cleanup as
-    /// [`System::exit`] — the victim's heap arena and cached TLB task entry
-    /// die with it, so a later syscall on the dead tid is a clean `ESRCH`.
+    /// [`System::exit`] — the victim's heap arena and cached task entry die
+    /// with it, so a later syscall on the dead tid is a clean `ESRCH`.
     pub fn oom_kill(&mut self, policy: VictimPolicy) -> Result<OomKill, Errno> {
         let kill = self.kernel.oom_kill(policy)?;
         self.forget(kill.victim);
@@ -395,18 +253,16 @@ impl System {
     }
 
     /// Mutable kernel access for kernel-level experiments (raw syscalls,
-    /// fuzzing). The software TLB follows the kernel's translation epoch for
-    /// translations that die in a live space (`munmap`, recolor migration),
-    /// and this call drops every cached task entry, memos included: a task
-    /// destroyed through the returned kernel skips [`System::exit`]'s
-    /// cleanup, so its next access must reach the kernel and read `ESRCH`
-    /// (a surviving CLONE_VM sibling may refill the shared space's slots,
-    /// which a generation advance alone would not stop). Live tasks
-    /// re-cache their entry on their next access; table slots stay. Heap
-    /// metadata is *not* aware of raw kernel changes, so don't unmap regions
-    /// the heap owns.
+    /// fuzzing). Translations need no care: [`System::access`] reads them
+    /// from the kernel's page tables on every call. This call drops every
+    /// cached task entry: a task destroyed through the returned kernel skips
+    /// [`System::exit`]'s cleanup, so its next access must reach the kernel
+    /// and read `ESRCH`, even while a CLONE_VM sibling keeps its address
+    /// space alive. Live tasks re-cache their entry on their next access.
+    /// Heap metadata is *not* aware of raw kernel changes, so don't unmap
+    /// regions the heap owns.
     pub fn kernel_mut(&mut self) -> &mut Kernel {
-        self.tlb.tasks.clear();
+        self.tasks.clear();
         &mut self.kernel
     }
 
@@ -483,13 +339,10 @@ impl System {
 
     /// Exit a task: let the kernel run the full reclamation — address-space
     /// teardown when the last sharer exits, provenance-routed frame returns,
-    /// TCB removal — then drop the task's heap arena and cached TLB task
-    /// entry. The TLB is not flushed: the torn-down space's slots keep their
-    /// generation, but its `VmId` is never reissued and the dead tid's entry
-    /// is gone, so no lookup can reach them; every other space's slots and
-    /// memos stay live. Heap metadata needs no unwinding of its own: all
-    /// heap memory lives in the task's address space, which the kernel
-    /// reclaims wholesale.
+    /// TCB removal — then drop the task's heap arena and cached task entry.
+    /// Nothing else is cached, so no other task's translations are touched.
+    /// Heap metadata needs no unwinding of its own: all heap memory lives in
+    /// the task's address space, which the kernel reclaims wholesale.
     pub fn exit(&mut self, tid: Tid) -> Result<(), Errno> {
         self.kernel.sys_exit(tid)?;
         self.forget(tid);
@@ -498,9 +351,10 @@ impl System {
 
     /// Issue one memory access from `tid` at cycle `now`: translates
     /// (faulting on first touch, which allocates a frame under the task's
-    /// coloring) and drives the timing model. Warm translations come from
-    /// the software [`Tlb`]; only TLB misses and first touches reach
-    /// [`Kernel::translate`].
+    /// coloring) and drives the timing model. A resident page's translation
+    /// is one load from the task's flat page table
+    /// ([`AddressSpace::frame_of`](tint_kernel::AddressSpace::frame_of));
+    /// only first touches reach [`Kernel::translate`].
     #[inline]
     pub fn access(
         &mut self,
@@ -519,81 +373,55 @@ impl System {
     }
 
     /// The translation step of [`System::access`]: `addr`'s physical
-    /// address, the page-fault cycles taken to install it (0 on a TLB hit or
-    /// a resident page) and `tid`'s pinned core. Warm translations come from
-    /// the software [`Tlb`]; misses go to [`Kernel::translate`] and are
-    /// cached.
+    /// address, the page-fault cycles taken to install it (0 for a resident
+    /// page) and `tid`'s pinned core. Three steps: the cached task entry,
+    /// the address space's page-table slot, and [`Kernel::translate`] only
+    /// when the page is not resident.
     #[inline(always)]
     fn translate_cached(
         &mut self,
         tid: Tid,
         addr: VirtAddr,
     ) -> Result<(PhysAddr, u64, CoreId), Errno> {
-        // Any destroyed/changed translation bumps the kernel epoch, which
-        // strands every slot and memo filled earlier. (Sync before copying
-        // the task entry: a wrap clears the memo.)
-        self.tlb.sync(self.kernel.translation_epoch());
-        let ti = tid.0 as usize;
-        let task = match self.tlb.tasks.get(ti).copied().flatten() {
+        let task = match self.tasks.get(tid.0 as usize).copied().flatten() {
             Some(task) => task,
             None => self.cache_task(tid)?,
         };
-        let page = addr.page().0;
-        if task.memo_page == page && task.memo_generation == self.tlb.generation {
-            let frame = FrameNumber(task.memo_frame.into());
-            return Ok((frame.at(addr.page_offset()), 0, task.core));
+        if let Some(frame) = self.kernel.vm(task.vm).frame_of(addr.page().0) {
+            let phys = FrameNumber(frame.into()).at(addr.page_offset());
+            return Ok((phys, 0, task.core));
         }
-        let (frame, phys, fault_cycles) = match self.tlb.lookup(task.vm_key, page) {
-            Some(frame) => (frame, FrameNumber(frame.into()).at(addr.page_offset()), 0),
-            None => {
-                let tr = self.kernel.translate(tid, addr)?;
-                // `translate` can only install translations (a fault), never
-                // destroy one, so the entry we cache is current.
-                let frame = u32::try_from(tr.phys.frame().0).expect("frame numbers fit 32 bits");
-                self.tlb.fill(task.vm_key, page, frame);
-                (frame, tr.phys, tr.fault_cycles)
-            }
-        };
-        self.tlb.memoize(ti, page, frame);
-        Ok((phys, fault_cycles, task.core))
+        let tr = self.kernel.translate(tid, addr)?;
+        Ok((tr.phys, tr.fault_cycles, task.core))
     }
 
-    /// Cache `tid`'s TLB task entry (address space, pinned core, an empty
-    /// memo) on its first access.
+    /// Cache `tid`'s task entry (address space, pinned core) on its first
+    /// access.
     #[cold]
     fn cache_task(&mut self, tid: Tid) -> Result<TaskEntry, Errno> {
         let t = self.kernel.task(tid)?;
-        assert!(
-            t.vm.0 < 1 << (64 - PAGE_BITS),
-            "address space {} does not fit the TLB key",
-            t.vm.0
-        );
         let entry = TaskEntry {
-            vm_key: (t.vm.0 as u64) << PAGE_BITS,
+            vm: t.vm,
             core: t.core,
-            memo_page: 0,
-            memo_frame: 0,
-            memo_generation: 0,
         };
         let ti = tid.0 as usize;
-        if ti >= self.tlb.tasks.len() {
-            self.tlb.tasks.resize(ti + 1, None);
+        if ti >= self.tasks.len() {
+            self.tasks.resize(ti + 1, None);
         }
-        self.tlb.tasks[ti] = Some(entry);
+        self.tasks[ti] = Some(entry);
         Ok(entry)
     }
 
     /// The physical address [`System::access`] uses for `addr`, taken
-    /// through the same software TLB (so a stale cached translation shows
-    /// here exactly as it would on the access path), without timing. Faults
-    /// the page in on first touch, like `access`; [`System::resolve`] is the
-    /// page-table walk to compare it with.
+    /// through the same cached task entry and page-table load, without
+    /// timing. Faults the page in on first touch, like `access`;
+    /// [`System::resolve`] is the kernel's translation to compare it with.
     pub fn translate(&mut self, tid: Tid, addr: VirtAddr) -> Result<PhysAddr, Errno> {
         Ok(self.translate_cached(tid, addr)?.0)
     }
 
-    /// Translate by a page-table walk, bypassing the software TLB (used by
-    /// tests to inspect placement).
+    /// Translate through [`Kernel::translate`], bypassing the access path's
+    /// cached task entry (used by tests to inspect placement).
     pub fn resolve(&mut self, tid: Tid, addr: VirtAddr) -> Result<PhysAddr, Errno> {
         Ok(self.kernel.translate(tid, addr)?.phys)
     }
@@ -812,7 +640,7 @@ mod tests {
         s.set_mem_color(t, BankColor(1)).unwrap();
         s.set_llc_color(t, LlcColor(2)).unwrap();
         let a = s.malloc(t, 8 * 4096).unwrap();
-        // Warm the TLB through the access path, then kill the task.
+        // Cache the task entry through the access path, then kill the task.
         s.access(t, a, Rw::Write, 0).unwrap();
         s.exit(t).unwrap();
         assert_eq!(s.access(t, a, Rw::Read, 0), Err(Errno::Esrch));
@@ -865,7 +693,7 @@ mod tests {
         let t = s.spawn(CoreId(0));
         s.set_mem_color(t, BankColor(1)).unwrap();
         let a = s.malloc(t, 4 * 4096).unwrap();
-        // Warm the TLB so the kill has cached state to invalidate.
+        // Cache the task entry so the kill has cached state to drop.
         s.access(t, a, Rw::Write, 0).unwrap();
         let kill = s.oom_kill(VictimPolicy::LargestFootprint).unwrap();
         assert_eq!(kill.victim, t);
@@ -889,32 +717,22 @@ mod tests {
         s.access(a, pa.offset(4096), Rw::Write, 0).unwrap();
         s.access(a, pa, Rw::Write, 0).unwrap();
         s.access(b, pb, Rw::Write, 0).unwrap();
-        let generation = s.tlb.generation;
-        let entry = s.tlb.tasks[a.0 as usize].unwrap();
-        assert_eq!(
-            (entry.memo_page, entry.memo_generation),
-            (pa.page().0, generation)
-        );
+        let before = [
+            s.translate(a, pa).unwrap(),
+            s.translate(a, pa.offset(4096)).unwrap(),
+        ];
 
-        // B's space is torn down with a resident page; A's cached state
+        // B's space is torn down with a resident page; A's translations
         // must survive it untouched.
         s.exit(b).unwrap();
-        s.access(a, pa, Rw::Read, 0).unwrap();
-        assert_eq!(s.tlb.generation, generation, "no generation advance");
-        let entry = s.tlb.tasks[a.0 as usize].unwrap();
-        assert_eq!(
-            (entry.memo_page, entry.memo_generation),
-            (pa.page().0, generation),
-            "A's last-page memo is still live"
-        );
-        assert!(
-            s.tlb
-                .lookup(entry.vm_key, pa.offset(4096).page().0)
-                .is_some(),
-            "A's table slot is still live"
-        );
-        assert_eq!(s.translate(a, pa).unwrap(), s.resolve(a, pa).unwrap());
+        for (i, va) in [pa, pa.offset(4096)].into_iter().enumerate() {
+            let acc = s.access(a, va, Rw::Read, 0).unwrap();
+            assert!(!acc.faulted, "A's page {i} is still resident");
+            assert_eq!(s.translate(a, va).unwrap(), before[i]);
+            assert_eq!(s.translate(a, va).unwrap(), s.resolve(a, va).unwrap());
+        }
         assert_eq!(s.access(b, pb, Rw::Read, 0), Err(Errno::Esrch));
+        assert_eq!(s.translate(b, pb), Err(Errno::Esrch));
         s.check_invariants();
     }
 
@@ -954,90 +772,16 @@ mod tests {
         let b = s.malloc(t, 4 * 4096).unwrap();
         s.access(t, a, Rw::Write, 0).unwrap();
         s.access(t, b, Rw::Write, 0).unwrap();
-        let vm_key = s.tlb.tasks[t.0 as usize].unwrap().vm_key;
-        assert!(s.tlb.lookup(vm_key, a.page().0).is_some());
+        let b_phys = s.translate(t, b).unwrap();
         s.free(t, a).unwrap();
-        s.tlb.sync(s.kernel().translation_epoch());
-        assert!(
-            s.tlb.lookup(vm_key, a.page().0).is_none(),
-            "the unmapped page's slot is stranded"
-        );
         assert_eq!(s.access(t, a, Rw::Read, 0), Err(Errno::Efault));
+        assert_eq!(s.translate(t, a), Err(Errno::Efault));
         assert!(!s.access(t, b, Rw::Read, 0).unwrap().faulted);
-    }
-
-    #[test]
-    fn generation_wrap_strands_entries_filled_before_it() {
-        let mut s = sys();
-        let t = s.spawn(CoreId(0));
-        // > 2048 bytes: page-granular, so `free` munmaps and bumps the
-        // kernel's translation epoch.
-        let a = s.malloc(t, 4 * 4096).unwrap();
-        let b = s.malloc(t, 4 * 4096).unwrap();
-        s.access(t, a, Rw::Write, 0).unwrap();
-        s.access(t, b, Rw::Write, 0).unwrap();
-        let vm_key = s.tlb.tasks[t.0 as usize].unwrap().vm_key;
-        let page = a.page().0;
-        assert_eq!(s.tlb.generation, 1);
-        assert!(
-            s.tlb.lookup(vm_key, page).is_some(),
-            "filled at generation 1"
+        assert_eq!(
+            s.translate(t, b).unwrap(),
+            b_phys,
+            "the neighbour kept its frame"
         );
-
-        // 2^32 − 2 epoch bumps later the generation is about to wrap back to
-        // 1, the generation `a`'s entry carries.
-        s.tlb.generation = u32::MAX;
-        let epoch = s.kernel().translation_epoch();
-        s.free(t, b).unwrap();
-        assert_ne!(
-            s.kernel().translation_epoch(),
-            epoch,
-            "munmap bumps the epoch"
-        );
-        s.tlb.sync(s.kernel().translation_epoch());
-        assert_eq!(s.tlb.generation, 1, "the generation wrapped");
-        assert!(
-            s.tlb.lookup(vm_key, page).is_none(),
-            "an entry filled before the wrap must miss after it"
-        );
-        // The access path refills the slot from the page table.
-        let acc = s.access(t, a, Rw::Read, 0).unwrap();
-        assert!(!acc.faulted);
-        assert!(s.tlb.lookup(vm_key, page).is_some());
-        assert_eq!(s.translate(t, a).unwrap(), s.resolve(t, a).unwrap());
-    }
-
-    #[test]
-    fn generation_wrap_strands_the_last_page_memo() {
-        let mut s = sys();
-        let t = s.spawn(CoreId(0));
-        let a = s.malloc(t, 4 * 4096).unwrap();
-        let b = s.malloc(t, 4 * 4096).unwrap();
-        s.access(t, a, Rw::Write, 0).unwrap();
-        // Repeated accesses to one page: the memo holds `b` at generation 1.
-        for off in [0, 64, 128, 4000] {
-            s.access(t, b.offset(off), Rw::Write, 0).unwrap();
-            assert_eq!(
-                s.translate(t, b.offset(off)).unwrap(),
-                s.resolve(t, b.offset(off)).unwrap()
-            );
-        }
-        let memo = s.tlb.tasks[t.0 as usize].unwrap();
-        assert_eq!((memo.memo_page, memo.memo_generation), (b.page().0, 1));
-
-        // Unmap `b` just as the generation wraps back to 1, the generation
-        // the memo carries: the sweep must clear it, or the dead page would
-        // still translate to its old frame.
-        s.tlb.generation = u32::MAX;
-        s.free(t, b).unwrap();
-        assert_eq!(s.access(t, b, Rw::Read, 0), Err(Errno::Efault));
-        assert_eq!(s.tlb.generation, 1, "the generation wrapped");
-        assert_eq!(s.translate(t, b), Err(Errno::Efault));
-        // A live page translates afresh and is memoized at the new generation.
-        s.access(t, a, Rw::Read, 0).unwrap();
-        assert_eq!(s.translate(t, a).unwrap(), s.resolve(t, a).unwrap());
-        let memo = s.tlb.tasks[t.0 as usize].unwrap();
-        assert_eq!((memo.memo_page, memo.memo_generation), (a.page().0, 1));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A multiplicative (Fx-style) hasher for the simulator's integer-keyed
 //! maps.
 //!
-//! The kernel's page tables are keyed by integers the simulation itself
-//! generates (virtual page numbers), so SipHash's
-//! DoS resistance buys nothing there and its cost lands on every TLB miss.
+//! The heap's allocation table and the harness's cell maps are keyed by
+//! values the simulation itself generates (addresses, cell keys), so
+//! SipHash's DoS resistance buys nothing there and only adds its cost.
 //! This is the rotate-xor-multiply word hash the Rust compiler uses
 //! internally: one multiply per `u64` key. It is unseeded, so map iteration
 //! order is the same in every process — but code whose results depend on

@@ -171,16 +171,6 @@ pub struct Kernel {
     next_tid: u64,
     costs: KernelCosts,
     stats: KernelStats,
-    /// Bumped whenever an existing virtual→physical translation of a space
-    /// that lives on is destroyed or changed (`munmap`, recolor migration).
-    /// Software TLBs above the kernel ([`tintmalloc::System`]) compare this
-    /// against their snapshot and flush on mismatch — installing a *new*
-    /// translation never bumps it, so fault-heavy phases keep their TLB
-    /// warm. Tearing a whole space down at the last sharer's exit does not
-    /// bump it either: `VmId`s are never reissued, so once the cache above
-    /// has dropped the dead tasks, no lookup can present the dead space's
-    /// key again.
-    translation_epoch: u64,
     /// Armed fault-injection state; `None` (the default) costs one branch
     /// per injection site and keeps behaviour bit-identical to a kernel
     /// without the feature.
@@ -363,7 +353,6 @@ impl Kernel {
             topology,
             costs,
             stats: KernelStats::default(),
-            translation_epoch: 0,
             fault: None,
             untracked_pages: 0,
             watermarks: Watermarks::for_frames(mapping.frame_count()),
@@ -412,15 +401,6 @@ impl Kernel {
     /// An address space (inspection).
     pub fn vm(&self, id: VmId) -> &AddressSpace {
         &self.vms[id.0]
-    }
-
-    /// Current translation epoch. Any cached virtual→physical translation
-    /// obtained at an older epoch may be stale and must be dropped. A space
-    /// torn down by [`Kernel::destroy_task`] does not advance it: a cache
-    /// keyed by [`VmId`] must instead stop serving the dead tids, whose
-    /// space is never reissued.
-    pub fn translation_epoch(&self) -> u64 {
-        self.translation_epoch
     }
 
     /// Simulate pre-existing system activity: permanently consume `pages`
@@ -483,11 +463,12 @@ impl Kernel {
     /// count of its non-empty entries, which must equal the PTEs walked.
     ///
     /// Measured cost on the `tenant-churn` machine (16 384 frames, ~1 100
-    /// live tasks, ~8 700 resident pages): ~110 µs a call, about 70 % of
-    /// it the PTE walk, against ~145 µs for the per-frame form
-    /// (`Kernel::check_invariants_reference` keeps it); EXPERIMENTS.md,
-    /// "Integrity checks at word speed". The mask is 512 KiB on the
-    /// Opteron preset.
+    /// live tasks, ~8 700 resident pages): ~87 µs a call in the median,
+    /// about 70 % of it the PTE walk, a page-order scan of each flat page
+    /// table (~116 µs over hash-map tables; EXPERIMENTS.md, "Flat page
+    /// tables, no software TLB"). `Kernel::check_invariants_reference`
+    /// keeps the per-frame form. The mask is 512 KiB on the Opteron
+    /// preset.
     pub fn check_invariants(&self) {
         self.buddy.check_invariants();
         self.colors.check_invariants();
@@ -528,11 +509,10 @@ impl Kernel {
         // only a test against the free and parked frames, not a claim.
         let mut ptes = 0u64;
         for (vm_index, vm) in self.vms.iter().enumerate() {
+            if let Some(p) = vm.stray_page() {
+                panic!("resident page {p:?} outside any VMA");
+            }
             for (p, f) in vm.resident() {
-                assert!(
-                    vm.vma_of(p).is_some(),
-                    "resident page {p:?} outside any VMA"
-                );
                 assert!(!held(f), "frame {f} claimed twice (now page table)");
                 let entry = self.rmap[f.0 as usize];
                 assert_ne!(
@@ -900,10 +880,9 @@ impl Kernel {
                 mapped |= 1 << bit;
                 let f = FrameNumber(fno);
                 let (vm, page) = Self::rmap_unpack(entry);
-                let pte = self.vms[vm].pte(PageNumber(page));
                 assert_eq!(
-                    pte.map(|p| p.frame),
-                    Some(f),
+                    self.vms[vm].frame_of(page).map(u64::from),
+                    Some(fno),
                     "audit: rmap says frame {f} backs vm {vm} page {page}, page table disagrees"
                 );
             }
@@ -1049,8 +1028,7 @@ impl Kernel {
     /// buddy allocator in one [`BuddyAllocator::free_frames`] batch and —
     /// when it was the last CLONE_VM sharer, which a per-space sharer count
     /// answers in O(1) — tear its address space down, returning every frame
-    /// to the pool recorded in its PTE. The teardown does not bump the
-    /// translation epoch (see [`Kernel::translation_epoch`]). When the last
+    /// to the pool recorded in its PTE. When the last
     /// *colored* task leaves, the color matrix is nothing but a cache of
     /// free pages, so it drains back to the buddy allocator in one batch:
     /// after arbitrary churn the free-pool populations return to their
@@ -1064,8 +1042,6 @@ impl Kernel {
         let vm = task.vm;
         self.sharers[vm.0] -= 1;
         if self.sharers[vm.0] == 0 {
-            // No epoch bump: `VmId`s are never reissued, so no live task can
-            // name the dead space again and caches above need not flush.
             let ptes = self.vms[vm.0].teardown();
             self.resident_pages -= ptes.len() as u64;
             for pte in ptes {
@@ -1146,9 +1122,6 @@ impl Kernel {
         let pages = length.div_ceil(PAGE_SIZE);
         let vm = self.tasks.get(tid).ok_or(Errno::Esrch)?.vm;
         let ptes = self.vms[vm.0].unmap_region(base, pages)?;
-        if !ptes.is_empty() {
-            self.translation_epoch += 1;
-        }
         self.resident_pages -= ptes.len() as u64;
         for pte in ptes {
             self.rmap_clear(pte.frame);
@@ -1324,19 +1297,17 @@ impl Kernel {
             return Ok((0, 0));
         }
         let vm = task.vm;
-        // Collect the violating pages first (cannot mutate while iterating),
-        // in page order: the page table iterates in hash order, and each
-        // migration pops the next frame off the color lists, so the order
-        // decides which page gets which frame.
-        let mut violating: Vec<PageNumber> = self.vms[vm.0]
-            .resident()
-            .filter(|&(p, _)| {
-                range.is_none_or(|(start, pages)| p.0 >= start.0 && p.0 < start.0 + pages)
-            })
+        // Collect the violating pages first (cannot mutate while iterating).
+        // Each migration pops the next frame off the color lists, so the
+        // walk's page order decides which page gets which frame.
+        let pages = range.map_or(0..u64::MAX, |(start, pages)| {
+            start.0..start.0.saturating_add(pages)
+        });
+        let violating: Vec<PageNumber> = self.vms[vm.0]
+            .resident_in(pages)
             .filter(|&(_, f)| !Self::info_matches(task, self.colors.decoder().info(f)))
             .map(|(p, _)| p)
             .collect();
-        violating.sort_unstable_by_key(|p| p.0);
         let mut cycles = 0u64;
         let mut migrated = 0u64;
         for page in violating {
@@ -1369,16 +1340,15 @@ impl Kernel {
             if Self::inject(&mut self.fault, &mut self.stats, FaultSite::PageCopy) {
                 // The copy "failed" after the destination frame was
                 // allocated: roll the destination back to its origin pool.
-                // The old frame stays mapped, no translation changed, so the
-                // epoch is untouched — already-migrated pages keep their new
-                // frames, exactly like an interrupted compaction pass.
+                // The old frame stays mapped — already-migrated pages keep
+                // their new frames, exactly like an interrupted compaction
+                // pass.
                 self.release_frame(out.frame, out.source);
                 self.stats.pages_migrated += migrated;
                 self.stats.fault_cycles += cycles;
                 return Err(Errno::Enomem);
             }
             let prev = self.vms[vm.0].remap(page, out.frame, out.source);
-            self.translation_epoch += 1;
             self.rmap_clear(prev.frame);
             self.rmap_set(out.frame, vm.0, page.0);
             self.release_frame(prev.frame, prev.source);
@@ -2611,15 +2581,9 @@ mod tests {
         let frames_before: Vec<_> = (0..6u64)
             .map(|p| k.translate(tid, base.offset(p * 4096)).unwrap().phys)
             .collect();
-        let epoch_before = k.translation_epoch();
         k.sys_mmap(tid, SET_MEM_COLOR | 1, 0, COLOR_ALLOC).unwrap();
         k.set_fault_plan(Some(always(FaultSite::PageCopy)));
         assert_eq!(k.recolor_task(tid), Err(Errno::Enomem));
-        assert_eq!(
-            k.translation_epoch(),
-            epoch_before,
-            "no translation changed, so no epoch bump"
-        );
         for (p, &phys) in frames_before.iter().enumerate() {
             let tr = k.translate(tid, base.offset(p as u64 * 4096)).unwrap();
             assert_eq!(tr.fault_cycles, 0, "page {p} still resident");
@@ -2811,31 +2775,6 @@ mod tests {
         assert_eq!(k.pool_snapshot().0, baseline.0 - 32);
         k.sys_exit(tid).unwrap();
         assert_eq!(k.pool_snapshot(), baseline, "pcp remainder drained too");
-        k.check_invariants();
-    }
-
-    #[test]
-    fn teardown_leaves_the_epoch_alone_and_munmap_bumps_it() {
-        let mut k = kernel();
-        let a = k.create_task(CoreId(0));
-        let b = k.create_task(CoreId(2));
-        let base_a = k.sys_mmap(a, 0, 4096, 0).unwrap();
-        let untouched = k.sys_mmap(a, 0, 4096, 0).unwrap();
-        let base_b = k.sys_mmap(b, 0, 4096, 0).unwrap();
-        k.translate(a, base_a).unwrap();
-        k.translate(b, base_b).unwrap();
-        let epoch = k.translation_epoch();
-        // B's space dies whole with resident pages: its VmId is never
-        // reissued, so no cache above needs a flush.
-        k.sys_exit(b).unwrap();
-        assert_eq!(k.translation_epoch(), epoch, "teardown does not bump");
-        // A translation dying in a space that lives on still does.
-        k.sys_munmap(a, base_a, 4096).unwrap();
-        assert!(k.translation_epoch() > epoch, "munmap of a resident page");
-        // Unmapping a never-touched page destroys no translation.
-        let epoch = k.translation_epoch();
-        k.sys_munmap(a, untouched, 4096).unwrap();
-        assert_eq!(k.translation_epoch(), epoch);
         k.check_invariants();
     }
 

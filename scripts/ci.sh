@@ -60,6 +60,12 @@ echo "== engine differential tests (release) =="
 # hold there too, not only under debug assertions.
 cargo test --release -q -p tint-spmd --test engine_oracle
 
+echo "== translation coherence properties (release) =="
+# `System::access` reads each translation from the flat page table; these
+# properties drive it across munmap, recolor, exit and injected faults in
+# the optimized build the cold benchmark times.
+cargo test --release -q -p tintmalloc --test prop_tlb
+
 echo "== repro perf smoke =="
 # Release probe cells at two configurations: one table per config, and the
 # 16t4n record's simulated cycle count is fully deterministic (hard assert
