@@ -113,16 +113,18 @@ fn record_json(r: &CmdRecord) -> String {
     )
 }
 
+/// The per-cell tables a `BENCH_repro.json` records, by key, in file
+/// order: the commands whose cells downstream tooling reads one by one.
+const TABLES: [&str; 3] = ["pressure", "churn", "soak"];
+
 /// What survives from an existing `BENCH_repro.json`: the per-command
-/// records as `(name, raw JSON object)` pairs and the raw `"pressure"`,
-/// `"churn"`, and `"soak"` table blocks. Only files this tool wrote are
-/// parsed (one record per line); an unrecognizable file is treated as
-/// absent.
+/// records and the raw `TABLES` blocks, each as `(name, raw JSON)`
+/// pairs. Only files this tool wrote are parsed (one record per line); an
+/// unrecognizable file is treated as absent.
+#[derive(Default)]
 struct ExistingBench {
     records: Vec<(String, String)>,
-    pressure_raw: Option<String>,
-    churn_raw: Option<String>,
-    soak_raw: Option<String>,
+    tables: Vec<(String, String)>,
 }
 
 /// Parse the parts of an existing `BENCH_repro.json` worth preserving.
@@ -130,12 +132,7 @@ struct ExistingBench {
 /// atomic-rename scheme, a disk error) is renamed to `<path>.corrupt` and
 /// treated as absent — a bad perf log must never take the run down.
 fn read_existing(path: &str) -> ExistingBench {
-    let mut out = ExistingBench {
-        records: Vec::new(),
-        pressure_raw: None,
-        churn_raw: None,
-        soak_raw: None,
-    };
+    let mut out = ExistingBench::default();
     let Ok(text) = std::fs::read_to_string(path) else {
         return out;
     };
@@ -157,12 +154,7 @@ fn read_existing(path: &str) -> ExistingBench {
         let trimmed = line.trim();
         if let Some((key, lines)) = block.as_mut() {
             if trimmed == "]" || trimmed == "]," {
-                let raw = Some(lines.join("\n"));
-                match *key {
-                    "pressure" => out.pressure_raw = raw,
-                    "soak" => out.soak_raw = raw,
-                    _ => out.churn_raw = raw,
-                }
+                out.tables.push((key.to_string(), lines.join("\n")));
                 block = None;
             } else {
                 lines.push(line.to_string());
@@ -187,12 +179,11 @@ fn read_existing(path: &str) -> ExistingBench {
             }
             continue;
         }
-        if trimmed.starts_with("\"pressure\"") {
-            block = Some(("pressure", Vec::new()));
-        } else if trimmed.starts_with("\"churn\"") {
-            block = Some(("churn", Vec::new()));
-        } else if trimmed.starts_with("\"soak\"") {
-            block = Some(("soak", Vec::new()));
+        if let Some(key) = TABLES
+            .into_iter()
+            .find(|k| trimmed.starts_with(&format!("\"{k}\"")))
+        {
+            block = Some((key, Vec::new()));
         }
     }
     out
@@ -212,24 +203,21 @@ fn json_field_num(line: &str, field: &str) -> Option<f64> {
 /// file under the `<path>.lock` lockfile: records are upserted by command
 /// name (an earlier `repro all` is not clobbered by a later `repro
 /// probe:lbm`, and a concurrently finishing sibling process is not
-/// clobbered either), and a previously recorded pressure/churn/soak table
-/// survives unless this run regenerated it.
+/// clobbered either), and a previously recorded `TABLES` block survives
+/// unless this run regenerated it (`tables`, by key).
 ///
 /// Two summary blocks follow the records. `invocation` covers only the
 /// commands *this run* executed — its `sim_cycles` and cache counters are
 /// what prove (or disprove) cross-figure cell reuse. `total` is recomputed
 /// as the sum over every merged record, so it describes the whole file
 /// rather than, misleadingly, whichever subset of commands ran last.
-#[allow(clippy::too_many_arguments)]
 pub fn write_bench_json(
     path: &str,
     records: &[CmdRecord],
     reps: u32,
     scale: f64,
     config_names: &[String],
-    pressure: Option<&Table>,
-    churn: Option<&Table>,
-    soak: Option<&Table>,
+    tables: &[(&str, &Table)],
     meta: &InvocationMeta,
 ) -> Result<(), String> {
     // Serialize read-merge-write against sibling processes. Timing out on
@@ -287,20 +275,12 @@ pub fn write_bench_json(
         ));
     }
     s.push_str("  ],\n");
-    if let Some(t) = pressure {
-        s.push_str(&format!("  \"pressure\": {},\n", json_table(t, "  ")));
-    } else if let Some(raw) = &existing.pressure_raw {
-        s.push_str(&format!("  \"pressure\": [\n{raw}\n  ],\n"));
-    }
-    if let Some(t) = churn {
-        s.push_str(&format!("  \"churn\": {},\n", json_table(t, "  ")));
-    } else if let Some(raw) = &existing.churn_raw {
-        s.push_str(&format!("  \"churn\": [\n{raw}\n  ],\n"));
-    }
-    if let Some(t) = soak {
-        s.push_str(&format!("  \"soak\": {},\n", json_table(t, "  ")));
-    } else if let Some(raw) = &existing.soak_raw {
-        s.push_str(&format!("  \"soak\": [\n{raw}\n  ],\n"));
+    for key in TABLES {
+        if let Some((_, t)) = tables.iter().find(|(k, _)| *k == key) {
+            s.push_str(&format!("  \"{key}\": {},\n", json_table(t, "  ")));
+        } else if let Some((_, raw)) = existing.tables.iter().find(|(k, _)| k == key) {
+            s.push_str(&format!("  \"{key}\": [\n{raw}\n  ],\n"));
+        }
     }
     s.push_str(&format!(
         "  \"invocation\": {{\"commands\": [{}], \"jobs\": {}, \"cache_enabled\": {}, \
@@ -385,9 +365,7 @@ mod tests {
             1,
             1.0,
             &["16_threads_4_nodes".to_string()],
-            None,
-            None,
-            None,
+            &[],
             &InvocationMeta::default(),
         )
         .expect("write succeeds");

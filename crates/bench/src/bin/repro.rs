@@ -30,89 +30,51 @@
 //!   all                everything above (except probe and gc-journal)
 //! ```
 //!
-//! Every cell runs the exact simulation: each access reads its page
-//! table, then walks caches, interconnect and DRAM (see
-//! `tint_spmd::engine`).
+//! Every command that simulates is a list of cells (`tint_bench::cell`),
+//! each a deterministic simulation on a freshly booted machine, drained
+//! by one executor (`Harness::run_cells`) through one `tint_bench::Harness`
+//! per invocation. The fig11/fig12 matrix and the fig13/fig14 sweep are
+//! each computed at most once per invocation, and every cell passes the
+//! harness's content-addressed cell cache, so a command whose cells were
+//! already simulated — `fig13 fig14` after `fig11`, `probe:<b>` after
+//! `all` — serves them from memory (`TINT_SIM_CACHE=0` turns it off).
 //!
-//! Multiple commands run in sequence within one process, through one
-//! `tint_bench::Harness`. Two layers keep the sequence from repeating
-//! work: the `BenchMatrix` behind fig11/fig12 and the fig13/fig14 sweep
-//! are each computed at most once per invocation, and underneath, every
-//! simulation cell flows through the harness's content-addressed cell
-//! cache (`tint_bench::simcache`), so any command whose cells were already
-//! simulated — `fig13 fig14` after the fig11 matrix, `probe:<b>` after
-//! `all` — serves them from memory. `TINT_SIM_CACHE=0` disables the cache
-//! (`1`, the default, keeps it); figure output is byte-identical either
-//! way.
+//! Completed cells are also appended to a crash-safe journal
+//! (`.tint-journal/`; `TINT_JOURNAL=<dir>` relocates it, `TINT_JOURNAL=0`
+//! disables it) and replayed at startup, so re-running a command after a
+//! crash, OOM kill or Ctrl-C simulates only the missing cells. Concurrent
+//! processes may share one journal directory (each appends to its own
+//! shard); `repro gc-journal` compacts it. On persistent I/O failure the
+//! journal warns once and the run completes without it. Stores of earlier
+//! record formats (`cells.v1.jnl`, `cells.v2/`) are not read: `repro`
+//! prints a one-line notice for each and leaves it untouched. A code
+//! change that alters what a cell computes without changing its key is
+//! served stale cells from an existing journal; delete `.tint-journal/`
+//! (`gc-journal` keeps every cell it finds).
 //!
-//! `--jobs N` sets the simulation worker-thread count for the flattened
-//! cell executor. Precedence: the `--jobs` flag wins over the `TINT_JOBS`
-//! env var, which wins over the host's available parallelism; both the
-//! flag and the env var must be a positive decimal integer — values like
-//! `0`, `0x4`, `-2`, or an empty string are rejected with an error, never
-//! silently clamped. Output is byte-identical at any job count — cells are
-//! merged in canonical order.
+//! `--jobs N` (else `TINT_JOBS`, else the host's parallelism) sets the
+//! worker-thread count. A panicking cell — a bug, a contract a churn or
+//! soak cell asserts, or a `TINT_HOST_FAULT=panic:<permille>:<seed>`
+//! injection — is retried `TINT_CELL_RETRIES` times (default 2), then
+//! renders as `ERR` and the run exits 1. `TINT_CELL_TIMEOUT_S=<secs>`
+//! arms a watchdog that warns about overdue cells; with
+//! `--strict-deadline` they are poisoned, and a cell stuck past 20× the
+//! deadline aborts the (resumable) run with exit code 124. SIGINT/SIGTERM
+//! drain the workers, flush the journal and exit 130. Figure output is
+//! byte-identical at any job count, with the cache and journal on or off,
+//! and after a kill and resume.
 //!
-//! ## Crash safety, resume, and the cell farm
+//! The flags and the six `TINT_*` variables are read once, at startup,
+//! into one `tint_bench::RunConfig`. A value that does not parse, an
+//! unknown command or a `probe:` of an unknown benchmark is a usage error
+//! before any simulation: one line on stderr and exit code 2.
 //!
-//! Every completed simulation cell is appended to a crash-safe on-disk
-//! journal (`.tint-journal/` by default; `TINT_JOURNAL=<dir>` relocates
-//! it, `TINT_JOURNAL=0` disables it) and replayed into the cell cache at
-//! startup, so re-running the same command after a crash, OOM kill, or
-//! Ctrl-C simulates only the missing cells. Figure output is byte-identical
-//! with the journal on, off, or after a kill-and-resume.
-//!
-//! The journal is a multi-process *cell farm* (see `tint_bench::journal`):
-//! each `repro` process appends to its own `O_EXCL`-created shard inside
-//! the current store generation, so any number of concurrent processes can
-//! share one journal directory with no locks on the append path; replay
-//! merges every shard. `repro gc-journal` compacts the store — live
-//! deduped cells are rewritten into a fresh generation and committed with
-//! one atomic rename (guarded by an exclusive OS file lock), so a crash
-//! mid-GC leaves the old or new generation fully intact. On persistent I/O
-//! failure (disk full, I/O errors — or the seeded
-//! `TINT_HOST_FAULT=io:<permille>:<seed>` harness) the journal
-//! warns once, disarms itself, and the run completes journal-less with
-//! byte-identical figures. A legacy v1 journal (`cells.v1.jnl`) is not
-//! read: `repro` prints a one-line notice and leaves the file untouched.
-//!
-//! Workers are panic-isolated: a panicking cell is retried up to
-//! `TINT_CELL_RETRIES` times (default 2), then recorded as a poisoned cell
-//! that renders as `ERR` and makes the run exit 1 instead of aborting the
-//! matrix. `TINT_CELL_TIMEOUT_S=<secs>` arms a watchdog that warns about
-//! overdue cells; with `--strict-deadline` an overdue cell is poisoned and
-//! a cell stuck past 20× the deadline aborts the (resumable) run with
-//! exit code 124. SIGINT/SIGTERM drain workers at the next cell boundary,
-//! flush the journal, and exit 130 with a resume notice.
-//! `TINT_HOST_FAULT=panic:<permille>:<seed>` arms the deterministic
-//! host-fault harness (worker panics on schedule) that exercises all of
-//! the above in tests.
-//!
-//! After the run, a machine-readable `BENCH_repro.json` is written to the
-//! working directory with per-command wall-clock milliseconds, simulated
-//! cycles, and cell-cache hit/miss counts. The write is atomic (temp
-//! file plus rename), and a truncated/corrupt existing file is quarantined to
-//! `BENCH_repro.json.corrupt` and treated as empty rather than trusted.
-//! An intact existing file is *merged into*, not clobbered: command
-//! records are upserted by name, so `repro probe:lbm` after `repro all`
-//! keeps the figure records (a probe records one `probe:<bench>@<config>`
-//! per configuration). The `invocation` block describes only the
-//! commands this run executed; the `total` block sums over every merged
-//! record.
-//!
-//! The flags and all six `TINT_*` variables (`TINT_JOBS`,
-//! `TINT_CELL_RETRIES`, `TINT_CELL_TIMEOUT_S`, `TINT_HOST_FAULT`,
-//! `TINT_JOURNAL`, `TINT_SIM_CACHE`) are read once, at startup, into one
-//! `tint_bench::RunConfig`; the library reads no environment. Before any
-//! simulation, a value that does not parse (a zero `TINT_JOBS`, a
-//! non-positive `TINT_CELL_TIMEOUT_S`, a `TINT_SIM_CACHE` other than `0`
-//! or `1`), an unknown command, or a `probe:` of an unknown benchmark is a
-//! usage error — one line on stderr and exit code 2 — never a warning that
-//! is then ignored.
-//!
-//! Host-time performance is measured by the cold benchmark in
-//! `coldbench/`, not by this binary: `wall_ms` in the JSON is a
-//! bookkeeping figure that includes cell-cache and journal hits.
+//! After the run, `BENCH_repro.json` in the working directory records
+//! per-command wall-clock milliseconds, simulated cycles and cache
+//! hits/misses, merged into an existing file by command name (see
+//! `tint_bench::benchjson`). Host-time performance is measured by the
+//! cold benchmark in `coldbench/`; `wall_ms` includes cache and journal
+//! hits.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -141,36 +103,26 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The configuration `<threads>t<nodes>n` (`16t4n`, …) names.
 fn parse_config(s: &str) -> Option<PinConfig> {
-    match s {
-        "16t4n" => Some(PinConfig::T16N4),
-        "8t4n" => Some(PinConfig::T8N4),
-        "8t2n" => Some(PinConfig::T8N2),
-        "4t4n" => Some(PinConfig::T4N4),
-        "4t1n" => Some(PinConfig::T4N1),
-        _ => None,
-    }
+    PinConfig::ALL
+        .into_iter()
+        .find(|p| format!("{}t{}n", p.threads(), p.nodes()) == s)
 }
 
-/// Per-invocation state shared across commands: the fig11/fig12 matrix is
-/// expensive (6 benchmarks × configs × schemes × reps), so one invocation
-/// computes it at most once. Each repetition boots a fresh machine, so the
-/// cached result is identical to what a standalone `repro fig12` prints.
+/// Per-invocation state shared across commands: the fig11/fig12 matrix and
+/// the fig13/fig14 sweep are each computed at most once (their cells are
+/// fresh machines, so reuse prints what a standalone command prints).
 struct Ctx {
     h: Harness,
     opts: FigOpts,
     configs: Vec<PinConfig>,
     matrix: Option<BenchMatrix>,
-    /// The fig13/fig14 `(summary, lbm detail)` tables — one sweep serves
-    /// both commands, so `repro fig13 fig14` computes it once.
+    /// The fig13/fig14 `(summary, lbm detail)` tables.
     fig13_14: Option<(Table, Table)>,
-    /// The pressure-ablation table, kept for `BENCH_repro.json` (the sweep
-    /// is the one result downstream tooling consumes cell-by-cell).
-    pressure: Option<Table>,
-    /// The churn-figure table, likewise recorded in `BENCH_repro.json`.
-    churn: Option<Table>,
-    /// The soak-figure table (per-window pressure trace), likewise recorded.
-    soak: Option<Table>,
+    /// The pressure-ablation, churn and soak tables this run printed, by
+    /// their `BENCH_repro.json` key: it records them cell by cell.
+    tables: Vec<(&'static str, Table)>,
     /// Set when `gc-journal` failed (lock held, io fault before commit);
     /// the store is unchanged and the run exits 1.
     gc_failed: bool,
@@ -196,13 +148,6 @@ fn header(s: &str) {
     println!("\n=== {s} ===");
 }
 
-/// Probe `bench` at one pinning configuration.
-fn run_probe(ctx: &Ctx, bench: &str, pin: PinConfig) {
-    header(&format!("Probe: {bench} at {pin}"));
-    let t = probe(&ctx.h, &ctx.opts, bench, pin);
-    print!("{}", ctx.opts.render(&t.expect("validated at startup")));
-}
-
 /// Run one command by name, printing exactly what a single-command
 /// invocation prints. (`probe:<bench>` runs once per configuration, see
 /// `main`.)
@@ -212,22 +157,22 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
         header("Journal GC: compact the cell farm into a fresh generation");
         match ctx.h.journal().gc() {
             Ok(g) => {
-                let mut t = Table::new(vec!["metric", "value"]);
-                let mut row = |name: &str, v: String| t.row(vec![name.to_string(), v]);
-                row("live cells", g.live_cells.to_string());
-                row("shards merged", g.shards_merged.to_string());
-                row("shards quarantined", g.quarantined.to_string());
-                row("bytes before", g.bytes_before.to_string());
-                row("bytes after", g.bytes_after.to_string());
-                row(
-                    "compaction ratio",
-                    if g.bytes_after > 0 {
-                        format!("{:.2}x", g.bytes_before as f64 / g.bytes_after as f64)
-                    } else {
-                        "-".to_string()
-                    },
-                );
-                row("committed generation", g.generation.to_string());
+                let ratio = match g.bytes_after {
+                    0 => "-".to_string(),
+                    after => format!("{:.2}x", g.bytes_before as f64 / after as f64),
+                };
+                let mut t = Table::new("metric value");
+                for (name, v) in [
+                    ("live cells", g.live_cells.to_string()),
+                    ("shards merged", g.shards_merged.to_string()),
+                    ("shards quarantined", g.quarantined.to_string()),
+                    ("bytes before", g.bytes_before.to_string()),
+                    ("bytes after", g.bytes_after.to_string()),
+                    ("compaction ratio", ratio),
+                    ("committed generation", g.generation.to_string()),
+                ] {
+                    t.row(vec![name.to_string(), v]);
+                }
                 print!("{}", ctx.opts.render(&t));
             }
             Err(e) => {
@@ -303,19 +248,19 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
         header("Ablation (extension): exhaustion policies under color pressure");
         let t = ablate_pressure(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
-        ctx.pressure = Some(t);
+        ctx.tables.push(("pressure", t));
     }
     if all || cmd == "churn" {
         header("Extension: multi-tenant churn (round-robin scheduling, full task reclamation)");
         let t = churn(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
-        ctx.churn = Some(t);
+        ctx.tables.push(("churn", t));
     }
     if all || cmd == "soak" {
         header("Extension: sustained-pressure soak (watermarks, backoff, OOM kill, auditing)");
         let t = soak(&ctx.h, &ctx.opts);
         print!("{}", ctx.opts.render(&t));
-        ctx.soak = Some(t);
+        ctx.tables.push(("soak", t));
     }
 }
 
@@ -441,17 +386,21 @@ fn main() {
     // SIGINT/SIGTERM become a cooperative drain + journal flush + resume
     // notice.
     install_cancel_handlers();
-    if let Some(legacy) = config.journal.as_deref().and_then(journal::legacy_file) {
+    for legacy in config
+        .journal
+        .as_deref()
+        .map_or(Vec::new(), journal::legacy_stores)
+    {
         eprintln!(
-            "journal: legacy file {} ignored (v1 journals are no longer read)",
+            "journal: legacy store {} ignored (stores of earlier formats are not read)",
             legacy.display()
         );
     }
     let h = Harness::new(config);
     let replay = h.journal().replay_stats();
-    if replay.replayed > 0 || replay.quarantined > 0 || replay.retired_skipped > 0 {
+    if replay.replayed > 0 || replay.quarantined > 0 {
         eprintln!(
-            "journal: replayed {} completed cells from {} shard(s){}{}{}",
+            "journal: replayed {} completed cells from {} shard(s){}{}",
             replay.replayed,
             replay.shards,
             if replay.torn_dropped > 0 {
@@ -464,14 +413,6 @@ fn main() {
             } else {
                 String::new()
             },
-            if replay.retired_skipped > 0 {
-                format!(
-                    " ({} cell(s) of a retired engine mode skipped)",
-                    replay.retired_skipped
-                )
-            } else {
-                String::new()
-            },
         );
     }
 
@@ -481,17 +422,15 @@ fn main() {
         configs,
         matrix: None,
         fig13_14: None,
-        pressure: None,
-        churn: None,
-        soak: None,
+        tables: Vec::new(),
         gc_failed: false,
     };
     let mut records = Vec::with_capacity(cmds.len());
     for cmd in &cmds {
         // A probe runs once per configuration, recorded as
         // `probe:<bench>@<config>`; every other command runs once.
-        let probe = cmd.strip_prefix("probe:");
-        let runs: Vec<(String, Option<PinConfig>)> = match probe {
+        let probed = cmd.strip_prefix("probe:");
+        let runs: Vec<(String, Option<PinConfig>)> = match probed {
             Some(_) => ctx
                 .configs
                 .iter()
@@ -502,8 +441,12 @@ fn main() {
         for (name, pin) in runs {
             let before = ctx.h.stats();
             let start = std::time::Instant::now();
-            match (probe, pin) {
-                (Some(bench), Some(pin)) => run_probe(&ctx, bench, pin),
+            match (probed, pin) {
+                (Some(bench), Some(pin)) => {
+                    header(&format!("Probe: {bench} at {pin}"));
+                    let t = probe(&ctx.h, &ctx.opts, bench, pin).expect("validated at startup");
+                    print!("{}", ctx.opts.render(&t));
+                }
                 _ => run_cmd(&mut ctx, cmd),
             }
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -531,15 +474,14 @@ fn main() {
         stats,
     };
     let config_names: Vec<String> = ctx.configs.iter().map(|c| c.to_string()).collect();
+    let tables: Vec<(&str, &Table)> = ctx.tables.iter().map(|(k, t)| (*k, t)).collect();
     if let Err(e) = write_bench_json(
         "BENCH_repro.json",
         &records,
         ctx.opts.reps,
         ctx.opts.scale,
         &config_names,
-        ctx.pressure.as_ref(),
-        ctx.churn.as_ref(),
-        ctx.soak.as_ref(),
+        &tables,
         &meta,
     ) {
         eprintln!("error: {e}");

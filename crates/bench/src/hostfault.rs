@@ -23,12 +23,10 @@
 //!   degradation contract. Worker threads never panic in this mode. With
 //!   `--jobs 1` (one appender) the schedule is fully deterministic.
 //!
-//! A plan is part of a run's configuration (`TINT_HOST_FAULT`, parsed by
-//! the `repro` binary), so each harness carries its own schedule and
-//! counters. The journal additionally has a kill-point hook for
-//! crash-atomicity fuzzing (`Journal::set_io_abort_at`): its `n`-th io
-//! operation panics with [`IO_ABORT_MARKER`], simulating SIGKILL at that
-//! exact filesystem step.
+//! A plan is part of a run's configuration (`TINT_HOST_FAULT`), so each
+//! harness carries its own schedule. The journal's kill point
+//! (`Journal::set_io_abort_at`) panics its `n`-th io operation with
+//! [`IO_ABORT_MARKER`], simulating a SIGKILL at that filesystem step.
 
 use tint_hw::rng::SplitMix64;
 
@@ -61,39 +59,29 @@ pub struct HostFaultPlan {
 
 impl HostFaultPlan {
     /// Parse `panic:<permille>:<seed>` or `io:<permille>:<seed>` (the
-    /// `TINT_HOST_FAULT` syntax).
+    /// `TINT_HOST_FAULT` syntax; permille is at most 1000).
     pub fn parse(s: &str) -> Result<Self, String> {
-        let mut parts = s.split(':');
-        let mode = match parts.next().unwrap_or_default() {
+        let bad = || {
+            format!(
+                "{s:?} is not panic:<permille>:<seed> or io:<permille>:<seed> (permille <= 1000)"
+            )
+        };
+        let [mode, per_mille, seed] = s.split(':').collect::<Vec<_>>()[..] else {
+            return Err(bad());
+        };
+        let mode = match mode {
             "panic" => FaultMode::Panic,
             "io" => FaultMode::Io,
-            other => {
-                return Err(format!(
-                    "unknown host-fault mode {other:?} \
-                     (expected panic:<permille>:<seed> or io:<permille>:<seed>)"
-                ))
-            }
+            _ => return Err(bad()),
         };
-        let per_mille: u16 = parts
-            .next()
-            .ok_or("missing <permille> in TINT_HOST_FAULT")?
-            .parse()
-            .map_err(|_| "TINT_HOST_FAULT permille must be an integer 0..=1000".to_string())?;
-        if per_mille > 1000 {
-            return Err("TINT_HOST_FAULT permille must be <= 1000".to_string());
-        }
-        let seed: u64 = parts
-            .next()
-            .ok_or("missing <seed> in TINT_HOST_FAULT")?
-            .parse()
-            .map_err(|_| "TINT_HOST_FAULT seed must be a u64".to_string())?;
-        if parts.next().is_some() {
-            return Err("TINT_HOST_FAULT has trailing fields".to_string());
-        }
         Ok(Self {
             mode,
-            per_mille,
-            seed,
+            per_mille: per_mille
+                .parse()
+                .ok()
+                .filter(|&p| p <= 1000)
+                .ok_or_else(bad)?,
+            seed: seed.parse().map_err(|_| bad())?,
         })
     }
 

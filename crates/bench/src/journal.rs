@@ -1,22 +1,24 @@
 //! Persistent, crash-safe, multi-process **cell farm**.
 //!
-//! The cell cache ([`crate::simcache`]) makes cells free to reuse
-//! *within* a run; this module makes completed cells survive the process —
-//! and survive *concurrent* processes. Every simulated cell is appended to
-//! an on-disk journal as a self-delimiting, CRC-protected record of its
-//! content key ([`CellKey`]) plus the full [`ExpResult`]. Opening a
-//! [`Journal`] replays the store into the harness's cell cache, so a killed
-//! `repro` run resumes by simulating only the cells it never finished, and
-//! a fleet of `repro` processes sharing one journal directory collectively
-//! only ever simulates new cells — cells are bit-deterministic per content
-//! key, which is what makes serving a journaled result indistinguishable
-//! from re-simulating.
+//! The cell cache ([`crate::runner::CellCache`]) makes cells free to reuse
+//! *within* a run; this module makes completed cells survive the process
+//! and concurrent processes. Every simulated cell is appended to an
+//! on-disk journal as a CRC-protected record of its [`CellKey`] (the
+//! canonical encoding of its spec) and its full [`ExpResult`], a scenario
+//! cell's raw counters included. Opening a [`Journal`] replays the store
+//! into the harness's cell cache, so a killed `repro` run resumes by
+//! simulating only the cells it never finished, and processes sharing one
+//! journal directory collectively only ever simulate new cells. Cells are
+//! bit-deterministic per key, so a journaled result is indistinguishable
+//! from a re-simulated one — as long as the code that computes a cell is
+//! unchanged: a change that alters what a cell computes without changing
+//! its key is served stale cells until the journal directory is deleted.
 //!
-//! ## On-disk layout (version 2)
+//! ## On-disk layout (version 3)
 //!
 //! ```text
 //! <journal dir>/
-//!   cells.v2/                 the store root
+//!   cells.v3/                 the store root
 //!     gc.lock                 GC lock file (locked only while GC runs)
 //!     gen-00000001/           a *generation*: a directory of shards
 //!       <pid>-<nonce>.jnl     one append-only shard per writer process
@@ -24,83 +26,46 @@
 //!     <shard>.corrupt.<n>     quarantined corrupt shards (kept as evidence)
 //! ```
 //!
-//! Each **shard** is owned by exactly one writer process: it is created
-//! `O_CREAT|O_EXCL` under a pid+seeded-nonce name, so concurrent writers
-//! never share a file and the append path needs no locks. A shard starts
-//! with the magic `TINTJNL2` followed by framed entries:
+//! Each **shard** is created `O_CREAT|O_EXCL` by exactly one writer
+//! process, so the append path needs no locks. It holds the magic
+//! `TINTJNL3`, then entries `len: u32 LE | crc: u32 LE (CRC-32 of the
+//! payload) | payload` (the record `encode` writes). Stores of earlier formats
+//! (`cells.v1.jnl`, `cells.v2/`) are never read or touched.
 //!
-//! ```text
-//! entry*:
-//!   len:   u32 LE   payload length in bytes
-//!   crc:   u32 LE   CRC-32 (IEEE) of the payload
-//!   payload: len bytes — CellKey then ExpResult, little-endian fields
-//! ```
+//! Replay merges every shard of the **current generation** (the
+//! highest-numbered `gen-*` directory) and dedupes by key. Failure
+//! isolation is per shard:
 //!
-//! The payload byte at offset 10 is an engine-mode byte. Writers emit 0
-//! (the exact engine). Older stores may also hold 1 (a since-retired
-//! reference pipeline) or 2 (a since-retired sampled engine): replay skips
-//! those records and counts them in [`ReplayStats::retired_skipped`], and
-//! GC drops them. They are not corruption, so their shard is not
-//! quarantined.
-//!
-//! Replay scans every shard of the **current generation** (the
-//! highest-numbered `gen-*` directory), merges them, and dedupes by
-//! [`CellKey`]. Failure isolation is per shard, so one bad shard never
-//! poisons its siblings:
-//!
-//! * **torn final write** — a shard ends before the last entry's declared
-//!   length: the fragment is dropped *in memory only*. Foreign shards are
-//!   never truncated or rewritten — a "torn tail" may be a live sibling's
-//!   in-flight append. Dead tails are compacted away by GC.
-//! * **mid-stream corruption** — a CRC mismatch, an insane length, or an
-//!   undecodable payload with more data after it: that shard is
-//!   quarantined (renamed to a unique `<name>.corrupt.<n>` in the store
-//!   root, never clobbering a previous quarantine), its good prefix is
-//!   rescued into this process's own shard, and replay continues with the
-//!   other shards; the journal never panics the harness.
+//! * **torn final write** — the fragment is dropped *in memory only*: a
+//!   torn tail may be a live sibling's in-flight append, so foreign shards
+//!   are never rewritten. GC compacts dead tails away.
+//! * **mid-stream corruption** — a CRC mismatch, an insane length or an
+//!   undecodable payload with data after it: the shard is quarantined
+//!   (renamed to a unique `<name>.corrupt.<n>` in the store root), its good
+//!   prefix is rescued into this process's own shard, and replay goes on.
 //!
 //! ## Generations and GC
 //!
-//! Appends accumulate dead weight: superseded duplicates, dead torn
-//! tails, shards of exited writers. [`Journal::gc`] (the `repro gc-journal`
-//! command) compacts the store: it merges the current generation exactly
-//! like replay, writes the live deduped cells into one fresh shard inside
-//! a `gen-<N+1>.tmp.<pid>` build directory, fsyncs, and commits with a
-//! **single atomic rename** to `gen-<N+1>` — so a crash at any point
-//! leaves either the old or the new generation fully intact, and
-//! concurrent readers of the old generation are unaffected. An exclusive
-//! OS file lock on `gc.lock` (see [`crate::lockfile`]) keeps two GCs from
-//! racing. Old generations are removed only after the commit rename.
+//! [`Journal::gc`] (`repro gc-journal`) merges the current generation like
+//! replay, writes the live cells into one shard of a `gen-<N+1>.tmp.<pid>`
+//! directory, fsyncs, and commits with a **single atomic rename** to
+//! `gen-<N+1>`: a crash at any point leaves the old or the new generation
+//! intact. An exclusive OS lock on `gc.lock` ([`crate::lockfile`]) keeps
+//! two GCs apart; old generations are removed only after the commit.
 //!
-//! ## Fault tolerance (degradation contract)
+//! ## Fault tolerance
 //!
-//! All journal write-path filesystem operations run under an io shim that
-//! fails them on the run's seeded [`crate::hostfault`] schedule
-//! (`TINT_HOST_FAULT=io:<permille>:<seed>`).
-//! The journal **degrades gracefully**: a failed append repairs the entry
-//! boundary (truncating its *own* shard back to the last good entry);
-//! persistent failure (or an unusable journal directory) warns **once**,
-//! disarms journaling, and the run completes correctly journal-less —
-//! never a panic, never a corrupted good prefix. Figures are computed
-//! from in-memory results and are unaffected.
-//!
-//! ## Activation
-//!
-//! A [`Journal`] is a value owned by one [`crate::runner::Harness`], armed
-//! at the directory of the run's configuration. The `repro` binary resolves
-//! it from `TINT_JOURNAL` (`0` or empty disables it, `<dir>` relocates it,
-//! unset means `.tint-journal/` in the working directory); library callers
-//! never get a journal they did not ask for. Replay serves through the cell
-//! cache: with the cache off (`TINT_SIM_CACHE=0`) the journal still
-//! records completed cells but cannot serve them.
-//!
-//! Poisoned cells (worker panics, deadline kills — see
-//! [`crate::runner`]) are never journaled: a resume retries them.
+//! Every write-path filesystem operation runs under an io shim that fails
+//! it on the run's seeded [`crate::hostfault`] schedule
+//! (`TINT_HOST_FAULT=io:<permille>:<seed>`). A failed append truncates the
+//! own shard back to the last good entry; persistent failure (or an
+//! unusable directory) warns **once**, disarms journaling, and the run
+//! completes journal-less with the same figures. Poisoned cells are never
+//! journaled: a resume retries them.
 
+use crate::cell::{CellKey, ExpResult};
 use crate::hostfault::{HostFaultPlan, IoFault, IO_ABORT_MARKER};
 use crate::lockfile::Lockfile;
-use crate::runner::ExpResult;
-use crate::simcache::CellKey;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::Write as _;
@@ -109,24 +74,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use tint_hw::rng::SplitMix64;
 use tint_spmd::RunMetrics;
-use tint_workloads::PinConfig;
-use tintmalloc::colors::ColorScheme;
 
-/// Legacy (v1) single-file journal name inside the journal directory.
-/// It is never read or touched; `repro` notes that it is ignored.
-pub const V1_FILE_NAME: &str = "cells.v1.jnl";
+/// Stores of earlier record formats inside the journal directory: the
+/// v1 single file and the v2 shard store. Neither is read or touched;
+/// `repro` notes each one it finds.
+pub const LEGACY_STORES: [&str; 2] = ["cells.v1.jnl", "cells.v2"];
 
-/// The v2 store root inside the journal directory.
-pub const STORE_DIR: &str = "cells.v2";
+/// The v3 store root inside the journal directory.
+pub const STORE_DIR: &str = "cells.v3";
 
 /// The GC lockfile name inside the store root.
 pub const GC_LOCK: &str = "gc.lock";
 
-/// 8-byte v2 shard magic.
-const SHARD_MAGIC: &[u8; 8] = b"TINTJNL2";
+/// 8-byte v3 shard magic.
+const SHARD_MAGIC: &[u8; 8] = b"TINTJNL3";
 
-/// Upper bound on one entry's payload (a cell record is ~200 bytes; a
-/// length beyond this is corruption, not a big record).
+/// Upper bound on one entry's payload (a cell record is a few hundred
+/// bytes, a soak cell's window trace a few kilobytes; a length beyond
+/// this is corruption, not a big record).
 const MAX_ENTRY: u32 = 1 << 20;
 
 /// Consecutive append failures before the journal disarms itself.
@@ -171,206 +136,86 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Payload encoding (hand-rolled little-endian; no serde in the tree)
 // ---------------------------------------------------------------------------
 
-/// Stable wire code for a [`ColorScheme`] (declaration order; the wire
-/// format must not depend on `ColorScheme::ALL`'s presentation order).
-fn scheme_code(s: ColorScheme) -> u8 {
-    match s {
-        ColorScheme::Buddy => 0,
-        ColorScheme::LegacyGlobal => 1,
-        ColorScheme::LlcOnly => 2,
-        ColorScheme::MemOnly => 3,
-        ColorScheme::MemLlc => 4,
-        ColorScheme::MemLlcPart => 5,
-        ColorScheme::LlcMemPart => 6,
-        ColorScheme::Bpm => 7,
-        ColorScheme::Palloc => 8,
-    }
-}
-
-fn scheme_from(code: u8) -> Option<ColorScheme> {
-    Some(match code {
-        0 => ColorScheme::Buddy,
-        1 => ColorScheme::LegacyGlobal,
-        2 => ColorScheme::LlcOnly,
-        3 => ColorScheme::MemOnly,
-        4 => ColorScheme::MemLlc,
-        5 => ColorScheme::MemLlcPart,
-        6 => ColorScheme::LlcMemPart,
-        7 => ColorScheme::Bpm,
-        8 => ColorScheme::Palloc,
-        _ => return None,
-    })
-}
-
-fn pin_code(p: PinConfig) -> u8 {
-    match p {
-        PinConfig::T16N4 => 0,
-        PinConfig::T8N4 => 1,
-        PinConfig::T8N2 => 2,
-        PinConfig::T4N4 => 3,
-        PinConfig::T4N1 => 4,
-    }
-}
-
-fn pin_from(code: u8) -> Option<PinConfig> {
-    Some(match code {
-        0 => PinConfig::T16N4,
-        1 => PinConfig::T8N4,
-        2 => PinConfig::T8N2,
-        3 => PinConfig::T4N4,
-        4 => PinConfig::T4N1,
-        _ => return None,
-    })
-}
-
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn vec_u64(&mut self, v: &[u64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn vec_u64(&mut self) -> Option<Vec<u64>> {
-        let n = self.u32()? as usize;
-        if n > 4096 {
-            return None; // larger than any thread team: corruption
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-}
-
-/// Serialize one `(key, result)` cell record.
+/// Serialize one `(key, result)` cell record, the payload of an entry:
+/// the key (u32 length, UTF-8 bytes), then the result as little-endian u64
+/// words — the scalars (floats by bit pattern), then each list as its
+/// length and elements.
 fn encode(key: &CellKey, r: &ExpResult) -> Vec<u8> {
-    let mut e = Enc(Vec::with_capacity(192));
-    e.u64(key.fingerprint);
-    e.u8(scheme_code(key.scheme));
-    e.u8(pin_code(key.pin));
-    e.u8(MODE_EXACT);
-    e.u64(key.seed);
     let m = &r.metrics;
-    e.u32(m.threads as u32);
-    e.u64(m.runtime);
-    e.vec_u64(&m.thread_runtime);
-    e.vec_u64(&m.thread_idle);
-    e.u64(m.serial_cycles);
-    e.u32(m.parallel_sections as u32);
-    e.f64(r.remote_fraction);
-    e.u64(r.llc_interference);
-    e.f64(r.row_hit_rate);
-    e.u64(r.pages_moved);
-    e.u64(r.page_faults);
-    e.u64(r.fault_cycles);
-    e.f64(r.l3_miss_rate);
-    e.f64(r.mean_latency);
-    e.u64(r.color_list_moves);
-    e.0
-}
-
-/// The engine-mode byte of every record written today.
-const MODE_EXACT: u8 = 0;
-/// Mode bytes of retired engines (1 = reference pipeline, 2 = sampled).
-const MODES_RETIRED: [u8; 2] = [1, 2];
-
-/// One well-formed record payload.
-enum Record {
-    Cell(CellKey, ExpResult),
-    /// A cell a retired engine mode produced: skipped, not served.
-    Retired,
+    let mut words = vec![
+        m.threads as u64,
+        m.runtime,
+        m.serial_cycles,
+        m.parallel_sections as u64,
+        r.remote_fraction.to_bits(),
+        r.llc_interference,
+        r.row_hit_rate.to_bits(),
+        r.pages_moved,
+        r.page_faults,
+        r.fault_cycles,
+        r.l3_miss_rate.to_bits(),
+        r.mean_latency.to_bits(),
+        r.color_list_moves,
+    ];
+    for list in [&m.thread_runtime, &m.thread_idle, &r.counters] {
+        words.push(list.len() as u64);
+        words.extend(list);
+    }
+    let mut out = (key.0.len() as u32).to_le_bytes().to_vec();
+    out.extend(key.0.as_bytes());
+    out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    out
 }
 
 /// Decode one record; `None` means the payload is not a well-formed
 /// record (treated as corruption by the replayer).
-fn decode(payload: &[u8]) -> Option<Record> {
-    let mut d = Dec {
-        buf: payload,
-        at: 0,
-    };
-    let (fingerprint, scheme, pin) = (d.u64()?, scheme_from(d.u8()?)?, pin_from(d.u8()?)?);
-    let mode = d.u8()?;
-    if mode != MODE_EXACT && !MODES_RETIRED.contains(&mode) {
+fn decode(payload: &[u8]) -> Option<(CellKey, ExpResult)> {
+    let key_len = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
+    let key = String::from_utf8(payload.get(4..4 + key_len)?.to_vec()).ok()?;
+    let body = &payload[4 + key_len..];
+    if !body.len().is_multiple_of(8) {
         return None;
     }
-    let key = CellKey {
-        fingerprint,
-        scheme,
-        pin,
-        seed: d.u64()?,
-    };
-    let threads = d.u32()? as usize;
-    let runtime = d.u64()?;
-    let thread_runtime = d.vec_u64()?;
-    let thread_idle = d.vec_u64()?;
-    if thread_runtime.len() != threads || thread_idle.len() != threads {
-        return None;
+    let mut words = body
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+    let mut scalar = [0u64; 13];
+    for x in &mut scalar {
+        *x = words.next()?;
     }
-    let metrics = RunMetrics {
-        threads,
-        runtime,
-        thread_runtime,
-        thread_idle,
-        serial_cycles: d.u64()?,
-        parallel_sections: d.u32()? as usize,
+    let mut list = || {
+        let n = words.next()? as usize;
+        (n <= words.len()).then(|| words.by_ref().take(n).collect::<Vec<u64>>())
     };
+    let (thread_runtime, thread_idle, counters) = (list()?, list()?, list()?);
+    let [threads, runtime, serial_cycles, sections, remote, llc, row, moved, faults, fault_cycles, l3, lat, moves] =
+        scalar;
+    let threads = threads as usize;
+    if words.next().is_some() || thread_runtime.len() != threads || thread_idle.len() != threads {
+        return None; // trailing words or a malformed team: not a record
+    }
     let r = ExpResult {
-        metrics,
-        remote_fraction: d.f64()?,
-        llc_interference: d.u64()?,
-        row_hit_rate: d.f64()?,
-        pages_moved: d.u64()?,
-        page_faults: d.u64()?,
-        fault_cycles: d.u64()?,
-        l3_miss_rate: d.f64()?,
-        mean_latency: d.f64()?,
-        color_list_moves: d.u64()?,
+        metrics: RunMetrics {
+            threads,
+            runtime,
+            thread_runtime,
+            thread_idle,
+            serial_cycles,
+            parallel_sections: sections as usize,
+        },
+        remote_fraction: f64::from_bits(remote),
+        llc_interference: llc,
+        row_hit_rate: f64::from_bits(row),
+        pages_moved: moved,
+        page_faults: faults,
+        fault_cycles,
+        l3_miss_rate: f64::from_bits(l3),
+        mean_latency: f64::from_bits(lat),
+        color_list_moves: moves,
+        counters,
         poisoned: false,
     };
-    if d.at != payload.len() {
-        return None; // trailing bytes: not a record this version wrote
-    }
-    Some(if mode == MODE_EXACT {
-        Record::Cell(key, r)
-    } else {
-        Record::Retired
-    })
+    Some((CellKey(key), r))
 }
 
 /// One framed entry: `len | crc | payload`.
@@ -470,8 +315,8 @@ impl Fio {
 // Store geometry
 // ---------------------------------------------------------------------------
 
-/// The v2 store root under a journal directory.
-pub fn v2_root(dir: &Path) -> PathBuf {
+/// The store root under a journal directory.
+pub fn store_root(dir: &Path) -> PathBuf {
     dir.join(STORE_DIR)
 }
 
@@ -480,30 +325,24 @@ fn gen_name(n: u64) -> String {
     format!("gen-{n:08}")
 }
 
+/// The number of a committed generation directory's `name`: `gen-`
+/// followed by pure digits, exactly what the atomic commit rename
+/// produces. Uncommitted GC builds (`gen-*.tmp.<pid>`) and stray names
+/// are not generations.
+fn gen_number(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("gen-")?;
+    let all_digits = !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
+    all_digits.then(|| digits.parse().ok()).flatten()
+}
+
 /// The current (highest-numbered, committed) generation under `dir`'s
-/// store root, if any. Uncommitted GC builds (`gen-*.tmp.<pid>`) and any
-/// other stray names are ignored: only `gen-` followed by pure digits
-/// counts, which is exactly what the atomic commit rename produces.
+/// store root, if any.
 pub fn current_generation(dir: &Path) -> Option<(u64, PathBuf)> {
-    let root = v2_root(dir);
-    let mut best: Option<(u64, PathBuf)> = None;
-    for entry in std::fs::read_dir(&root).ok()?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(digits) = name.strip_prefix("gen-") else {
-            continue;
-        };
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            continue;
-        }
-        let Ok(n) = digits.parse::<u64>() else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(b, _)| n > *b) {
-            best = Some((n, entry.path()));
-        }
-    }
-    best
+    std::fs::read_dir(store_root(dir))
+        .ok()?
+        .flatten()
+        .filter_map(|e| Some((gen_number(e.file_name().to_str()?)?, e.path())))
+        .max_by_key(|(n, _)| *n)
 }
 
 /// First free `<file>.corrupt.<n>` (n = 1, 2, …) next to `root` for the
@@ -536,9 +375,7 @@ pub struct ReplayStats {
     pub torn_dropped: u64,
     /// Corrupt shards quarantined this replay.
     pub quarantined: u64,
-    /// Well-formed records of a retired engine mode, skipped.
-    pub retired_skipped: u64,
-    /// Healthy v2 shards merged.
+    /// Healthy shards merged.
     pub shards: u64,
 }
 
@@ -611,10 +448,10 @@ impl Journal {
         (Self(Mutex::new(s)), cells)
     }
 
-    // The lock absorbs poisoning: a kill-point panic mid-operation leaves
-    // the on-disk store consistent by design, and the state with it.
+    // A kill-point panic mid-operation leaves the on-disk store
+    // consistent by design, and the state with it.
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+        crate::runner::lock(&self.0)
     }
 
     /// The armed directory; `None` when disabled or disarmed at open.
@@ -691,17 +528,19 @@ impl Journal {
     }
 }
 
-/// The legacy v1 journal file in `dir`, if one is there. v1 stores are no
-/// longer imported, so the file is never read.
-pub fn legacy_file(dir: &Path) -> Option<PathBuf> {
-    Some(dir.join(V1_FILE_NAME)).filter(|p| p.exists())
+/// The stores of earlier formats present in `dir`. They are no longer
+/// imported, so they are never read.
+pub fn legacy_stores(dir: &Path) -> Vec<PathBuf> {
+    LEGACY_STORES
+        .iter()
+        .map(|name| dir.join(name))
+        .filter(|p| p.exists())
+        .collect()
 }
 
 /// One scanned shard.
 struct Scan {
     cells: Vec<(CellKey, ExpResult)>,
-    /// Records of a retired engine mode, skipped.
-    retired: u64,
     /// Trailing bytes after the last whole good entry (torn write).
     torn: u64,
     /// Mid-stream corruption: bad magic, bad CRC, insane length, or an
@@ -709,14 +548,12 @@ struct Scan {
     corrupt: bool,
 }
 
-/// Validate `bytes` against the framing format under `magic`. Never
-/// touches the filesystem — callers decide what to do about tears and
-/// corruption (the per-shard isolation policy lives in the callers).
+/// Validate `bytes` against the shard format. Never touches the
+/// filesystem: callers decide what to do about tears and corruption.
 fn scan_bytes(bytes: &[u8]) -> Scan {
     let magic = SHARD_MAGIC;
     let mut scan = Scan {
         cells: Vec::new(),
-        retired: 0,
         torn: 0,
         corrupt: false,
     };
@@ -750,18 +587,11 @@ fn scan_bytes(bytes: &[u8]) -> Scan {
             break;
         }
         let payload = &bytes[at + 8..at + 8 + len as usize];
-        if crc32(payload) != crc {
-            scan.corrupt = true;
+        let Some(cell) = (crc32(payload) == crc).then(|| decode(payload)).flatten() else {
+            scan.corrupt = true; // a CRC mismatch or a malformed record
             break;
-        }
-        match decode(payload) {
-            Some(Record::Cell(k, v)) => scan.cells.push((k, v)),
-            Some(Record::Retired) => scan.retired += 1,
-            None => {
-                scan.corrupt = true;
-                break;
-            }
-        }
+        };
+        scan.cells.push(cell);
         at += 8 + len as usize;
     }
     scan
@@ -776,7 +606,6 @@ struct GenScan {
     healthy_keys: BTreeSet<CellKey>,
     shards: u64,
     torn: u64,
-    retired: u64,
     quarantined: u64,
     /// Total bytes of the shards scanned (GC's before-size).
     bytes: u64,
@@ -804,7 +633,6 @@ fn scan_generation(fio: &mut Fio, root: &Path, gen_dir: &Path) -> GenScan {
         g.bytes += bytes.len() as u64;
         let scan = scan_bytes(&bytes);
         g.torn += scan.torn;
-        g.retired += scan.retired;
         if scan.corrupt {
             g.quarantined += 1;
             let q = unique_corrupt_path(root, &path);
@@ -825,7 +653,8 @@ fn scan_generation(fio: &mut Fio, root: &Path, gen_dir: &Path) -> GenScan {
             }
         } else {
             g.shards += 1;
-            g.healthy_keys.extend(scan.cells.iter().map(|(k, _)| *k));
+            g.healthy_keys
+                .extend(scan.cells.iter().map(|(k, _)| k.clone()));
         }
         g.merged.extend(scan.cells);
     }
@@ -839,7 +668,7 @@ fn replay(s: &mut State) -> BTreeMap<CellKey, ExpResult> {
     let Some(dir) = s.dir.clone() else {
         return BTreeMap::new();
     };
-    let root = v2_root(&dir);
+    let root = store_root(&dir);
     if let Err(e) = s.fio.create_dir_all(&root) {
         eprintln!(
             "journal: cannot create {} ({e}); journaling disabled for this run",
@@ -857,7 +686,6 @@ fn replay(s: &mut State) -> BTreeMap<CellKey, ExpResult> {
         replayed: g.merged.len() as u64,
         torn_dropped: g.torn,
         quarantined: g.quarantined,
-        retired_skipped: g.retired,
         shards: g.shards,
     };
     // Rescue cells that no healthy shard holds (corrupt-shard salvage)
@@ -895,7 +723,7 @@ fn open_own_shard(s: &mut State) -> bool {
     let gen_dir = match current_generation(&dir) {
         Some((_, p)) => p,
         None => {
-            let p = v2_root(&dir).join(gen_name(1));
+            let p = store_root(&dir).join(gen_name(1));
             if let Err(e) = s.fio.create_dir_all(&p) {
                 disarm_io(s, "create generation", &e);
                 return false;
@@ -986,7 +814,7 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
     if s.io_disarmed {
         return Err("journal is disarmed after io failures; not compacting".to_string());
     }
-    let root = v2_root(&dir);
+    let root = store_root(&dir);
     s.fio
         .create_dir_all(&root)
         .map_err(|e| format!("cannot create {}: {e}", root.display()))?;
@@ -1043,11 +871,7 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
                 for entry in rd.flatten() {
                     let name = entry.file_name();
                     let Some(name) = name.to_str() else { continue };
-                    let is_old_gen = name
-                        .strip_prefix("gen-")
-                        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-                        .and_then(|d| d.parse::<u64>().ok())
-                        .is_some_and(|n| n <= old_n);
+                    let is_old_gen = gen_number(name).is_some_and(|n| n <= old_n);
                     let is_stale_tmp = name.starts_with("gen-") && name.contains(".tmp.");
                     if is_old_gen || is_stale_tmp {
                         let _ = std::fs::remove_dir_all(entry.path());
@@ -1066,6 +890,10 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellSpec;
+    use tint_workloads::traits::Scale;
+    use tint_workloads::{PinConfig, Synthetic};
+    use tintmalloc::colors::ColorScheme;
 
     #[test]
     fn crc32_known_vectors() {
@@ -1074,14 +902,17 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// A zeroed result with `counters`.
+    fn result(counters: Vec<u64>) -> ExpResult {
+        ExpResult {
+            counters,
+            ..ExpResult::default()
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let key = CellKey {
-            fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            scheme: ColorScheme::MemLlcPart,
-            pin: PinConfig::T8N2,
-            seed: 7,
-        };
+        let key = CellKey("Tiny - churn[3, 40] seed=7".to_string());
         let r = ExpResult {
             metrics: RunMetrics {
                 threads: 3,
@@ -1100,67 +931,41 @@ mod tests {
             l3_miss_rate: 0.125,
             mean_latency: 42.5,
             color_list_moves: 23,
+            counters: vec![29, 31],
             poisoned: false,
         };
-        let mut payload = encode(&key, &r);
-        assert_eq!(payload[10], MODE_EXACT, "writers emit mode byte 0 only");
-        let Some(Record::Cell(k2, r2)) = decode(&payload) else {
-            panic!("roundtrip decodes as a cell");
-        };
-        assert_eq!(k2, key);
-        assert_eq!(r2, r);
-
-        // Retired engine modes decode as well-formed but skipped records;
-        // any other mode byte is corruption.
-        for mode in MODES_RETIRED {
-            payload[10] = mode;
-            assert!(
-                matches!(decode(&payload), Some(Record::Retired)),
-                "mode {mode}"
-            );
-        }
-        payload[10] = 3;
-        assert!(decode(&payload).is_none());
+        assert_eq!(decode(&encode(&key, &r)), Some((key, r)));
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing_garbage() {
-        let key = CellKey {
-            fingerprint: 1,
-            scheme: ColorScheme::Buddy,
-            pin: PinConfig::T4N1,
-            seed: 1,
-        };
-        let r = ExpResult {
-            metrics: RunMetrics::new(2),
-            remote_fraction: 0.0,
-            llc_interference: 0,
-            row_hit_rate: 0.0,
-            pages_moved: 0,
-            page_faults: 0,
-            fault_cycles: 0,
-            l3_miss_rate: 0.0,
-            mean_latency: 0.0,
-            color_list_moves: 0,
-            poisoned: false,
-        };
-        let full = encode(&key, &r);
+        let key = CellKey("k".to_string());
+        let full = encode(&key, &result(vec![1, 2, 3]));
         assert!(decode(&full[..full.len() - 1]).is_none());
         let mut extended = full.clone();
         extended.push(0);
         assert!(decode(&extended).is_none());
+        // A key that is not UTF-8 is corruption too.
+        let mut bad_key = full;
+        bad_key[4] = 0xff;
+        assert!(decode(&bad_key).is_none());
     }
 
+    /// Every scheme and pinning gets its own key, and each key survives
+    /// the record codec: the spec encoding needs no code table.
     #[test]
     fn scheme_and_pin_codes_roundtrip() {
-        for s in ColorScheme::ALL {
-            assert_eq!(scheme_from(scheme_code(s)), Some(s));
+        let w = Synthetic::new(Scale(0.1));
+        let mut keys = BTreeSet::new();
+        for scheme in ColorScheme::ALL {
+            for pin in PinConfig::ALL {
+                let key = CellSpec::team(&w, scheme, pin, 1).key();
+                let (back, _) = decode(&encode(&key, &result(Vec::new()))).unwrap();
+                assert_eq!(back, key);
+                keys.insert(key);
+            }
         }
-        for p in PinConfig::ALL {
-            assert_eq!(pin_from(pin_code(p)), Some(p));
-        }
-        assert_eq!(scheme_from(200), None);
-        assert_eq!(pin_from(200), None);
+        assert_eq!(keys.len(), ColorScheme::ALL.len() * PinConfig::ALL.len());
     }
 
     #[test]
@@ -1182,7 +987,7 @@ mod tests {
     fn generation_names_parse_and_tmp_dirs_are_ignored() {
         let dir = std::env::temp_dir().join(format!("tint-jnl-gen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let root = v2_root(&dir);
+        let root = store_root(&dir);
         std::fs::create_dir_all(root.join("gen-00000001")).unwrap();
         std::fs::create_dir_all(root.join("gen-00000003")).unwrap();
         std::fs::create_dir_all(root.join("gen-00000004.tmp.1234")).unwrap();

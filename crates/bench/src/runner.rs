@@ -1,4 +1,4 @@
-//! Run (workload, scheme, pinning, seed) experiment cells on fresh machines.
+//! Run cells ([`crate::cell`]) on fresh machines: the one executor.
 //!
 //! A [`Harness`] is one run's context. It is built from a [`RunConfig`] —
 //! the `repro` binary parses its flags and `TINT_*` variables into one,
@@ -9,24 +9,18 @@
 //!
 //! Three layers sit between a figure and the simulator:
 //!
-//! * the **cell cache** ([`crate::simcache`]): every cell is deterministic,
-//!   so results are memoized by content — figures run through one harness
-//!   share cells (fig13/fig14 are a strict subset of the fig11 matrix)
+//! * the **cell cache** ([`CellCache`]): cells are deterministic, so
+//!   results are memoized by their [`CellKey`] — figures run through one
+//!   harness share cells (fig13/fig14 are a subset of the fig11 matrix)
 //!   without knowing about each other;
 //! * the **cell farm** ([`crate::journal`]): completed cells are also
-//!   appended to a crash-safe on-disk store (when configured), replayed
-//!   into the cache when the harness is built, so a killed run resumes
-//!   without re-simulating its completed prefix. The store is sharded per
-//!   writer process (`O_EXCL`-created append shards inside a generation
-//!   directory), so any number of concurrent `repro` processes can share
-//!   one journal directory lock-free and collectively only ever simulate
-//!   new cells; on persistent io failure the journal disarms itself (one
-//!   warning) and the run completes journal-less with identical figures;
-//! * the **matrix executor** ([`Harness::run_cells`]): figures flatten
-//!   their whole (benchmark × config × scheme × rep) cell list into one
-//!   work queue drained by `--jobs` host threads. Cells vary ~100× in cost
-//!   (lbm vs blackscholes), so stealing from a single flattened queue is
-//!   what load-balances a sweep; a per-cell ≤ reps-way fan-out cannot.
+//!   appended to a crash-safe on-disk store, replayed into the cache when
+//!   the harness is built, so a killed run resumes without re-simulating
+//!   its completed prefix;
+//! * the **executor** ([`Harness::run_cells`]): every simulating command
+//!   flattens its whole cell list into one work queue drained by `--jobs`
+//!   host threads. Cells vary ~100× in cost (lbm vs blackscholes), so
+//!   stealing from one flattened queue is what load-balances a sweep.
 //!
 //! Results are merged back in canonical (input) order, so figure output is
 //! byte-identical at any job count and with the cache/journal on or off.
@@ -34,178 +28,67 @@
 //! ## Worker isolation
 //!
 //! Each cell attempt runs under `catch_unwind`: a panicking cell (a real
-//! bug, or a scheduled [`crate::hostfault`] injection) is retried up to
-//! [`RunConfig::cell_retries`] times (default 2) — an immediate,
-//! backoff-free requeue on the same worker — and only after every attempt
-//! fails is it recorded as a **poisoned** cell: a zeroed sentinel result
-//! with [`ExpResult::poisoned`] set, rendered as `ERR` in figure tables and
-//! counted in [`Stats::poisoned`] so the `repro` binary can exit nonzero
-//! without aborting the rest of the matrix. Poisoned results are never
-//! cached or journaled; a later run retries them.
+//! bug, a contract a scenario asserts inside its cell, or a scheduled
+//! [`crate::hostfault`] injection) is requeued at once, up to
+//! [`RunConfig::cell_retries`] times, and only then recorded as
+//! **poisoned**: a zeroed sentinel with [`ExpResult::poisoned`] set, which
+//! figures render as `ERR` and [`Stats::poisoned`] counts, so `repro`
+//! exits nonzero without aborting the rest of the matrix. Poisoned results
+//! are never cached or journaled; a later run retries them.
 //!
-//! A watchdog thread (armed by [`RunConfig::cell_timeout`]) warns about
-//! cells exceeding the soft deadline; in strict-deadline mode
-//! ([`RunConfig::strict_deadline`], the `repro --strict-deadline` flag) an
-//! overdue cell's eventual result is discarded and the cell poisoned, and
-//! a cell stuck past 20× the deadline aborts the whole process (exit 124,
-//! journal flushed — a resume skips everything that completed) so a
-//! livelocked simulation cannot hang CI forever.
-//!
-//! SIGINT/SIGTERM (when the binary armed [`install_cancel_handlers`]) flip
-//! a cooperative cancel flag — process-wide, since a signal handler can
-//! only reach a static: workers drain at the next cell boundary, the
-//! journal is flushed, and the process exits 130 with a resume notice.
+//! A watchdog thread ([`RunConfig::cell_timeout`]) warns about overdue
+//! cells; with [`RunConfig::strict_deadline`] their results are discarded
+//! (poisoned), and a cell stuck past 20× the deadline aborts the process
+//! (exit 124, journal flushed) so a livelock cannot hang CI.
+//! SIGINT/SIGTERM (once the binary called [`install_cancel_handlers`])
+//! flip a process-wide cancel flag: workers drain at the next cell
+//! boundary, the journal is flushed, and the process exits 130.
 
+pub use crate::cell::{cells_for, CellSpec, ExpResult};
+use crate::cell::{poisoned_sentinel, simulate, CellKey};
 use crate::hostfault::{HostFaultPlan, PANIC_MARKER};
 use crate::journal::Journal;
-use crate::simcache::{CellCache, CellKey};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tint_hw::fxhash::FxHashMap;
-use tint_spmd::{RunMetrics, SimThread};
-use tint_workloads::{PinConfig, Workload};
-use tintmalloc::prelude::*;
 
-/// Everything one run produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpResult {
-    /// SPMD metrics (runtime, per-thread runtime/idle).
-    pub metrics: RunMetrics,
-    /// Fraction of DRAM accesses served by remote nodes.
-    pub remote_fraction: f64,
-    /// Cross-core LLC evictions (interference events).
-    pub llc_interference: u64,
-    /// DRAM row-buffer hit rate.
-    pub row_hit_rate: f64,
-    /// Pages moved into color lists (Algorithm 2 volume).
-    pub pages_moved: u64,
-    /// Page faults taken.
-    pub page_faults: u64,
-    /// Total kernel cycles charged for faults (incl. color-list population).
-    pub fault_cycles: u64,
-    /// Machine-wide L3 miss rate (misses / L3 lookups).
-    pub l3_miss_rate: f64,
-    /// Machine-wide mean end-to-end access latency (cycles).
-    pub mean_latency: f64,
-    /// create_color_list invocations.
-    pub color_list_moves: u64,
-    /// True when this is a sentinel for a cell whose every attempt
-    /// panicked (or blew its strict deadline): the numbers above are
-    /// zeros, figures render the affected rows as `ERR`, and the cell is
-    /// never cached or journaled.
-    pub poisoned: bool,
+/// Lock `m`, absorbing poisoning: every mutex here guards plain values
+/// (results, counters, bookkeeping) valid wherever a panicking holder
+/// stopped.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One cell of a figure's sweep: `workload` run under `(scheme, pin)` with
-/// repetition seed `seed`.
-#[derive(Clone, Copy)]
-pub struct CellSpec<'a> {
-    /// The workload (immutable configuration; `Sync` by trait bound).
-    pub workload: &'a dyn Workload,
-    /// Coloring policy.
-    pub scheme: ColorScheme,
-    /// Thread→core pinning.
-    pub pin: PinConfig,
-    /// Repetition seed (the paper's 10 repetitions are seeds 1..=10).
-    pub seed: u64,
-}
+/// Completed cells by content key. The flag marks a cell loaded from the
+/// journal: serving it is a *journal hit*, the counter a resumed run uses
+/// to prove it did not re-simulate its completed prefix.
+#[derive(Default)]
+pub struct CellCache(Mutex<FxHashMap<CellKey, (ExpResult, bool)>>);
 
-impl CellSpec<'_> {
-    /// Human-readable cell identity for warnings and poisoned-cell logs.
-    fn describe(&self) -> String {
-        format!(
-            "{} / {} / {} / seed {}",
-            self.workload.name(),
-            self.scheme.label(),
-            self.pin,
-            self.seed
-        )
-    }
-}
-
-/// `schemes × seeds 1..=reps` of one workload at one pinning, scheme-major:
-/// the cell list of a figure row group.
-pub fn cells_for<'a>(
-    workload: &'a dyn Workload,
-    schemes: &[ColorScheme],
-    pin: PinConfig,
-    reps: u32,
-) -> Vec<CellSpec<'a>> {
-    schemes
-        .iter()
-        .flat_map(|&scheme| {
-            (1..=reps as u64).map(move |seed| CellSpec {
-                workload,
-                scheme,
-                pin,
-                seed,
-            })
-        })
-        .collect()
-}
-
-/// Actually simulate one cell on a fresh machine (no cache involvement).
-/// The seed drives boot noise (physical-layout jitter across the paper's
-/// repetitions) and the workloads' random streams.
-fn simulate_cell(
-    workload: &dyn Workload,
-    scheme: ColorScheme,
-    pin: PinConfig,
-    seed: u64,
-) -> ExpResult {
-    let machine = MachineConfig::opteron_6128();
-    let mut sys = System::boot(machine);
-    // Jitter the physical layout: consume a pseudo-random number of low
-    // frames, as a freshly booted system with prior activity would.
-    sys.boot_noise((seed.wrapping_mul(2654435761) % 2048) * 4);
-
-    let cores = pin.cores();
-    let mut threads = SimThread::spawn_all(&mut sys, &cores);
-    let plan = scheme.plan(sys.machine(), &cores);
-    for (t, p) in threads.iter().zip(&plan) {
-        sys.apply_colors(t.tid, p).expect("color plan applies");
+impl CellCache {
+    /// The cached result for `key` and whether it came from the journal.
+    pub fn get(&self, key: &CellKey) -> Option<(ExpResult, bool)> {
+        lock(&self.0).get(key).cloned()
     }
 
-    let program = workload
-        .build(&mut sys, &threads, seed)
-        .expect("workload builds");
-    let metrics = program.run(&mut sys, &mut threads).expect("program runs");
+    /// Store a completed cell (`from_journal`: loaded by journal replay).
+    pub fn insert(&self, key: CellKey, result: ExpResult, from_journal: bool) {
+        lock(&self.0).insert(key, (result, from_journal));
+    }
 
-    let kstats = *sys.kernel().stats();
-    let hier = sys.mem().hierarchy().stats();
-    let (l3_hits, l3_misses) = hier
-        .cores
-        .iter()
-        .fold((0u64, 0u64), |(h, m), c| (h + c.l3_hits, m + c.l3_misses));
-    let mem = sys.mem().stats();
-    let (acc, lat) = mem.cores.iter().fold((0u64, 0u64), |(a, l), c| {
-        (a + c.accesses, l + c.total_latency)
-    });
-    ExpResult {
-        metrics,
-        remote_fraction: mem.remote_fraction(),
-        llc_interference: hier.total_llc_interference(),
-        row_hit_rate: sys.mem().dram().stats().hit_rate(),
-        pages_moved: kstats.pages_moved,
-        page_faults: kstats.page_faults,
-        fault_cycles: kstats.fault_cycles,
-        l3_miss_rate: if l3_hits + l3_misses == 0 {
-            0.0
-        } else {
-            l3_misses as f64 / (l3_hits + l3_misses) as f64
-        },
-        mean_latency: if acc == 0 {
-            0.0
-        } else {
-            lat as f64 / acc as f64
-        },
-        color_list_moves: kstats.create_color_list_calls,
-        poisoned: false,
+    /// Number of cached cells.
+    pub fn len(&self) -> usize {
+        lock(&self.0).len()
+    }
+
+    /// True when no cell is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -249,23 +132,6 @@ pub fn cancel_requested() -> bool {
     CANCELLED.load(Ordering::SeqCst)
 }
 
-/// The zeroed sentinel recorded for a cell that exhausted every attempt.
-fn poisoned_sentinel(c: &CellSpec<'_>) -> ExpResult {
-    ExpResult {
-        metrics: RunMetrics::new(c.pin.cores().len()),
-        remote_fraction: 0.0,
-        llc_interference: 0,
-        row_hit_rate: 0.0,
-        pages_moved: 0,
-        page_faults: 0,
-        fault_cycles: 0,
-        l3_miss_rate: 0.0,
-        mean_latency: 0.0,
-        color_list_moves: 0,
-        poisoned: true,
-    }
-}
-
 /// True when any repetition in `rs` is a poisoned sentinel — figures use
 /// this to render the affected row's value cells as `ERR`.
 pub fn any_poisoned(rs: &[ExpResult]) -> bool {
@@ -276,13 +142,11 @@ pub fn any_poisoned(rs: &[ExpResult]) -> bool {
 struct Watch {
     /// Per-worker: `(cell index, start)` while a cell is being simulated.
     active: Mutex<Vec<Option<(usize, Instant)>>>,
-    /// Cells flagged overdue by the watchdog (strict mode: reject result).
-    flagged: Mutex<BTreeSet<usize>>,
-    /// Cells already warned about (warn once each).
-    warned: Mutex<BTreeSet<usize>>,
+    /// Cells the watchdog found overdue (it warns once about each).
+    overdue: Mutex<BTreeSet<usize>>,
     /// Workers still draining the queue; the watchdog exits at zero.
     workers_alive: AtomicUsize,
-    /// Strict-deadline mode: flagged cells' results are discarded.
+    /// Strict-deadline mode: overdue cells' results are discarded.
     strict: bool,
 }
 
@@ -290,28 +154,21 @@ impl Watch {
     fn new(workers: usize, strict: bool) -> Self {
         Self {
             active: Mutex::new(vec![None; workers]),
-            flagged: Mutex::default(),
-            warned: Mutex::default(),
+            overdue: Mutex::default(),
             workers_alive: AtomicUsize::new(workers),
             strict,
         }
     }
 
     fn begin(&self, worker: usize, cell: usize) {
-        self.active.lock().unwrap_or_else(|e| e.into_inner())[worker] =
-            Some((cell, Instant::now()));
+        lock(&self.active)[worker] = Some((cell, Instant::now()));
     }
 
     /// Clear the worker's slot; returns true when strict-deadline mode
-    /// flagged this cell while it ran (its result must be discarded).
+    /// found this cell overdue while it ran (its result must be discarded).
     fn end(&self, worker: usize, cell: usize) -> bool {
-        self.active.lock().unwrap_or_else(|e| e.into_inner())[worker] = None;
-        self.strict
-            && self
-                .flagged
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains(&cell)
+        lock(&self.active)[worker] = None;
+        self.strict && lock(&self.overdue).contains(&cell)
     }
 
     fn worker_done(&self) {
@@ -380,11 +237,11 @@ impl Default for RunConfig {
 /// A harness's run counters (a snapshot: [`Harness::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Simulated cycles of every actual simulation: each cell's
-    /// `metrics.runtime`, plus what self-booting figures report through
-    /// [`Harness::note_sim_cycles`]. Cache hits do not add to it: it counts
-    /// *new* work, which is how `BENCH_repro.json` proves a command was
-    /// served from the cache.
+    /// Simulated cycles of every cell this harness simulated: a workload
+    /// cell's `metrics.runtime`, or what a scenario cell reports (its
+    /// makespan, or the cycles of its accesses). Cache hits do not add to
+    /// it: it counts *new* work, which is how `BENCH_repro.json` proves a
+    /// command was served from the cache.
     pub sim_cycles: u64,
     /// Cells that exhausted every attempt.
     pub poisoned: u64,
@@ -401,11 +258,11 @@ pub struct Stats {
     pub journal_hits: u64,
     /// New cells appended to the journal.
     pub journal_appends: u64,
-    /// OOM victim kills the soak figure observed.
+    /// OOM victim kills, summed over the kernels of every simulated cell.
     pub oom_kills: u64,
-    /// Watermark admission rejections the soak figure observed.
+    /// Watermark admission rejections, summed likewise.
     pub admission_rejects: u64,
-    /// `EAGAIN` allocation retries the soak figure observed.
+    /// `EAGAIN` allocation retries, summed likewise.
     pub alloc_retries: u64,
 }
 
@@ -465,7 +322,7 @@ impl Harness {
 
     /// The run counters so far.
     pub fn stats(&self) -> Stats {
-        let s = *self.stats.lock().unwrap_or_else(|e| e.into_inner());
+        let s = *lock(&self.stats);
         Stats {
             journal_appends: self.journal.appends(),
             ..s
@@ -473,23 +330,7 @@ impl Harness {
     }
 
     fn note(&self, f: impl FnOnce(&mut Stats)) {
-        f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Add cycles simulated outside [`Harness::run_cells`]: a figure that
-    /// boots its own machines reports each program's runtime, each
-    /// round-robin makespan, or each scenario's simulated span here.
-    pub fn note_sim_cycles(&self, cycles: u64) {
-        self.note(|s| s.sim_cycles += cycles);
-    }
-
-    /// Accumulate one simulated system's memory-pressure counters.
-    pub fn note_pressure(&self, oom_kills: u64, admission_rejects: u64, alloc_retries: u64) {
-        self.note(|s| {
-            s.oom_kills += oom_kills;
-            s.admission_rejects += admission_rejects;
-            s.alloc_retries += alloc_retries;
-        });
+        f(&mut lock(&self.stats));
     }
 
     /// Run one cell attempt-isolated: `catch_unwind` around the simulation
@@ -497,7 +338,7 @@ impl Harness {
     /// [`RunConfig::cell_retries`] times, then a poisoned sentinel.
     /// Simulation is deterministic, so a successful retry returns exactly
     /// what an undisturbed run would have.
-    fn run_cell_guarded(&self, c: &CellSpec<'_>) -> ExpResult {
+    fn run_cell_guarded(&self, c: &CellSpec<'_>, key: &CellKey) -> ExpResult {
         let attempts = 1 + self.config.cell_retries as u64;
         for attempt in 1..=attempts {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -508,18 +349,23 @@ impl Harness {
                         panic!("{PANIC_MARKER} (attempt {n})");
                     }
                 }
-                simulate_cell(c.workload, c.scheme, c.pin, c.seed)
+                simulate(c)
             }));
             match outcome {
-                Ok(r) => {
-                    self.note_sim_cycles(r.metrics.runtime);
+                Ok((r, spent)) => {
+                    self.note(|s| {
+                        s.sim_cycles += spent.sim_cycles;
+                        s.oom_kills += spent.oom_kills;
+                        s.admission_rejects += spent.admission_rejects;
+                        s.alloc_retries += spent.alloc_retries;
+                    });
                     return r;
                 }
                 Err(_) if attempt < attempts => {
                     self.note(|s| s.retries += 1);
                     eprintln!(
                         "worker: cell [{}] panicked (attempt {attempt}/{attempts}); requeueing",
-                        c.describe()
+                        key.0
                     );
                 }
                 Err(_) => {
@@ -527,7 +373,7 @@ impl Harness {
                     eprintln!(
                         "worker: cell [{}] poisoned after {attempts} attempts — \
                          it will render as ERR and the run will exit nonzero",
-                        c.describe()
+                        key.0
                     );
                 }
             }
@@ -536,11 +382,10 @@ impl Harness {
     }
 
     /// Watchdog body: wake a few times per deadline, warn about overdue
-    /// cells (once each), flag them in strict mode, and — strict mode,
-    /// armed binary only — abort the process if a cell is stuck past 20×
-    /// the deadline (the journal holds everything completed, so an abort
-    /// is resumable).
-    fn watchdog_loop(&self, watch: &Watch, cells: &[CellSpec<'_>], timeout: Duration) {
+    /// cells (once each), and — strict mode, armed binary only — abort the
+    /// process if a cell is stuck past 20× the deadline (the journal holds
+    /// everything completed, so an abort is resumable).
+    fn watchdog_loop(&self, watch: &Watch, keys: &[CellKey], timeout: Duration) {
         let strict = self.config.strict_deadline;
         let tick = (timeout / 4)
             .min(Duration::from_millis(200))
@@ -549,7 +394,7 @@ impl Harness {
         while watch.workers_alive.load(Ordering::Acquire) > 0 {
             std::thread::sleep(tick);
             let overdue: Vec<(usize, Duration)> = {
-                let active = watch.active.lock().unwrap_or_else(|e| e.into_inner());
+                let active = lock(&watch.active);
                 active
                     .iter()
                     .flatten()
@@ -558,15 +403,10 @@ impl Harness {
                     .collect()
             };
             for (i, elapsed) in overdue {
-                let first = watch
-                    .warned
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(i);
-                if first {
+                if lock(&watch.overdue).insert(i) {
                     eprintln!(
                         "watchdog: cell [{}] running {:.1}s, past the {:.1}s deadline{}",
-                        cells[i].describe(),
+                        keys[i].0,
                         elapsed.as_secs_f64(),
                         timeout.as_secs_f64(),
                         if strict {
@@ -576,22 +416,15 @@ impl Harness {
                         }
                     );
                 }
-                if strict {
-                    watch
-                        .flagged
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(i);
-                    if elapsed > hard_kill && CANCEL_ARMED.load(Ordering::SeqCst) {
-                        self.journal.flush();
-                        eprintln!(
-                            "watchdog: cell [{}] stuck for {:.1}s (20x the deadline); \
-                             aborting — completed cells are journaled, resume with the same command",
-                            cells[i].describe(),
-                            elapsed.as_secs_f64()
-                        );
-                        std::process::exit(124);
-                    }
+                if strict && elapsed > hard_kill && CANCEL_ARMED.load(Ordering::SeqCst) {
+                    self.journal.flush();
+                    eprintln!(
+                        "watchdog: cell [{}] stuck for {:.1}s (20x the deadline); \
+                         aborting — completed cells are journaled, resume with the same command",
+                        keys[i].0,
+                        elapsed.as_secs_f64()
+                    );
+                    std::process::exit(124);
                 }
             }
         }
@@ -604,39 +437,25 @@ impl Harness {
         self.run_cells_with_progress(cells, &|_, _| {})
     }
 
-    /// [`Self::run_cells`] with a progress callback, invoked after each
-    /// *simulated* cell as `progress(done, to_simulate)` (cache hits are
-    /// served instantly and not reported; the callback may be called from
-    /// worker threads).
+    /// [`Self::run_cells`] with a progress callback, invoked (possibly from
+    /// worker threads) after each *simulated* cell as
+    /// `progress(done, to_simulate)`; cache hits are not reported.
     ///
-    /// Execution model: cached cells are filled first; the remaining misses
-    /// form a single flat queue drained by `min(jobs, misses)` scoped
-    /// threads via an atomic cursor — a cheap work-stealing scheme that
-    /// load-balances cells of wildly different cost. Each repetition is an
-    /// independent deterministic simulation, so the fan-out changes only
-    /// wall-clock time, never results: the canonical-order merge makes the
-    /// output independent of `jobs` (asserted by tests below and
-    /// `tests/cell_cache.rs`).
-    ///
-    /// Every simulated cell runs panic-isolated (see the module docs); each
-    /// completed cell is appended to the journal at the moment it finishes,
-    /// so a crash loses at most in-flight cells. On cooperative
-    /// cancellation (SIGINT/SIGTERM in the `repro` binary) workers stop
-    /// picking up new cells, the journal is flushed, and the process exits
-    /// 130.
-    ///
-    /// In-batch duplicates (same content key appearing twice) are simulated
-    /// once and counted as cache hits when the cache is on; with the cache
-    /// off every occurrence is simulated.
+    /// Cached cells are filled first; the misses form one flat queue
+    /// drained by `min(jobs, misses)` scoped threads through an atomic
+    /// cursor, which load-balances cells of wildly different cost. Cells
+    /// are independent and deterministic, so the fan-out changes only
+    /// wall-clock time: the canonical-order merge makes the output
+    /// independent of `jobs`. Each completed cell is journaled the moment
+    /// it finishes, so a crash loses at most the cells in flight. In-batch
+    /// duplicates (one key twice) are simulated once and counted as cache
+    /// hits when the cache is on.
     pub fn run_cells_with_progress(
         &self,
         cells: &[CellSpec<'_>],
         progress: &(dyn Fn(usize, usize) + Sync),
     ) -> Vec<ExpResult> {
-        let keys: Vec<CellKey> = cells
-            .iter()
-            .map(|c| CellKey::of(c.workload, c.scheme, c.pin, c.seed))
-            .collect();
+        let keys: Vec<CellKey> = cells.iter().map(CellSpec::key).collect();
         let mut slots: Vec<Option<ExpResult>> = Vec::with_capacity(cells.len());
         let mut to_run: Vec<usize> = Vec::new();
         let mut pending: FxHashMap<CellKey, usize> = FxHashMap::default();
@@ -655,7 +474,7 @@ impl Harness {
                 continue;
             }
             slots.push(None);
-            match pending.entry(*key) {
+            match pending.entry(key.clone()) {
                 Entry::Occupied(src) => {
                     dups.push((i, *src.get()));
                     hits += 1;
@@ -681,8 +500,8 @@ impl Harness {
             let watch = Watch::new(workers, self.config.strict_deadline);
             std::thread::scope(|s| {
                 if let Some(t) = self.config.cell_timeout {
-                    let watch = &watch;
-                    s.spawn(move || self.watchdog_loop(watch, cells, t));
+                    let (watch, keys) = (&watch, &keys);
+                    s.spawn(move || self.watchdog_loop(watch, keys, t));
                 }
                 for w in 0..workers {
                     let (watch, next, done, results) = (&watch, &next, &done, &results);
@@ -699,7 +518,7 @@ impl Harness {
                             let i = to_run[k];
                             let c = &cells[i];
                             watch.begin(w, i);
-                            let mut r = self.run_cell_guarded(c);
+                            let mut r = self.run_cell_guarded(c, &keys[i]);
                             if watch.end(w, i) && !r.poisoned {
                                 // Strict deadline: the cell finished, but
                                 // too late — treat like a failed cell.
@@ -707,17 +526,14 @@ impl Harness {
                                 eprintln!(
                                     "worker: cell [{}] exceeded the strict deadline; \
                                      result discarded (ERR)",
-                                    c.describe()
+                                    keys[i].0
                                 );
                                 r = poisoned_sentinel(c);
                             }
                             if !r.poisoned {
                                 self.journal.append(&keys[i], &r);
                             }
-                            results
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push((i, r));
+                            lock(results).push((i, r));
                             progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
                         }
                         watch.worker_done();
@@ -730,7 +546,7 @@ impl Harness {
             if let Some(cache) = &self.cache {
                 for &i in &to_run {
                     match &slots[i] {
-                        Some(r) if !r.poisoned => cache.insert(keys[i], r.clone(), false),
+                        Some(r) if !r.poisoned => cache.insert(keys[i].clone(), r.clone(), false),
                         _ => {}
                     }
                 }
@@ -797,7 +613,8 @@ impl Summary {
 mod tests {
     use super::*;
     use tint_workloads::traits::Scale;
-    use tint_workloads::Synthetic;
+    use tint_workloads::{PinConfig, Synthetic};
+    use tintmalloc::colors::ColorScheme;
 
     fn tiny_synth() -> Synthetic {
         Synthetic {
@@ -817,16 +634,23 @@ mod tests {
         // Bypass the cache on purpose: a==b must hold because the simulator
         // is deterministic, not because a memo served the second call.
         let w = tiny_synth();
-        let a = simulate_cell(&w, ColorScheme::Buddy, PinConfig::T4N4, 3);
-        let b = simulate_cell(&w, ColorScheme::Buddy, PinConfig::T4N4, 3);
+        let runtime = |scheme, seed| {
+            let (r, spent) = simulate(&CellSpec::team(&w, scheme, PinConfig::T4N4, seed));
+            assert_eq!(spent.sim_cycles, r.metrics.runtime);
+            r.metrics.runtime
+        };
+        let a = simulate(&CellSpec::team(&w, ColorScheme::Buddy, PinConfig::T4N4, 3)).0;
+        let b = simulate(&CellSpec::team(&w, ColorScheme::Buddy, PinConfig::T4N4, 3)).0;
         assert_eq!(a.metrics, b.metrics);
         // Under the node-oblivious legacy baseline, boot noise shifts the
         // global cursor and with it the node mix → runtimes differ. (The
         // NUMA-aware buddy is translation-invariant on this symmetric
         // workload, so it is not a good seed probe.)
-        let c = simulate_cell(&w, ColorScheme::LegacyGlobal, PinConfig::T4N4, 3);
-        let d = simulate_cell(&w, ColorScheme::LegacyGlobal, PinConfig::T4N4, 4);
-        assert_ne!(c.metrics.runtime, d.metrics.runtime, "seed changes layout");
+        assert_ne!(
+            runtime(ColorScheme::LegacyGlobal, 3),
+            runtime(ColorScheme::LegacyGlobal, 4),
+            "seed changes layout"
+        );
     }
 
     #[test]

@@ -10,10 +10,10 @@ pub struct Table {
 }
 
 impl Table {
-    /// Table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
+    /// Table with the given whitespace-separated column headers.
+    pub fn new(header: &str) -> Self {
         Self {
-            header: header.into_iter().map(Into::into).collect(),
+            header: header.split_whitespace().map(String::from).collect(),
             rows: Vec::new(),
         }
     }
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(vec!["name", "value"]);
+        let mut t = Table::new("name value");
         t.row(vec!["a", "1"]);
         t.row(vec!["longer", "2.5"]);
         let s = t.render();
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn csv_escapes_commas() {
-        let mut t = Table::new(vec!["a", "b"]);
+        let mut t = Table::new("a b");
         t.row(vec!["x,y", "plain"]);
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\",plain"));
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn width_mismatch_panics() {
-        let mut t = Table::new(vec!["a", "b"]);
+        let mut t = Table::new("a b");
         t.row(vec!["only-one"]);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The load-bearing invariant: **figure output is byte-identical** with the
 //! cache on or off and at any `--jobs` count. Cells are bit-deterministic
-//! per `(workload fingerprint, scheme, pin, seed)`, so serving a cached
+//! per spec key (machine, team, workload fingerprint, seed), so serving a cached
 //! result must be indistinguishable from re-simulating it — these tests
 //! render whole figure tables both ways and compare the strings.
 //!
@@ -13,9 +13,7 @@
 
 use tint_bench::figures::{fig10, fig13_14, run_matrix, FigOpts};
 use tint_bench::hostfault::HostFaultPlan;
-use tint_bench::runner::CellSpec;
-use tint_bench::simcache::CellKey;
-use tint_bench::{Harness, RunConfig};
+use tint_bench::{CellSpec, Harness, RunConfig};
 use tint_workloads::traits::Scale;
 use tint_workloads::{all_benchmarks, PinConfig, Synthetic, Workload};
 use tintmalloc::colors::ColorScheme;
@@ -191,11 +189,20 @@ fn all_benchmarks_have_distinct_fingerprints() {
 #[test]
 fn seed_is_part_of_the_cell_key() {
     let w = Synthetic::new(Scale(0.1));
-    let k1 = CellKey::of(&w, ColorScheme::Buddy, PinConfig::T16N4, 1);
-    let k2 = CellKey::of(&w, ColorScheme::Buddy, PinConfig::T16N4, 2);
-    assert_ne!(k1, k2, "each repetition seed must be a distinct cell");
-    let k1_again = CellKey::of(&w, ColorScheme::Buddy, PinConfig::T16N4, 1);
-    assert_eq!(k1, k1_again);
+    let key = |seed| CellSpec::team(&w, ColorScheme::Buddy, PinConfig::T16N4, seed).key();
+    assert_ne!(
+        key(1),
+        key(2),
+        "each repetition seed must be a distinct cell"
+    );
+    assert_eq!(key(1), key(1));
+    // Boot noise is part of the spec: the same seed without it is another
+    // cell.
+    let quiet = CellSpec {
+        noise: false,
+        ..CellSpec::team(&w, ColorScheme::Buddy, PinConfig::T16N4, 1)
+    };
+    assert_ne!(quiet.key(), key(1));
 }
 
 // ---------------------------------------------------------------------------
@@ -229,12 +236,7 @@ fn fig13_14_after_matrix_is_all_cache_hits() {
 #[test]
 fn duplicate_cells_in_one_batch_simulate_once() {
     let w = Synthetic::new(Scale(0.05));
-    let spec = CellSpec {
-        workload: &w,
-        scheme: ColorScheme::Buddy,
-        pin: PinConfig::T16N4,
-        seed: 1,
-    };
+    let spec = CellSpec::team(&w, ColorScheme::Buddy, PinConfig::T16N4, 1);
     let h = harness(true, 1);
     let results = h.run_cells(&[spec, spec, spec]);
     assert_eq!(results.len(), 3);

@@ -2,7 +2,7 @@
 //! 2 with a one-line message before any simulation runs (so no
 //! `BENCH_repro.json` is written). The cases run one after another in a private directory.
 //! A valid multi-config probe prints and records every configuration, and
-//! commands that boot their own machines record what they simulate.
+//! every simulating command records the cycles it simulates.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -108,24 +108,46 @@ fn probe_runs_every_config() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Commands that boot their own machines (no cell batches) still add what
-/// they simulate to their `BENCH_repro.json` record's `sim_cycles`.
+/// Every command that simulates, with the cycles a cold
+/// `--scale 0.05 --reps 1` run of it simulates. Each is a list of cells, so
+/// each record sums its cells' simulated cycles; the figures are
+/// deterministic, so any drift is a change in what a command simulates.
+/// (`fig12` and `fig14` reprint `fig11`'s and `fig13`'s cells.)
+const PINNED_SIM_CYCLES: [(&str, u64); 14] = [
+    ("fig10", 693_587),
+    ("fig11", 43_671_271),
+    ("fig13", 4_221_455),
+    ("latency", 47_126_251),
+    ("bandwidth", 677_178),
+    ("ablate-part", 5_137_233),
+    ("ablate-firsttouch", 942_223),
+    ("ablate-migrate", 461_210),
+    ("ablate-dynamic", 6_860_228),
+    ("ablate-pagepolicy", 778_330),
+    ("ablate-colorlist", 6_177_518),
+    ("ablate-pressure", 58_033_625),
+    ("churn", 12_298_266),
+    ("soak", 11_710_313),
+];
+
+/// A cold run of every simulating command records its pinned `sim_cycles`
+/// in `BENCH_repro.json`. With the cell cache off, each command simulates
+/// every one of its cells even after an earlier command simulated them.
 #[test]
-fn self_booting_commands_record_their_sim_cycles() {
-    let dir = scratch("selfboot");
-    let commands = ["ablate-migrate", "ablate-dynamic", "churn"];
+fn every_simulating_command_records_its_pinned_sim_cycles() {
+    let dir = scratch("simcycles");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.current_dir(&dir)
         .args(["--scale", "0.05", "--reps", "1"])
-        .args(commands);
+        .args(PINNED_SIM_CYCLES.map(|(name, _)| name));
     for v in VARS {
         cmd.env_remove(v);
     }
-    cmd.env("TINT_JOURNAL", "0");
+    cmd.env("TINT_JOURNAL", "0").env("TINT_SIM_CACHE", "0");
     let out = cmd.output().expect("run repro");
     assert!(out.status.success(), "{out:?}");
     let bench = std::fs::read_to_string(dir.join("BENCH_repro.json")).unwrap();
-    for name in commands {
+    for (name, pinned) in PINNED_SIM_CYCLES {
         let record = bench
             .lines()
             .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
@@ -136,7 +158,7 @@ fn self_booting_commands_record_their_sim_cycles() {
             .and_then(|rest| rest.split(',').next())
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("no sim_cycles in {record}"));
-        assert!(cycles > 0, "{name} recorded no simulated cycles: {record}");
+        assert_eq!(cycles, pinned, "{name} simulated other cycles: {record}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,13 @@
-//! Cell-farm differential tests: concurrent-writer shards, a legacy v1
-//! file left alone, io-fault degradation, and generation GC atomicity.
+//! Cell-farm differential tests: concurrent-writer shards, legacy stores
+//! left alone, io-fault degradation, and generation GC atomicity.
 //!
 //! The load-bearing invariants:
 //!
 //! 1. **Merge**: writers append to private shards; replay merges every
 //!    shard of the current generation and dedupes by key, so a fleet of
 //!    processes collectively only ever simulates new cells.
-//! 2. **Legacy**: a v1 journal next to the v2 store is never read or
-//!    touched.
+//! 2. **Legacy**: stores of earlier formats (the v1 file, the v2 shard
+//!    store) next to the current store are never read or touched.
 //! 3. **Degradation**: under injected io faults the journal disarms
 //!    itself; the run completes with byte-identical figures and the
 //!    surviving on-disk prefix stays replayable — never quarantined.
@@ -22,16 +22,13 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use tint_bench::cell::CellKey;
 use tint_bench::figures::{fig10, FigOpts};
 use tint_bench::hostfault::{FaultMode, HostFaultPlan, IO_ABORT_MARKER};
 use tint_bench::journal;
 use tint_bench::lockfile::Lockfile;
-use tint_bench::runner::ExpResult;
-use tint_bench::simcache::CellKey;
-use tint_bench::{Harness, RunConfig};
+use tint_bench::{ExpResult, Harness, RunConfig};
 use tint_spmd::RunMetrics;
-use tint_workloads::PinConfig;
-use tintmalloc::colors::ColorScheme;
 
 fn quick(scale: f64) -> FigOpts {
     FigOpts {
@@ -72,12 +69,7 @@ fn io_faults(per_mille: u16, seed: u64) -> Option<HostFaultPlan> {
 
 /// A synthetic, decodable cell for direct-append tests.
 fn cell(i: u64) -> (CellKey, ExpResult) {
-    let key = CellKey {
-        fingerprint: 0xFA43_0000 + i,
-        scheme: ColorScheme::MemLlc,
-        pin: PinConfig::T8N2,
-        seed: i,
-    };
+    let key = CellKey(format!("test cell {i}"));
     let r = ExpResult {
         metrics: RunMetrics {
             threads: 2,
@@ -96,6 +88,7 @@ fn cell(i: u64) -> (CellKey, ExpResult) {
         l3_miss_rate: 0.1,
         mean_latency: 100.0,
         color_list_moves: 2,
+        counters: vec![i],
         poisoned: false,
     };
     (key, r)
@@ -173,8 +166,18 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. A legacy v1 journal is ignored
+// 2. Stores of earlier formats are ignored
 // ---------------------------------------------------------------------------
+
+/// The v1 file: the v1 magic, then arbitrary entry bytes.
+fn write_v1(dir: &Path, stride: u32) -> (PathBuf, Vec<u8>) {
+    let path = dir.join(journal::LEGACY_STORES[0]);
+    let mut bytes = b"TINTJNL1".to_vec();
+    bytes.extend((0..200u32).map(|i| (i * stride) as u8));
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    (path, bytes)
+}
 
 /// A v1 file alone in the journal directory is reported but never read:
 /// replay finds no cells, GC leaves it byte-identical, and no migration
@@ -182,14 +185,9 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 #[test]
 fn legacy_v1_file_is_left_untouched_and_not_replayed() {
     let dir = scratch("v1-alone");
-    std::fs::create_dir_all(&dir).unwrap();
-    // The v1 magic, then arbitrary entry bytes.
-    let v1_path = dir.join(journal::V1_FILE_NAME);
-    let mut v1_bytes = b"TINTJNL1".to_vec();
-    v1_bytes.extend((0..200u32).map(|i| (i * 53) as u8));
-    std::fs::write(&v1_path, &v1_bytes).unwrap();
+    let (v1_path, v1_bytes) = write_v1(&dir, 53);
 
-    assert_eq!(journal::legacy_file(&dir), Some(v1_path.clone()));
+    assert_eq!(journal::legacy_stores(&dir), vec![v1_path.clone()]);
     let h = process(&dir);
     let stats = h.journal().replay_stats();
     assert_eq!(stats.replayed, 0, "a v1 file is not replayed");
@@ -209,30 +207,36 @@ fn legacy_v1_file_is_left_untouched_and_not_replayed() {
     for e in std::fs::read_dir(&dir).unwrap().flatten() {
         let name = e.file_name().to_string_lossy().into_owned();
         assert!(
-            name == journal::V1_FILE_NAME || name == journal::STORE_DIR,
+            name == journal::LEGACY_STORES[0] || name == journal::STORE_DIR,
             "no marker or quarantine beside it: {name}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A v1 file beside a v2 store contributes nothing: only the v2 shard
-/// replays, and the v1 file survives replay and GC byte-identical.
+/// A v1 file and a v2 shard store beside the current store contribute
+/// nothing: only the current store's shard replays, and both legacy
+/// stores survive replay and GC byte-identical.
 #[test]
 fn v1_beside_a_v2_store_contributes_nothing() {
     let dir = scratch("v1");
-    // A v2 shard holding keys 0..3 (a prior v2 process).
+    // A current-format shard holding keys 0..3 (a prior process).
     write_cells(&dir, 0..3);
-    // A v1 file beside it: the v1 magic, then arbitrary entry bytes.
-    let v1_path = dir.join(journal::V1_FILE_NAME);
-    let mut v1_bytes = b"TINTJNL1".to_vec();
-    v1_bytes.extend((0..200u32).map(|i| (i * 37) as u8));
-    std::fs::write(&v1_path, &v1_bytes).unwrap();
+    let (v1_path, v1_bytes) = write_v1(&dir, 37);
+    // A v2 store: one generation holding one shard.
+    let v2_shard = dir
+        .join(journal::LEGACY_STORES[1])
+        .join("gen-00000001/1-0.jnl");
+    std::fs::create_dir_all(v2_shard.parent().unwrap()).unwrap();
+    std::fs::write(&v2_shard, b"TINTJNL2garbage").unwrap();
 
-    assert_eq!(journal::legacy_file(&dir), Some(v1_path.clone()));
+    assert_eq!(
+        journal::legacy_stores(&dir),
+        vec![v1_path.clone(), dir.join(journal::LEGACY_STORES[1])]
+    );
     let h = process(&dir);
     let stats = h.journal().replay_stats();
-    assert_eq!(stats.replayed, 3, "only the v2 shard replays");
+    assert_eq!(stats.replayed, 3, "only the current store replays");
     assert_eq!(stats.shards, 1);
     assert_eq!(stats.quarantined, 0);
     h.journal().gc().expect("gc succeeds");
@@ -241,6 +245,11 @@ fn v1_beside_a_v2_store_contributes_nothing() {
         v1_bytes,
         "the v1 file is left byte-identical"
     );
+    assert_eq!(
+        std::fs::read(&v2_shard).unwrap(),
+        b"TINTJNL2garbage",
+        "the v2 store is left byte-identical"
+    );
     let names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
@@ -248,49 +257,9 @@ fn v1_beside_a_v2_store_contributes_nothing() {
         .collect();
     assert_eq!(
         names.len(),
-        2,
-        "no marker or quarantine beside it: {names:?}"
+        3,
+        "no marker or quarantine beside them: {names:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Records from retired engine modes (mode byte 1, the reference
-/// pipeline; 2, the sampled engine) are skipped and counted on replay:
-/// the exact cell beside them still serves and nothing is quarantined.
-#[test]
-fn retired_engine_mode_records_are_skipped_not_quarantined() {
-    let dir = scratch("retired");
-    write_cells(&dir, 0..3);
-
-    // Rewrite the 2nd and 3rd records' mode byte (payload offset 10: after
-    // the u64 fingerprint and the scheme and pin bytes) to 1 and 2,
-    // re-sealing each entry's CRC.
-    let shards = shard_paths(&dir);
-    assert_eq!(shards.len(), 1);
-    let mut bytes = std::fs::read(&shards[0]).unwrap();
-    let mut at = 8; // shard magic
-    for entry in 0..3u8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let payload = at + 8..at + 8 + len;
-        assert_eq!(bytes[payload.start + 10], 0, "writers emit mode 0");
-        bytes[payload.start + 10] = entry;
-        let crc = journal::crc32(&bytes[payload.clone()]);
-        bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
-        at = payload.end;
-    }
-    assert_eq!(at, bytes.len());
-    std::fs::write(&shards[0], &bytes).unwrap();
-
-    let h = process(&dir);
-    let stats = h.journal().replay_stats();
-    assert_eq!(stats.replayed, 1, "only the mode-0 cell replays");
-    assert_eq!(stats.retired_skipped, 2);
-    assert_eq!(stats.quarantined, 0);
-    assert_eq!(shard_paths(&dir), shards, "the shard stays in place");
-    let cache = h.cache().unwrap();
-    assert!(cache.get(&cell(0).0).is_some());
-    assert!(cache.get(&cell(1).0).is_none());
-    assert!(cache.get(&cell(2).0).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -402,7 +371,7 @@ fn gc_compacts_duplicates_across_shards_and_preserves_every_cell() {
         stats.bytes_after
     );
     // The old generation is gone; one compacted shard remains.
-    let root = journal::v2_root(&dir);
+    let root = journal::store_root(&dir);
     assert!(!root.join("gen-00000001").exists());
     Lockfile::acquire(&root.join(journal::GC_LOCK)).expect("lock released");
     assert_eq!(shard_paths(&dir).len(), 1);
@@ -432,7 +401,7 @@ fn gc_compacts_duplicates_across_shards_and_preserves_every_cell() {
 fn gc_killed_at_every_io_op_leaves_old_or_new_generation_intact() {
     let dir = scratch("gckill");
     write_cells(&dir, 0..20);
-    let root = journal::v2_root(&dir);
+    let root = journal::store_root(&dir);
 
     // Sweep the kill point over every io operation of the compaction: op k
     // panics (simulated SIGKILL at that filesystem step). After each kill
@@ -503,13 +472,13 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
     let dir = scratch("gclock");
     write_cells(&dir, 0..3);
     let h = process(&dir);
-    let lock = journal::v2_root(&dir).join(journal::GC_LOCK);
+    let lock = journal::store_root(&dir).join(journal::GC_LOCK);
 
     // A live holder makes gc fail fast, store untouched.
     let held = Lockfile::acquire(&lock).unwrap();
     let err = h.journal().gc().expect_err("live lock must refuse");
     assert!(err.contains("is held"), "{err}");
-    assert!(journal::v2_root(&dir).join("gen-00000001").exists());
+    assert!(journal::store_root(&dir).join("gen-00000001").exists());
     drop(held);
 
     // A stale holder (dead pid) is taken over.

@@ -5,7 +5,8 @@
 //!
 //! 1. A killed run resumes **exactly**: every cell the dead process
 //!    completed is replayed from its shard and never re-simulated, and
-//!    the resumed figures are byte-identical to an undisturbed run.
+//!    the resumed figures are byte-identical to an undisturbed run — the
+//!    paper matrix's cells as much as the churn and soak scenarios'.
 //! 2. A damaged store is never fatal. A torn final write (the only tear
 //!    a SIGKILL can produce) is dropped in memory — the shard itself is
 //!    *not* rewritten, because a torn tail on a foreign shard may be a
@@ -21,8 +22,9 @@
 //! same journal directory: it replays the store into a new cell cache and
 //! — like a real fresh process — opens a *new* shard on its next append.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use tint_bench::figures::{fig10, FigOpts};
+use tint_bench::figures::{churn, fig10, soak, FigOpts};
 use tint_bench::hostfault::{FaultMode, HostFaultPlan};
 use tint_bench::journal;
 use tint_bench::{Harness, RunConfig};
@@ -121,6 +123,58 @@ fn resume_replays_completed_cells_and_matches_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kill a `figure` run part-way and resume it: the first "process"
+/// journals `kept` cells, then dies at the io operation that appends the
+/// next one (one worker, so cells complete in input order). A fresh
+/// harness on the same directory must serve those cells as journal hits,
+/// simulate only the rest, and print what an undisturbed run prints.
+fn assert_resumes_after_kill(
+    tag: &str,
+    figure: fn(&Harness, &FigOpts) -> tint_bench::Table,
+    cells: u64,
+    kept: u64,
+) {
+    let dir = scratch(tag);
+    let opts = FigOpts {
+        reps: 1,
+        scale: 0.05,
+        csv: false,
+    };
+    let undisturbed = opts.render(&figure(&Harness::new(config(None)), &opts));
+
+    let h = Harness::new(config(Some(&dir)));
+    // A fresh store's first append creates the generation, opens the
+    // shard and writes its magic before the entry: four io operations,
+    // then one per further cell.
+    h.journal().set_io_abort_at(Some(4 + kept));
+    // The kill panics its worker thread; the executor's thread scope
+    // re-raises it, so the whole figure dies mid-run.
+    let killed = catch_unwind(AssertUnwindSafe(|| figure(&h, &opts)));
+    assert!(killed.is_err(), "the kill point must stop the run");
+    drop(h);
+
+    let h = Harness::new(config(Some(&dir)));
+    assert_eq!(h.journal().replay_stats().replayed, kept);
+    let resumed = opts.render(&figure(&h, &opts));
+    let st = h.stats();
+    assert_eq!(st.journal_hits, kept, "every journaled cell is served");
+    assert_eq!(st.cache_misses, cells - kept, "only the rest is simulated");
+    assert_eq!(resumed, undisturbed, "the resumed table is byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn churn_resumes_from_the_journal_after_a_kill() {
+    // Eight cells: four policy mixes at two load levels.
+    assert_resumes_after_kill("churn-kill", churn, 8, 3);
+}
+
+#[test]
+fn soak_resumes_from_the_journal_after_a_kill() {
+    // Two cells: guarded, then unguarded.
+    assert_resumes_after_kill("soak-kill", soak, 2, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Damaged shards: torn tail vs mid-stream corruption
 // ---------------------------------------------------------------------------
@@ -200,7 +254,7 @@ fn midstream_bitflip_quarantines_that_shard_and_rescues_the_prefix() {
     assert_eq!(stats.replayed, 1, "the good prefix (first entry) survives");
     // The damaged shard moved to the store root under a unique name.
     let shard_name = path.file_name().unwrap().to_str().unwrap();
-    let corrupt = journal::v2_root(&dir).join(format!("{shard_name}.corrupt.1"));
+    let corrupt = journal::store_root(&dir).join(format!("{shard_name}.corrupt.1"));
     assert!(corrupt.exists(), "damaged shard is kept for inspection");
     assert!(!path.exists(), "the corrupt shard left the generation");
 
@@ -220,7 +274,7 @@ fn successive_corruptions_quarantine_to_unique_names() {
     let shard_name = path.file_name().unwrap().to_str().unwrap().to_string();
     std::fs::write(&path, b"NOTJRNL!garbage").unwrap();
     assert_eq!(replay(&dir).quarantined, 1);
-    let root = journal::v2_root(&dir);
+    let root = journal::store_root(&dir);
     let q1 = root.join(format!("{shard_name}.corrupt.1"));
     assert!(q1.exists());
     let q1_bytes = std::fs::read(&q1).unwrap();

@@ -1,10 +1,11 @@
-//! Property tests for the software TLB in [`System::access`].
+//! Property tests for translation coherence in [`System::access`].
 //!
-//! The TLB caches page→frame translations; the kernel bumps its
-//! translation epoch whenever an existing translation dies (`munmap`,
-//! recolor migration). These tests exist so a stale-translation bug —
-//! serving an access from a cached frame after the mapping changed —
-//! fails the suite instead of silently corrupting timing results.
+//! The access path reads each translation from the task's flat page table
+//! through a cached per-task entry. These tests check that what it reads
+//! follows every change to the mapping — `munmap`, remap, recolor
+//! migration, task exit — so a stale-translation bug (an access served
+//! from a frame the mapping no longer holds) fails the suite instead of
+//! silently corrupting timing results.
 
 use tint_hw::machine::MachineConfig;
 use tint_hw::rng::SplitMix64;
@@ -12,14 +13,14 @@ use tint_hw::types::{CoreId, Rw, VirtAddr, PAGE_SIZE};
 use tintmalloc::prelude::*;
 
 /// The home node of the frame `System::access` uses for `va`: the
-/// translation comes from the software TLB, as on the access path.
+/// translation is read from the flat page table, as on the access path.
 fn tlb_node(sys: &mut System, tid: Tid, va: VirtAddr) -> tint_hw::types::NodeId {
     let phys = sys.translate(tid, va).expect("mapped page");
     sys.machine().mapping.decode_frame(phys.frame()).node
 }
 
-/// Assert that the software TLB's translation of `va` is the page
-/// table's current one.
+/// Assert that the access path's translation of `va` is the kernel's
+/// current one.
 fn assert_tlb_matches_page_table(sys: &mut System, tid: Tid, va: VirtAddr, ctx: &str) {
     let truth = sys.resolve(tid, va).expect("page still mapped");
     assert_eq!(
@@ -29,8 +30,8 @@ fn assert_tlb_matches_page_table(sys: &mut System, tid: Tid, va: VirtAddr, ctx: 
     );
 }
 
-/// Warm the TLB for every page of `[base, base + len)` and return the
-/// home node of the frame each page's access used.
+/// Access every page of `[base, base + len)` and return the home node of
+/// the frame each page's access used.
 fn touch_all(sys: &mut System, tid: Tid, base: VirtAddr, len: u64) -> Vec<tint_hw::types::NodeId> {
     let mut nodes = Vec::new();
     let mut off = 0;
@@ -53,7 +54,7 @@ fn munmap_invalidates_cached_translations() {
     let len = 4 * PAGE_SIZE;
     let buf = sys.malloc(tid, len).unwrap();
 
-    // First pass faults the pages in; second pass is served from the TLB.
+    // First pass faults the pages in; second pass reads the mapped pages.
     touch_all(&mut sys, tid, buf, len);
     for off in (0..len).step_by(PAGE_SIZE as usize) {
         let acc = sys.access(tid, buf.offset(off), Rw::Read, 0).unwrap();
@@ -71,8 +72,9 @@ fn munmap_invalidates_cached_translations() {
 }
 
 /// After the freed region's pages are handed to a *different* task, the
-/// first task's re-allocation must observe its own new frames — the TLB
-/// must not leak the dead translation across the malloc/free boundary.
+/// first task's re-allocation must observe its own new frames — the
+/// access path must not keep the dead translation across the malloc/free
+/// boundary.
 #[test]
 fn remalloc_after_free_sees_fresh_frames() {
     let mut sys = System::boot(MachineConfig::opteron_6128());
@@ -91,8 +93,9 @@ fn remalloc_after_free_sees_fresh_frames() {
 }
 
 /// Recoloring migrates pages to new frames; accesses immediately after
-/// must see the migrated placement. A TLB that survives `recolor` keeps
-/// routing accesses to the old node and fails the home-node assertions.
+/// must see the migrated placement. An access path that missed the
+/// recolor would keep routing accesses to the old node and fail the
+/// home-node assertions.
 #[test]
 fn recolor_invalidates_cached_translations() {
     let machine = MachineConfig::opteron_6128();
@@ -127,9 +130,8 @@ fn recolor_invalidates_cached_translations() {
         "every violating page must migrate"
     );
 
-    // Every access must now observe the migrated, node-0 frames. The TLB
-    // is still warm with pre-migration entries; only epoch invalidation
-    // makes this pass.
+    // Every access must now observe the migrated, node-0 frames, though
+    // every page was accessed before the migration.
     let after = touch_all(&mut sys, tid, buf, len);
     assert!(
         after.iter().all(|&n| n == target),
@@ -173,12 +175,11 @@ fn recolor_range_keeps_accesses_coherent() {
     }
 }
 
-/// The per-task memo of the last translated page sits in front of the
-/// table: repeated accesses to one page are served from it, and a munmap
-/// of that page, or a recolor of it, must still be seen by the very next
-/// access — `translate` equals `resolve` after every step.
+/// Repeated accesses to one page, then a munmap of that page, a remap, and
+/// a recolor of it: the very next access sees each change — `translate`
+/// equals `resolve` after every step.
 #[test]
-fn last_page_memo_follows_remaps_and_recolors() {
+fn repeated_accesses_follow_remaps_and_recolors() {
     let mut sys = System::boot(MachineConfig::opteron_6128());
     // Core 12 lives on node 3; the task's color is a node-0 bank color.
     let core = CoreId(12);
@@ -198,8 +199,8 @@ fn last_page_memo_follows_remaps_and_recolors() {
     }
     assert_eq!(tlb_node(&mut sys, tid, buf), local);
 
-    // munmap while the memo holds the page: the next access faults. Then
-    // map a fresh range under the task's colors and hammer its first page.
+    // munmap the hammered page: the next access faults. Then map a fresh
+    // range under the task's colors and hammer its first page.
     sys.free(tid, buf).unwrap();
     assert_eq!(sys.access(tid, buf, Rw::Read, 0), Err(Errno::Efault));
     assert_eq!(sys.translate(tid, buf), Err(Errno::Efault));
@@ -211,7 +212,7 @@ fn last_page_memo_follows_remaps_and_recolors() {
     assert_eq!(tlb_node(&mut sys, tid, buf), target);
 
     // A new LLC color makes the page non-conforming; recoloring its range
-    // migrates it while the memo holds its old frame.
+    // migrates it right after it was accessed.
     let before = sys.resolve(tid, buf).unwrap();
     let llc = sys.machine().mapping.decode_frame(before.frame()).llc_color;
     let other = LlcColor((llc.raw() + 1) % sys.machine().mapping.llc_color_count() as u16);
@@ -243,7 +244,7 @@ fn assert_tlb_coherent(sys: &mut System, tid: Tid, base: VirtAddr, len: u64) {
 }
 
 /// A recolor that dies of genuine color exhaustion part-way through must
-/// leave every translation coherent (no page lost, no stale TLB entry),
+/// leave every translation coherent (no page lost, none stale),
 /// and the same recolor must succeed once the hoarded color is freed.
 #[test]
 fn failed_partial_recolor_is_coherent_and_retry_succeeds() {
@@ -292,8 +293,9 @@ fn failed_partial_recolor_is_coherent_and_retry_succeeds() {
 }
 
 /// Same contract when the mid-migration failure is an *injected* page-copy
-/// fault rather than true exhaustion: the transactional rollback keeps the
-/// TLB coherent, and the migration completes after the weather clears.
+/// fault rather than true exhaustion: the transactional rollback keeps
+/// every translation coherent, and the migration completes after the
+/// weather clears.
 #[test]
 fn injected_page_copy_fault_keeps_tlb_coherent() {
     let mut sys = System::boot(MachineConfig::tiny());
@@ -317,9 +319,9 @@ fn injected_page_copy_fault_keeps_tlb_coherent() {
 }
 
 /// Seeded property loop: under a random mix of malloc / touch / free /
-/// recolor, every access's TLB translation matches a fresh page-table
-/// walk, and every freed address faults. This is the invariant the TLB
-/// must preserve no matter how translations churn.
+/// recolor, every access's translation matches the kernel's, and every
+/// freed address faults. This is the invariant the access path must
+/// preserve no matter how translations churn.
 #[test]
 fn random_op_stream_never_observes_stale_translations() {
     let mut rng = SplitMix64::new(0x7e5_7db);

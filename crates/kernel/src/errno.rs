@@ -21,6 +21,15 @@ pub enum Errno {
 }
 
 impl Errno {
+    /// Every error number, in declaration order.
+    pub const ALL: [Errno; 5] = [
+        Errno::Enomem,
+        Errno::Einval,
+        Errno::Esrch,
+        Errno::Efault,
+        Errno::Eagain,
+    ];
+
     /// The conventional uppercase name (`"ENOMEM"`, ...), for table cells
     /// and machine-readable output.
     pub fn name(&self) -> &'static str {

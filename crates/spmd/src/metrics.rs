@@ -37,7 +37,7 @@ impl SectionOutcome {
 }
 
 /// Aggregated metrics of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Number of worker threads.
     pub threads: usize,

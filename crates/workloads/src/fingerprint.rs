@@ -13,7 +13,12 @@
 //! function of the values fed to the builder — stable across runs,
 //! processes, and platforms (everything is hashed in little-endian byte
 //! order). It is **not** stable across code changes that reorder or add
-//! fields; that is fine, because the cache never outlives the process.
+//! fields, and it does not cover the code that builds the program. The
+//! cell journal in `tint-bench` persists cells across processes, keyed by
+//! the fingerprint: a code change that alters a workload's program without
+//! changing its fingerprint is served stale cells from an existing
+//! journal. Delete the journal directory (`.tint-journal/`) after such a
+//! change; `repro gc-journal` only compacts it and keeps every cell.
 
 /// Builder for a 64-bit parameter fingerprint.
 ///

@@ -18,6 +18,8 @@
 //! * [`synthetic`] — the Fig. 10 microbenchmark.
 //! * [`lbm`], [`art`], [`equake`], [`bodytrack`], [`freqmine`],
 //!   [`blackscholes`] — the six benchmark emulators.
+//! * [`chunk_queue`] — the imbalanced chunk queue of the scheduling
+//!   ablation, statically or dynamically scheduled.
 //! * [`churn`] — the multi-tenant arrival/exit stream for the round-robin
 //!   scheduler (not a paper benchmark; the reclamation observability
 //!   harness of ROADMAP item 1).
@@ -32,6 +34,7 @@
 pub mod art;
 pub mod blackscholes;
 pub mod bodytrack;
+pub mod chunk_queue;
 pub mod churn;
 pub mod config;
 pub mod equake;
@@ -43,6 +46,7 @@ pub mod soak;
 pub mod synthetic;
 pub mod traits;
 
+pub use chunk_queue::ChunkQueue;
 pub use churn::ChurnConfig;
 pub use config::PinConfig;
 pub use soak::SoakConfig;

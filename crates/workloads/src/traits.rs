@@ -16,11 +16,12 @@ pub trait Workload: Sync {
     /// Stable content fingerprint of the full parameter set (see
     /// [`crate::fingerprint::Fingerprint`]). Contract: two workloads with
     /// equal fingerprints must build identical programs for every
-    /// `(sys, threads, seed)` — the simulation cell cache in `tint-bench`
-    /// uses `(fingerprint, scheme, pin, seed)` as its memoization key, so a
+    /// `(sys, threads, seed)` — the workload enters a `tint-bench` cell's
+    /// key (machine, team, fingerprint, seed) only through it, so a
     /// parameter that influences the access stream but is missing from the
-    /// fingerprint would silently alias distinct cells. Implementations
-    /// hash the type name plus every public field.
+    /// fingerprint would silently alias distinct cells, in memory and in
+    /// the on-disk journal. Implementations hash the type name plus every
+    /// public field.
     fn fingerprint(&self) -> u64;
 
     /// Build the program. `seed` varies across the paper's 10 repetitions

@@ -120,7 +120,9 @@ for cmd in "ablate-migrate" "--scale 0.1 soak" "--scale 0.1 churn"; do
     fi
 done
 # Every command, cold, at one and at two worker threads: cells are merged
-# in canonical order, so the job count must not reach the output.
+# in canonical order, so the job count must not reach the output. Both
+# must also print the pinned output: every command is a list of cells, and
+# this hash is what the command set printed before they all were.
 for jobs in 1 2; do
     (cd "$det_dir" && TINT_JOURNAL=0 TINT_SIM_CACHE=0 "$OLDPWD/target/release/repro" --jobs $jobs --scale 0.1 all > "all_jobs$jobs.txt" 2> /dev/null)
 done
@@ -129,10 +131,15 @@ if ! cmp -s "$det_dir/all_jobs1.txt" "$det_dir/all_jobs2.txt"; then
     diff "$det_dir/all_jobs1.txt" "$det_dir/all_jobs2.txt" >&2 || true
     exit 1
 fi
+all_md5=$(md5sum "$det_dir/all_jobs1.txt" | cut -d' ' -f1)
+if [ "$all_md5" != "a4d23c080b5aaf3149a5e686bbf009e0" ]; then
+    echo "FAIL: cold \`repro --scale 0.1 all\` output md5 $all_md5 != a4d23c080b5aaf3149a5e686bbf009e0" >&2
+    exit 1
+fi
 # `all` records one summed BENCH_repro.json entry, so the same command set
 # (repro's COMMANDS list) runs cold once more, command by command, and every
-# command that simulates must record non-zero `sim_cycles` — including the
-# figures that boot their own machines instead of running cell batches.
+# command that simulates must record non-zero `sim_cycles`
+# (`tests/cli.rs` pins the exact values at `--scale 0.05`).
 # Exempt:
 #   gc-journal  compacts the cell journal; it simulates nothing (not run).
 #   fig12       prints fig11's matrix, which the same invocation simulated.
@@ -299,11 +306,11 @@ rm -rf "$io_dir"
 echo "== churn reclamation smoke =="
 # A short seeded multi-tenant churn run: tasks arrive, color themselves,
 # live, and exit under every exhaustion policy with kernel invariants
-# checked throughout. The figure itself hard-asserts the reclamation
-# contract per cell (post-run buddy and color-list populations equal the
-# post-boot baseline), so a leaked or mis-routed frame is a nonzero exit;
-# the leaked_frames/pool_skew columns are re-checked here for belt and
-# braces.
+# checked throughout. Each churn cell asserts the reclamation contract
+# inside the cell (post-run buddy and color-list populations equal the
+# post-boot baseline); a violation poisons the cell, which renders as ERR,
+# and the run exits 1. The leaked_frames/pool_skew columns are re-checked
+# here for belt and braces.
 churn_dir=$(mktemp -d)
 (cd "$churn_dir" && TINT_JOURNAL=0 "$OLDPWD/target/release/repro" --scale 0.1 churn > churn.txt 2> /dev/null)
 if grep -E '"(leaked_frames|pool_skew)": "(-?[1-9])' "$churn_dir/BENCH_repro.json"; then
@@ -319,11 +326,11 @@ rm -rf "$churn_dir"
 echo "== soak survival smoke =="
 # A short seeded soak: sustained over-committed arrivals with the kernel
 # fault injector armed, watermark admission control, OOM victim kills, and
-# the incremental invariant auditor all on. The figure hard-asserts the
-# survival contract per cell (every arrival reaches a terminal fate; the
-# post-run pool populations equal the baseline — zero leaked frames), so
-# any violation is a nonzero exit; the window trace is re-checked here for
-# belt and braces.
+# the incremental invariant auditor all on. Each soak cell asserts the
+# survival contract inside the cell (every arrival reaches a terminal fate;
+# the post-run pool populations equal the baseline — zero leaked frames);
+# a violation poisons the cell, which renders as ERR, and the run exits 1.
+# The window trace is re-checked here for belt and braces.
 soak_dir=$(mktemp -d)
 (cd "$soak_dir" && TINT_JOURNAL=0 "$OLDPWD/target/release/repro" --scale 0.1 soak > soak.txt 2> /dev/null)
 if ! grep -q '"cell": "guarded"' "$soak_dir/BENCH_repro.json"; then
